@@ -127,7 +127,7 @@ def _solve_task(task):
         return RunResult(
             problem=name,
             config=config,
-            status=f"error: {type(exc).__name__}",
+            status=f"error: {type(exc).__name__}: {exc}",
             iterations=0,
             solve_seconds=0.0,
             accel_seconds=0.0,

@@ -10,11 +10,10 @@ matches the matrix Frobenius norm.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-
-from .linalg import eigh_symmetric
 
 ZERO = "zero"
 NONNEG = "nonneg"
@@ -72,32 +71,33 @@ class ConeBlock:
         return True
 
 
+@functools.lru_cache(maxsize=64)
+def _triangle_index(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(col, row, scale) of each svec entry, in svec order.
+
+    Column-major lower triangle is row-major upper triangle read transposed,
+    so ``np.triu_indices`` yields the columns and rows directly.
+    """
+    col, row = np.triu_indices(side)
+    scale = np.where(row == col, 1.0, _SQRT2)
+    for arr in (col, row, scale):
+        arr.flags.writeable = False
+    return col, row, scale
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Scaled lower-triangle vector of a symmetric matrix (column-major)."""
-    side = S.shape[0]
-    out = np.empty(side * (side + 1) // 2)
-    k = 0
-    for j in range(side):
-        out[k] = S[j, j]
-        k += 1
-        for i in range(j + 1, side):
-            out[k] = S[i, j] * _SQRT2
-            k += 1
-    return out
+    col, row, scale = _triangle_index(S.shape[0])
+    return S[row, col] * scale
 
 
 def smat(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`."""
     vec = np.asarray(vec, dtype=float)
     side = triangle_side(vec.size)
+    col, row, scale = _triangle_index(side)
     S = np.empty((side, side))
-    k = 0
-    for j in range(side):
-        S[j, j] = vec[k]
-        k += 1
-        for i in range(j + 1, side):
-            S[i, j] = S[j, i] = vec[k] / _SQRT2
-            k += 1
+    S[row, col] = S[col, row] = vec / scale
     return S
 
 
@@ -125,7 +125,7 @@ def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
         out[1:] = scale * x
         return out
     # PSD: clamp negative eigenvalues.
-    vals, vecs = eigh_symmetric(smat(v))
+    vals, vecs = np.linalg.eigh(smat(v))
     clipped = np.maximum(vals, 0.0)
     return svec((vecs * clipped) @ vecs.T)
 
@@ -150,8 +150,7 @@ def in_recession_of_negation(block: ConeBlock, d: np.ndarray, tol: float) -> boo
         return bool(ok_pos and ok_neg)
     if block.kind == SECOND_ORDER:
         return bool(np.linalg.norm(d[1:]) <= -d[0] + tol)
-    vals, _ = eigh_symmetric(smat(-d))
-    return bool(vals.min() >= -tol)
+    return bool(np.linalg.eigvalsh(smat(-d)).min() >= -tol)
 
 
 def cone_support(block: ConeBlock, w: np.ndarray, tol: float) -> float:
@@ -180,5 +179,4 @@ def cone_support(block: ConeBlock, w: np.ndarray, tol: float) -> float:
     if block.kind == SECOND_ORDER:
         # Self-dual: the support is zero iff w is in -K.
         return 0.0 if np.linalg.norm(w[1:]) <= -w[0] + tol else math.inf
-    vals, _ = eigh_symmetric(smat(w))
-    return 0.0 if vals.max() <= tol else math.inf
+    return 0.0 if np.linalg.eigvalsh(smat(w)).max() <= tol else math.inf

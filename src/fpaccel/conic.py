@@ -8,18 +8,25 @@ Problems have the form
 with P positive semidefinite and K a product of cone blocks.  The iterate
 v stacks (x-part, s-part) in R^{n+m}.  One operator application is
 
-    z = prox(v)             -- one quasi-definite KKT solve,
+    z = prox(v)             -- one KKT solve,
     w = project(2 z - v)    -- identity on the x-part, cone blocks on s,
     v+ = v + (w - z),
 
 a firmly nonexpansive map whose fixed points encode primal-dual optima.
-The prox step solves
+The prox step solves the KKT system
 
-    [[P + (1/gamma) I, A'], [A, -gamma I]] (x, lam) = ((1/gamma) v_x - q, b - v_s)
+    [[P + (1/gamma) I, A'], [A, -gamma I]] (x, lam) = (r1, r2),
+    r1 = (1/gamma) v_x - q,   r2 = b - v_s,
 
-and returns z = (x, v_s - gamma lam).  The step size gamma is the single
-operator parameter; adapting it refactors the KKT matrix and bumps the
-operator epoch.
+and returns z = (x, v_s - gamma lam).  Eliminating lam = (A x - r2) / gamma
+leaves the reduced system
+
+    (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
+
+whose matrix is symmetric positive definite (P is PSD and gamma > 0), so
+one Cholesky factorization serves every solve at a given gamma.  The step
+size gamma is the single operator parameter; adapting it refactors the
+reduced matrix and bumps the operator epoch.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import driver as _driver
 from .cones import ConeBlock, cone_support, in_recession_of_negation, project_cone
-from .linalg import LdlFactor, ldl_factor, ldl_solve
 from .operators import FixedPointOperator
 
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -38,10 +45,6 @@ DUAL_INFEASIBLE = "dual_infeasible"
 
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 1e6
-
-# Static regularization added to the KKT diagonal before factoring; the
-# solve is then refined against the unregularized matrix.
-_KKT_REG = 1e-7
 
 
 class Certificate:
@@ -106,8 +109,6 @@ class DrsOperator(FixedPointOperator):
         self.problem = problem
         self._slices = problem.cone_slices()
         self.gamma = float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
-        self._kkt_exact: np.ndarray | None = None
-        self._factor: LdlFactor | None = None
         self._refactor()
         self._cache_v: np.ndarray | None = None
         self._cache_z: np.ndarray | None = None
@@ -132,39 +133,29 @@ class DrsOperator(FixedPointOperator):
         self.epoch += 1
 
     def _refactor(self) -> None:
-        prob, gamma = self.problem, self.gamma
-        n, m = prob.n, prob.m
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = prob.P + (1.0 / gamma) * np.eye(n)
-        kkt[:n, n:] = prob.A.T
-        kkt[n:, :n] = prob.A
-        kkt[n:, n:] = -gamma * np.eye(m)
-        self._kkt_exact = kkt
-        reg = np.concatenate([np.full(n, _KKT_REG), np.full(m, -_KKT_REG)])
-        self._factor = ldl_factor(kkt + np.diag(reg), n)
+        """Cholesky-factor the reduced matrix P + (I + A'A) / gamma.
+
+        Raises scipy's LinAlgError when it is not positive definite, which
+        can happen only when P is not positive semidefinite.
+        """
+        prob = self.problem
+        reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / self.gamma
+        self._factor = cho_factor(reduced)
 
     # -- linear algebra ---------------------------------------------------
 
-    def solve_kkt(self, rhs: np.ndarray, refine_steps: int = 2) -> np.ndarray:
-        """Solve the (unregularized) KKT system via the regularized factors.
-
-        Iterative refinement against the exact matrix removes the bias the
-        static regularization would otherwise leave in the solution.
-        """
-        sol = ldl_solve(self._factor, rhs)
-        scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
-        for _ in range(refine_steps):
-            resid = rhs - self._kkt_exact @ sol
-            if np.abs(resid).max(initial=0.0) <= 1e-12 * scale:
-                break
-            sol = sol + ldl_solve(self._factor, resid)
-        return sol
+    def solve_kkt(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the KKT system for the stacked (x, lam) through the reduced one."""
+        prob, gamma = self.problem, self.gamma
+        r1, r2 = rhs[: prob.n], rhs[prob.n :]
+        x = cho_solve(self._factor, r1 + prob.A.T @ r2 / gamma, check_finite=False)
+        return np.concatenate([x, (prob.A @ x - r2) / gamma])
 
     def prox_quadratic(self, v: np.ndarray) -> np.ndarray:
         """prox of the quadratic-plus-equality part, one KKT solve.
 
         The returned z = (x, v_s - gamma lam) satisfies A z_x + z_s = b up
-        to the refined KKT residual.
+        to the rounding error of the KKT solve.
         """
         prob, gamma = self.problem, self.gamma
         n = prob.n

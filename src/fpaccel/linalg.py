@@ -1,11 +1,11 @@
-"""Dense linear-algebra kernels.
+"""Incremental thin QR for the acceleration least-squares problem.
 
-Three small tools used throughout the package:
-
-* a thin QR factorization that grows one column at a time (modified
-  Gram-Schmidt with one reorthogonalization pass, O(n*j) per append),
-* an LDL^T factorization without pivoting for quasi-definite matrices,
-* a cyclic Jacobi eigensolver for small symmetric matrices.
+A QR factorization that grows one column at a time: each append
+orthogonalizes the new column by classical Gram-Schmidt applied twice
+(CGS2), two pairs of BLAS matrix-vector products, O(n*j) per append.
+Least-squares solves back-substitute on the triangular factor.  The KKT
+solve and the eigendecompositions elsewhere in the package call LAPACK
+through numpy/scipy directly.
 
 Everything is dense float64; matrices are plain numpy arrays.
 """
@@ -22,14 +22,6 @@ class ColumnRankDeficient(Exception):
 
 class SingularTriangular(Exception):
     """Triangular factor has a negligible diagonal pivot."""
-
-
-class NotQuasiDefinite(Exception):
-    """LDL^T pivot vanished or has the wrong sign for its block."""
-
-
-class NoConvergence(Exception):
-    """Jacobi sweeps failed to annihilate the off-diagonal mass."""
 
 
 class QrState:
@@ -58,17 +50,17 @@ class QrState:
         return self._r[: self.ncols, : self.ncols]
 
     def reset(self) -> None:
+        # Appends overwrite every entry that q and r expose, and nothing
+        # writes below the diagonal of r, so the buffers need no clearing.
         self.ncols = 0
-        self._q[:] = 0.0
-        self._r[:] = 0.0
 
 
 def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -> QrState:
     """Append one column to the factorization in place.
 
-    Orthogonalizes ``col`` against the current basis with modified
-    Gram-Schmidt, then runs one mandatory reorthogonalization pass to
-    keep q'q = I near machine precision.
+    Orthogonalizes ``col`` against the current basis by classical
+    Gram-Schmidt, c = q'w then w -= q c, run twice so that q'q = I holds
+    near machine precision.
 
     Raises ColumnRankDeficient when the orthogonal remainder is below
     ``rank_tol`` times the column norm; the caller must discard the
@@ -82,16 +74,13 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
         raise ValueError(f"column has shape {col.shape}, expected ({state.dim},)")
     col_norm = float(np.linalg.norm(col))
 
+    q = state._q[:, :k]
     w = col.copy()
     coeffs = np.zeros(k)
-    for i in range(k):
-        c = state._q[:, i] @ w
-        w -= c * state._q[:, i]
-        coeffs[i] += c
-    for i in range(k):
-        c = state._q[:, i] @ w
-        w -= c * state._q[:, i]
-        coeffs[i] += c
+    for _ in range(2):
+        c = q.T @ w
+        w -= q @ c
+        coeffs += c
 
     w_norm = float(np.linalg.norm(w))
     if w_norm <= rank_tol * col_norm:
@@ -123,128 +112,3 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
         )
     qtr = state._q[:, :k].T @ rhs
     return solve_triangular(state._r[:k, :k], qtr, lower=False)
-
-
-class LdlFactor:
-    """LDL^T factors of a quasi-definite matrix: unit lower ``l``, diagonal ``d``."""
-
-    def __init__(self, l: np.ndarray, d: np.ndarray):
-        self.l = l
-        self.d = d
-
-    @property
-    def dim(self) -> int:
-        return self.d.size
-
-
-def ldl_factor(K: np.ndarray, n_pos: int, pivot_tol: float = 1e-14) -> LdlFactor:
-    """Factor a symmetric quasi-definite matrix as L D L^T without pivoting.
-
-    ``n_pos`` is the size of the leading positive-definite block; the
-    trailing block must be negative definite.  Quasi-definiteness makes
-    the factorization exist with exactly that pivot sign pattern, which
-    is checked as each pivot is formed.
-
-    Raises NotQuasiDefinite on a vanishing pivot (|d_k| < pivot_tol) or a
-    pivot whose sign disagrees with its block.
-    """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    if K.shape != (n, n):
-        raise ValueError("K must be square")
-    if not 0 <= n_pos <= n:
-        raise ValueError("n_pos out of range")
-    if n > 0 and not np.allclose(K, K.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(K).max())):
-        raise ValueError("K must be symmetric")
-
-    a = K.copy()
-    lower = np.eye(n)
-    d = np.zeros(n)
-    for k in range(n):
-        pivot = a[k, k]
-        if abs(pivot) < pivot_tol:
-            raise NotQuasiDefinite(f"pivot {k} is {pivot:.3e}")
-        if (pivot > 0.0) != (k < n_pos):
-            raise NotQuasiDefinite(
-                f"pivot {k} has sign {np.sign(pivot):+.0f}, "
-                f"expected {'+' if k < n_pos else '-'}"
-            )
-        d[k] = pivot
-        if k + 1 < n:
-            colk = a[k + 1 :, k] / pivot
-            lower[k + 1 :, k] = colk
-            a[k + 1 :, k + 1 :] -= np.outer(colk, a[k + 1 :, k])
-    return LdlFactor(lower, d)
-
-
-def ldl_solve(factor: LdlFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs from the LDL^T factors of K."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (factor.dim,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({factor.dim},)")
-    y = solve_triangular(factor.l, rhs, lower=True, unit_diagonal=True)
-    y /= factor.d
-    return solve_triangular(factor.l.T, y, lower=False, unit_diagonal=True)
-
-
-def eigh_symmetric(
-    S: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigvals, eigvecs) with S = eigvecs @ diag(eigvals) @ eigvecs.T.
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``tol * ||S||_F``; raises NoConvergence after ``max_sweeps``.
-    """
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if S.shape != (n, n):
-        raise ValueError("S must be square")
-    if n > 0 and np.abs(S - S.T).max() > 1e-12 * (1.0 + np.abs(S).max()):
-        raise ValueError("S must be symmetric")
-
-    a = 0.5 * (S + S.T)
-    vecs = np.eye(n)
-    norm_s = float(np.linalg.norm(a))
-    if norm_s == 0.0 or n < 2:
-        return np.diagonal(a).copy(), vecs
-
-    # Rotations with |a_pq| below this cannot push the total off-diagonal
-    # mass above the sweep target, so they are skipped.
-    skip_tol = tol * norm_s / n
-
-    for _ in range(max_sweeps):
-        # Norm of the actual off-diagonal entries; the sum-of-squares
-        # shortcut cancels catastrophically once they are tiny.
-        off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if off <= tol * norm_s:
-            return np.diagonal(a).copy(), vecs
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    raise NoConvergence(f"off-diagonal mass not below {tol:.0e}*||S|| after {max_sweeps} sweeps")

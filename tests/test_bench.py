@@ -7,7 +7,8 @@ import pytest
 
 from fpaccel import cli
 from fpaccel.bench import EmptyInput, CONFIGS, run_benchmark, shifted_gmean
-from fpaccel.cones import BOX, NONNEG, PSD_TRIANGLE
+from fpaccel.cones import BOX, NONNEG, PSD_TRIANGLE, ConeBlock
+from fpaccel.conic import ConicProblem
 from fpaccel.problems import (
     InvalidParams,
     ParseError,
@@ -219,12 +220,21 @@ def load_tiny():
 
 
 def test_run_benchmark_common_subset_rule():
-    problems = small_suite(2) + [("infeas", generate("InfeasibleLP", seed=1))]
+    nonconvex = ConicProblem([[-10.0]], [0.0], [[1.0]], [1.0], [ConeBlock(NONNEG, 1)])
+    problems = small_suite(2) + [
+        ("infeas", generate("InfeasibleLP", seed=1)),
+        ("nonconvex", nonconvex),
+    ]
     summary = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6, time_cap=60.0)
-    # the infeasible problem is excluded from means but counted in rows
+    # the infeasible and failing problems are excluded from means but counted in rows
     assert "infeas" not in summary.common_subset
     assert len(summary.common_subset) == 2
-    assert len(summary.rows) == 6
+    assert len(summary.rows) == 8
+    # a failed solve keeps the exception message, not just its type
+    for row in summary.rows[-2:]:
+        assert row.problem == "nonconvex"
+        prefix = "error: LinAlgError: "
+        assert row.status.startswith(prefix) and row.status[len(prefix):].strip()
     for stats in summary.aggregates.values():
         assert stats.solved == 2
         assert math.isfinite(stats.mean_iterations)

@@ -57,6 +57,12 @@ def test_svec_smat_round_trip():
     # scaled triangle keeps the Frobenius norm
     assert abs(np.linalg.norm(vec) - np.linalg.norm(S)) < 1e-12
     assert triangle_side(15) == 5
+    # column-major lower triangle, off-diagonals scaled by sqrt(2)
+    S3 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    r2 = math.sqrt(2.0)
+    assert_allclose(svec(S3), [1.0, 2.0 * r2, 3.0 * r2, 4.0, 5.0 * r2, 6.0], rtol=1e-15)
+    assert_allclose(smat(svec(S3)), S3, rtol=1e-15)
+    assert_allclose(smat(svec(np.array([[7.0]]))), [[7.0]])
 
 
 def test_projection_values():

@@ -60,10 +60,11 @@ def test_prox_satisfies_equality_constraint():
         assert np.linalg.norm(lhs - prob.b) <= 1e-8 * max(1.0, np.linalg.norm(prob.b))
 
 
-def test_prox_kkt_residual_small():
+@pytest.mark.parametrize("gamma", [10.0**k for k in range(-6, 7)])
+def test_prox_kkt_residual_small(gamma):
     rng = np.random.default_rng(1)
     prob = generate("RandomQP", n=15, m=25, seed=2)
-    op = DrsOperator(prob, gamma=1.3)
+    op = DrsOperator(prob, gamma=gamma)
     n, gamma = prob.n, op.gamma
     kkt = np.block(
         [
@@ -75,6 +76,11 @@ def test_prox_kkt_residual_small():
     rhs = np.concatenate([v[:n] / gamma - prob.q, prob.b - v[n:]])
     sol = op.solve_kkt(rhs)
     assert np.linalg.norm(kkt @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    # Dense oracle on the full KKT matrix; lam is compared as gamma * lam,
+    # the slack correction the prox step actually uses.
+    oracle = np.linalg.solve(kkt, rhs)
+    for got, want in ((sol[:n], oracle[:n]), (gamma * sol[n:], gamma * oracle[n:])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_drs_fixed_point_is_fixed():
