@@ -2,7 +2,7 @@
 Douglas-Rachford conic QP/SDP solver as the reference operator and a
 benchmark harness comparing vanilla, unsafe, and safeguarded runs."""
 
-from .accel import AccelMemory, Coefficients, alpha_from_eta, eta_guard
+from .accel import AccelMemory, alpha_from_eta, eta_guard
 from .bench import BenchSummary, run_benchmark, shifted_gmean
 from .cones import ConeBlock, project_cone, smat, svec
 from .conic import Certificate, ConicProblem, ConicSolution, DrsOperator, solve
@@ -26,7 +26,6 @@ __all__ = [
     "AffineTestOperator",
     "BenchSummary",
     "Certificate",
-    "Coefficients",
     "ConeBlock",
     "ConicProblem",
     "ConicSolution",

@@ -27,17 +27,6 @@ class SingularSystem(Exception):
     """Type-I coefficient matrix V'R is numerically singular."""
 
 
-class Coefficients:
-    """Extrapolation coefficients eta and their cached 2-norm."""
-
-    def __init__(self, eta: np.ndarray):
-        self.eta = np.asarray(eta, dtype=float)
-        self.norm2 = float(np.linalg.norm(self.eta))
-
-    def __len__(self) -> int:
-        return self.eta.size
-
-
 class AccelMemory:
     """Difference histories V (iterate diffs) and R (residual diffs).
 
@@ -92,20 +81,20 @@ class AccelMemory:
         self.j += 1
         return self
 
-    def compute_eta(self, r_k: np.ndarray) -> Coefficients:
+    def compute_eta(self, r_k: np.ndarray) -> np.ndarray:
         if self.variant == TYPE_II:
             return self.compute_eta_type2(r_k)
         return self.compute_eta_type1(r_k)
 
-    def compute_eta_type2(self, r_k: np.ndarray) -> Coefficients:
+    def compute_eta_type2(self, r_k: np.ndarray) -> np.ndarray:
         """eta = argmin ||r_k - R eta|| via the maintained QR factors."""
         if self.qr is None:
             raise RuntimeError("type-II coefficients need the QR variant")
         if self.ncols < 1:
             raise ValueError("no stored columns")
-        return Coefficients(qr_solve_ls(self.qr, np.asarray(r_k, dtype=float)))
+        return qr_solve_ls(self.qr, np.asarray(r_k, dtype=float))
 
-    def compute_eta_type1(self, r_k: np.ndarray, pivot_tol: float = 1e-12) -> Coefficients:
+    def compute_eta_type1(self, r_k: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
         """eta solves (V'R) eta = V' r_k by dense LU with partial pivoting."""
         if self.ncols < 1:
             raise ValueError("no stored columns")
@@ -124,15 +113,16 @@ class AccelMemory:
             raise SingularSystem(
                 f"pivot {pivots.min():.3e} below {pivot_tol:.0e} * max entry {max_entry:.3e}"
             )
-        return Coefficients(lu_solve((lu, piv), v.T @ r_k))
+        return lu_solve((lu, piv), v.T @ r_k)
 
-    def candidate(self, f_k: np.ndarray, coeffs: Coefficients) -> np.ndarray:
+    def candidate(self, f_k: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Accelerated point f_k - (V - R) eta."""
-        if len(coeffs) != self.ncols:
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape != (self.ncols,):
             raise ValueError("coefficient length does not match stored columns")
         # Forming V - R keeps the V == R case exact: the difference matrix is
         # exactly zero, so the candidate is f_k bit for bit.
-        return np.asarray(f_k, dtype=float) - (self.v_diffs - self.r_diffs) @ coeffs.eta
+        return np.asarray(f_k, dtype=float) - (self.v_diffs - self.r_diffs) @ eta
 
     def restart(self, epoch: int | None = None) -> "AccelMemory":
         """Drop all columns, reset j to 1, and resync the operator epoch."""
@@ -144,11 +134,11 @@ class AccelMemory:
         return self
 
 
-def eta_guard(coeffs: Coefficients, eta_max: float) -> bool:
+def eta_guard(eta: np.ndarray, eta_max: float) -> bool:
     """True when ||eta|| is small enough for the candidate to be trusted."""
     if eta_max <= 0:
         raise ValueError("eta_max must be positive")
-    return coeffs.norm2 <= eta_max
+    return float(np.linalg.norm(eta)) <= eta_max
 
 
 def alpha_from_eta(eta: np.ndarray) -> np.ndarray:

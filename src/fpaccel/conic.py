@@ -24,14 +24,25 @@ leaves the reduced system
     (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
 
 whose matrix is symmetric positive definite (P is PSD and gamma > 0), so
-one Cholesky factorization serves every solve at a given gamma.  The step
-size gamma is the single operator parameter; adapting it refactors the
-reduced matrix and bumps the operator epoch.
+one Cholesky factorization serves every solve at a given gamma.
+
+Each application also reads off the primal-dual point x = z_x, s = w_s,
+y = (v_s - z_s) / gamma and keeps it, with its residual norms, as one
+immutable ``DrsStep`` record.  The KKT solve already forms A x for lam, so
+the primal residual A x + s - b needs no further mat-vec; P x and A'y are
+formed once per application and reused when gamma is rebalanced.  The
+driver carries the record of the iterate it holds in
+``FixedPointState.info``; convergence, trace metrics, step-size adaptation
+and the returned solution all read it there, so no operator evaluation
+happens outside the counted ones.  The step size gamma is the single
+operator parameter; adapting it refactors the reduced matrix and bumps the
+operator epoch.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -101,8 +112,30 @@ class ConicProblem:
         return float(0.5 * x @ self.P @ x + self.q @ x)
 
 
+@dataclass(frozen=True)
+class DrsStep:
+    """One operator evaluation read as a primal-dual point.
+
+    x is the prox output, s the projected slack and y the scaled slack
+    correction; ax, px and aty are the products A x, P x and A'y behind the
+    residual norms, kept for the step-size rebalancing.
+    """
+
+    x: np.ndarray
+    s: np.ndarray
+    y: np.ndarray
+    ax: np.ndarray
+    px: np.ndarray
+    aty: np.ndarray
+    r_prim: float
+    r_dual: float
+
+
 class DrsOperator(FixedPointOperator):
-    """The parametric Douglas-Rachford operator for one ConicProblem."""
+    """The parametric Douglas-Rachford operator for one ConicProblem.
+
+    Every application leaves its ``DrsStep`` in ``info``.
+    """
 
     def __init__(self, problem: ConicProblem, gamma: float = 1.0):
         super().__init__(problem.n + problem.m)
@@ -110,9 +143,6 @@ class DrsOperator(FixedPointOperator):
         self._slices = problem.cone_slices()
         self.gamma = float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
         self._refactor()
-        self._cache_v: np.ndarray | None = None
-        self._cache_z: np.ndarray | None = None
-        self._cache_w: np.ndarray | None = None
 
     # -- parameter handling --------------------------------------------
 
@@ -129,7 +159,6 @@ class DrsOperator(FixedPointOperator):
             return
         self.gamma = gamma
         self._refactor()
-        self._cache_v = None
         self.epoch += 1
 
     def _refactor(self) -> None:
@@ -142,94 +171,55 @@ class DrsOperator(FixedPointOperator):
         reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / self.gamma
         self._factor = cho_factor(reduced)
 
-    # -- linear algebra ---------------------------------------------------
-
-    def solve_kkt(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the KKT system for the stacked (x, lam) through the reduced one."""
-        prob, gamma = self.problem, self.gamma
-        r1, r2 = rhs[: prob.n], rhs[prob.n :]
-        x = cho_solve(self._factor, r1 + prob.A.T @ r2 / gamma, check_finite=False)
-        return np.concatenate([x, (prob.A @ x - r2) / gamma])
-
-    def prox_quadratic(self, v: np.ndarray) -> np.ndarray:
-        """prox of the quadratic-plus-equality part, one KKT solve.
-
-        The returned z = (x, v_s - gamma lam) satisfies A z_x + z_s = b up
-        to the rounding error of the KKT solve.
-        """
-        prob, gamma = self.problem, self.gamma
-        n = prob.n
-        rhs = np.concatenate([v[:n] / gamma - prob.q, prob.b - v[n:]])
-        sol = self.solve_kkt(rhs)
-        z = np.empty_like(v)
-        z[:n] = sol[:n]
-        z[n:] = v[n:] - gamma * sol[n:]
-        return z
-
-    def project_slack(self, u: np.ndarray) -> np.ndarray:
-        """Project the s-part of u onto K blockwise; x-part passes through."""
-        n = self.problem.n
-        w = u.copy()
-        for block, sl in zip(self.problem.cones, self._slices):
-            w[n + sl.start : n + sl.stop] = project_cone(block, u[n + sl.start : n + sl.stop])
-        return w
-
     # -- the operator -------------------------------------------------------
 
+    def solve_kkt(self, r1: np.ndarray, r2: np.ndarray):
+        """(x, lam, A x) solving the KKT system through the reduced one."""
+        prob, gamma = self.problem, self.gamma
+        x = cho_solve(self._factor, r1 + prob.A.T @ r2 / gamma, check_finite=False)
+        ax = prob.A @ x
+        return x, (ax - r2) / gamma, ax
+
+    def residuals(self, x, s, y, ax) -> DrsStep:
+        """The step record of (x, s, y), with its primal and dual residual norms."""
+        prob = self.problem
+        px, aty = prob.P @ x, prob.A.T @ y
+        r_prim = _inf_norm(ax + s - prob.b) if prob.m else 0.0
+        r_dual = _inf_norm(px + prob.q + aty)
+        return DrsStep(x, s, y, ax, px, aty, r_prim, r_dual)
+
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        z = self.prox_quadratic(v)
-        w = self.project_slack(2.0 * z - v)
-        self._cache_v = v.copy()
-        self._cache_z = z
-        self._cache_w = w
+        prob, gamma, n = self.problem, self.gamma, self.problem.n
+        x, lam, ax = self.solve_kkt(v[:n] / gamma - prob.q, prob.b - v[n:])
+        # z = prox(v); w = 2 z - v, whose s-part is then projected onto K.
+        z = np.concatenate([x, v[n:] - gamma * lam])
+        w = 2.0 * z - v
+        s = w[n:]
+        for block, sl in zip(prob.cones, self._slices):
+            s[sl] = project_cone(block, s[sl])
+        self.info = self.residuals(x, s, (v[n:] - z[n:]) / gamma, ax)
         return v + (w - z)
-
-    def _ensure_cache(self, v: np.ndarray) -> None:
-        if self._cache_v is None or not np.array_equal(self._cache_v, v):
-            z = self.prox_quadratic(v)
-            self._cache_v = v.copy()
-            self._cache_z = z
-            self._cache_w = self.project_slack(2.0 * z - v)
-
-    def extract(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Primal-dual point (x, s, y) read off the splitting at v."""
-        self._ensure_cache(v)
-        n = self.problem.n
-        x = self._cache_z[:n].copy()
-        s = self._cache_w[n:].copy()
-        y = (v[n:] - self._cache_z[n:]) / self.gamma
-        return x, s, y
-
-    def residuals(self, v: np.ndarray):
-        """(r_prim, r_dual, x, s, y) at the iterate v, using cached prox output."""
-        x, s, y = self.extract(v)
-        r_prim, r_dual = residual_norms(self.problem, x, s, y)
-        return r_prim, r_dual, x, s, y
 
     # -- parameter adaptation -------------------------------------------------
 
-    def adapt_gamma(self, r_prim: float, r_dual: float, tol: float = 1e-6) -> bool:
-        """Rebalance gamma from the scaled primal/dual residual ratio.
+    def adapt_gamma(self, step: DrsStep, tol: float = 1e-6) -> bool:
+        """Rebalance gamma from the scaled primal/dual residual ratio of a step.
 
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
-        an already-converged state (both residuals <= tol) is left alone.
+        an already-converged step (both residuals <= tol) is left alone.
         Returns True when gamma changed (epoch bumped, KKT refactored).
         """
+        r_prim, r_dual = step.r_prim, step.r_dual
         if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
             return False
         if r_prim <= tol and r_dual <= tol:
             return False
         prob = self.problem
-        if self._cache_v is None or prob.m == 0:
+        if prob.m == 0:
             return False
-        x, s, y = self.extract(self._cache_v)
-        prim_scale = max(
-            _inf_norm(prob.A @ x), _inf_norm(s), _inf_norm(prob.b), 1.0
-        )
-        dual_scale = max(
-            _inf_norm(prob.P @ x), _inf_norm(prob.q), _inf_norm(prob.A.T @ y), 1.0
-        )
+        prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
+        dual_scale = max(_inf_norm(step.px), _inf_norm(prob.q), _inf_norm(step.aty), 1.0)
         ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
         factor = float(np.clip(math.sqrt(ratio), 0.1, 10.0))
         if 0.2 <= factor <= 5.0:
@@ -252,8 +242,7 @@ class DrsOperator(FixedPointOperator):
         n = prob.n
         dv = np.asarray(dv, dtype=float)
 
-        drhs = np.concatenate([dv[:n] / gamma, -dv[n:]])
-        dx = self.solve_kkt(drhs)[:n]
+        dx = self.solve_kkt(dv[:n] / gamma, -dv[n:])[0]
         dx_norm = _inf_norm(dx)
         if dx_norm > 1e-10:
             d = dx / dx_norm
@@ -288,13 +277,6 @@ class DrsOperator(FixedPointOperator):
 
 def _inf_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).max(initial=0.0))
-
-
-def residual_norms(problem: ConicProblem, x, s, y) -> tuple[float, float]:
-    """Infinity norms of the primal and dual KKT residuals at (x, s, y)."""
-    r_prim = _inf_norm(problem.A @ x + s - problem.b) if problem.m else 0.0
-    r_dual = _inf_norm(problem.P @ x + problem.q + problem.A.T @ y)
-    return r_prim, r_dual
 
 
 class ConicSolution:
@@ -349,49 +331,34 @@ def solve(
         eta_max=eta_max,
         m_max=m_max,
         variant=variant,
-        safeguard_mode=(
-            _driver.SAFEGUARD_OFF if mode == "unsafe" else _driver.SAFEGUARD_RELAXED
-        ),
+        mode=mode,
         check_interval=check_interval,
         max_iter=max_iter,
         adapt_interval=adapt_interval,
     )
-
-    def converged(state, operator):
-        r_prim, r_dual, *_ = operator.residuals(state.v)
-        return r_prim <= eps and r_dual <= eps
-
     hooks = _driver.Hooks(
-        converged=converged,
+        converged=lambda state, _op: state.info.r_prim <= eps and state.info.r_dual <= eps,
         operator_update=(
-            (lambda operator, state: operator.adapt_gamma(
-                *operator.residuals(state.v)[:2], tol=eps
-            ))
+            (lambda operator, state: operator.adapt_gamma(state.info, tol=eps))
             if adapt
             else None
         ),
         infeasibility=lambda operator, dv: operator.infeasibility_check(dv, eps_infeas),
-        metrics=lambda operator, state: operator.residuals(state.v)[:2],
+        metrics=lambda _op, state: (state.info.r_prim, state.info.r_dual),
     )
 
     if v0 is None:
         v0 = np.zeros(op.dim)
-    if mode == "vanilla":
-        record = _driver.run_vanilla(op, v0, cfg, hooks, time_cap)
-    elif mode == "unsafe":
-        record = _driver.run_unsafe(op, v0, cfg, hooks, time_cap)
-    else:
-        record = _driver.run(op, v0, cfg, hooks, time_cap)
-
-    r_prim, r_dual, x, s, y = op.residuals(record.final_state.v)
+    record = _driver.run(op, v0, cfg, hooks, time_cap)
+    step = record.final_state.info
     return ConicSolution(
         status=record.status,
-        x=x,
-        s=s,
-        y=y,
-        objective=problem.objective(x),
-        r_prim=r_prim,
-        r_dual=r_dual,
+        x=step.x,
+        s=step.s,
+        y=step.y,
+        objective=problem.objective(step.x),
+        r_prim=step.r_prim,
+        r_dual=step.r_dual,
         record=record,
         certificate=record.certificate,
     )

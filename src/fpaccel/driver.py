@@ -1,6 +1,11 @@
 """Safeguarded acceleration loop.
 
-One ``Driver`` instance runs one solve.  Each iteration, in order:
+One ``Driver`` instance runs one solve, in the configuration named by
+``DriverConfig.mode``: ``vanilla`` (plain operator iteration, no history),
+``unsafe`` (acceleration without the residual safeguard), ``safeguarded``
+(the relaxed residual test) or ``strict`` (a contraction test against a
+fresh evaluation at the current point).  ``run`` is the single entry point.
+Each iteration, in order:
 
 1. restart the memory if the operator epoch moved under us;
 2. push the (delta v, delta r) pair formed against the previous iterate,
@@ -12,7 +17,8 @@ One ``Driver`` instance runs one solve.  Each iteration, in order:
 4. otherwise fall back to a plain operator step -- applying any pending
    operator-parameter update first (which restarts the memory);
 5. run the scheduled infeasibility hook when the step was a pure operator
-   step in a fresh history (j == 2);
+   step in a fresh history (j == 2); vanilla mode keeps no history, so there
+   the hook runs on the next step without a parameter update;
 6. restart the memory once it exceeds its capacity.
 
 Every restart clears the previous-iterate anchor as well, so each restart
@@ -23,6 +29,11 @@ operator steps.
 Parameter updates and infeasibility checks are latched on fixed iteration
 cadences (``adapt_interval`` and ``check_interval``) and consumed at the
 next legal point in the loop.
+
+The state carries, in ``info``, the operator's record of the evaluation
+that produced ``f`` from ``v``: it is taken right after the evaluation the
+driver adopts, so hooks always read data belonging to ``state.v`` and never
+need to evaluate the operator again.
 """
 
 from __future__ import annotations
@@ -42,9 +53,11 @@ MAX_ITER = "max_iter"
 DIVERGED = "diverged"
 TIME_LIMIT = "time_limit"
 
-SAFEGUARD_RELAXED = "relaxed"
-SAFEGUARD_STRICT = "strict"
-SAFEGUARD_OFF = "off"
+VANILLA = "vanilla"
+UNSAFE = "unsafe"
+SAFEGUARDED = "safeguarded"
+STRICT = "strict"
+MODES = (VANILLA, UNSAFE, SAFEGUARDED, STRICT)
 
 
 def safeguard_relaxed(r_acc_norm: float, r_prev_norm: float, tau: float) -> bool:
@@ -59,7 +72,7 @@ def safeguard_strict(r_acc_norm: float, r_curr_norm: float, tau: float) -> bool:
 
 @dataclass
 class FixedPointState:
-    """Current iterate with its operator value and residual."""
+    """Current iterate with its operator value, residual and evaluation record."""
 
     v: np.ndarray
     f: np.ndarray
@@ -67,6 +80,7 @@ class FixedPointState:
     k: int = 0
     r_prev_norm: float = math.inf
     acc_success: bool = False
+    info: object = None
 
 
 @dataclass
@@ -76,7 +90,7 @@ class DriverConfig:
     eta_max: float = 1e4
     m_max: int = 15
     variant: str = "type2"
-    safeguard_mode: str = SAFEGUARD_RELAXED
+    mode: str = SAFEGUARDED
     check_interval: int = 25
     max_iter: int = 10000
     adapt_interval: int = 40
@@ -86,7 +100,7 @@ class DriverConfig:
             raise ValueError("eps must be positive")
         if not 0.0 < self.tau <= 2.0:
             raise ValueError("tau must lie in (0, 2]")
-        if self.safeguard_mode == SAFEGUARD_STRICT and not self.tau < 1.0:
+        if self.mode == STRICT and not self.tau < 1.0:
             raise ValueError("strict safeguarding needs tau in (0, 1)")
         if self.eta_max <= 0:
             raise ValueError("eta_max must be positive")
@@ -98,8 +112,8 @@ class DriverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.variant not in ("type1", "type2"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.safeguard_mode not in (SAFEGUARD_RELAXED, SAFEGUARD_STRICT, SAFEGUARD_OFF):
-            raise ValueError(f"unknown safeguard mode {self.safeguard_mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
 
 
 @dataclass
@@ -157,7 +171,7 @@ class RunRecord:
 
 
 class Driver:
-    """One safeguarded-acceleration solve over a fixed-point operator."""
+    """One solve over a fixed-point operator, in the configured mode."""
 
     def __init__(
         self,
@@ -165,13 +179,12 @@ class Driver:
         v0: np.ndarray,
         cfg: DriverConfig | None = None,
         hooks: Hooks | None = None,
-        accelerate: bool = True,
         time_cap: float | None = None,
     ):
         self.op = op
         self.cfg = cfg if cfg is not None else DriverConfig()
         self.hooks = hooks if hooks is not None else Hooks()
-        self.accelerate = accelerate
+        self.accelerate = self.cfg.mode != VANILLA
         self.time_cap = time_cap
 
         v0 = np.asarray(v0, dtype=float)
@@ -179,10 +192,10 @@ class Driver:
             raise ValueError(f"v0 has shape {v0.shape}, expected ({op.dim},)")
         self._start = time.perf_counter()
         f0 = op.apply(v0)
-        self.state = FixedPointState(v=v0.copy(), f=f0, r=v0 - f0)
+        self.state = FixedPointState(v=v0.copy(), f=f0, r=v0 - f0, info=op.info)
         self.mem = (
             AccelMemory(op.dim, self.cfg.m_max, self.cfg.variant, epoch=op.epoch)
-            if accelerate
+            if self.accelerate
             else None
         )
         self._anchor_v: np.ndarray | None = None
@@ -241,23 +254,24 @@ class Driver:
 
         if self.accelerate and self.mem.j > 2:
             t0 = time.perf_counter()
-            coeffs = None
+            eta = None
             try:
-                coeffs = self.mem.compute_eta(st.r)
+                eta = self.mem.compute_eta(st.r)
             except (SingularTriangular, SingularSystem):
                 pass
             v_acc = None
-            if coeffs is not None and eta_guard(coeffs, cfg.eta_max):
-                v_acc = self.mem.candidate(st.f, coeffs)
+            if eta is not None and eta_guard(eta, cfg.eta_max):
+                v_acc = self.mem.candidate(st.f, eta)
             accel_t += time.perf_counter() - t0
 
             if v_acc is not None:
                 f_acc = op.apply(v_acc)
+                info_acc = op.info  # the strict test below re-evaluates st.v
                 r_acc = v_acc - f_acc
                 r_acc_norm = float(np.linalg.norm(r_acc))
-                if cfg.safeguard_mode == SAFEGUARD_OFF:
+                if cfg.mode == UNSAFE:
                     ok = True
-                elif cfg.safeguard_mode == SAFEGUARD_STRICT:
+                elif cfg.mode == STRICT:
                     # The strict test prices in a fresh evaluation at the
                     # current point, which is what makes it expensive.
                     f_now = op.apply(st.v)
@@ -269,7 +283,7 @@ class Driver:
                     ok = safeguard_relaxed(r_acc_norm, st.r_prev_norm, cfg.tau)
                 if ok:
                     accepted = True
-                    new = (v_acc, f_acc, r_acc)
+                    new = (v_acc, f_acc, r_acc, info_acc)
                 else:
                     self._rejected += 1
 
@@ -285,10 +299,10 @@ class Driver:
                     restarted = True
             v_next = st.f.copy()
             f_next = op.apply(v_next)
-            new = (v_next, f_next, v_next - f_next)
+            new = (v_next, f_next, v_next - f_next, op.info)
 
         old_v, old_r = st.v, st.r
-        st.v, st.f, st.r = new
+        st.v, st.f, st.r, st.info = new
         st.k += 1
         st.r_prev_norm = r_curr_norm
         st.acc_success = accepted
@@ -383,21 +397,15 @@ class Driver:
 
 
 def run(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
-    """Safeguarded accelerated solve (the full loop described above)."""
-    return Driver(op, v0, cfg, hooks, accelerate=True, time_cap=time_cap).run()
+    """Solve in ``cfg.mode`` (the loop described above)."""
+    return Driver(op, v0, cfg, hooks, time_cap).run()
 
 
 def run_vanilla(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
-    """Plain operator iteration with the same termination machinery.
-
-    No history is kept, so scheduled infeasibility checks fire on the next
-    iteration where no parameter update happened (every step is pure).
-    """
-    return Driver(op, v0, cfg, hooks, accelerate=False, time_cap=time_cap).run()
+    """``run`` in vanilla mode."""
+    return run(op, v0, replace(cfg or DriverConfig(), mode=VANILLA), hooks, time_cap)
 
 
 def run_unsafe(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
-    """Acceleration with the coefficient-norm guard but no residual safeguard."""
-    cfg = cfg if cfg is not None else DriverConfig()
-    cfg = replace(cfg, safeguard_mode=SAFEGUARD_OFF)
-    return Driver(op, v0, cfg, hooks, accelerate=True, time_cap=time_cap).run()
+    """``run`` in unsafe mode."""
+    return run(op, v0, replace(cfg or DriverConfig(), mode=UNSAFE), hooks, time_cap)

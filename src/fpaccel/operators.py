@@ -21,7 +21,9 @@ class FixedPointOperator:
 
     Subclasses implement ``_apply`` and, when they carry parameters,
     override ``params`` and ``set_params``.  ``apply`` validates shapes,
-    rejects non-finite output, and counts evaluations.
+    rejects non-finite output, and counts evaluations.  An ``_apply`` may
+    leave a record of its evaluation in ``info``, which the driver keeps
+    next to the iterate it adopts.
     """
 
     def __init__(self, dim: int):
@@ -30,6 +32,7 @@ class FixedPointOperator:
         self.dim = dim
         self.epoch = 0
         self.eval_count = 0
+        self.info = None
 
     @property
     def params(self) -> np.ndarray:

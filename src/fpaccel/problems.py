@@ -309,6 +309,15 @@ def load_problem(path) -> ConicProblem:
     total = sum(c.dim for c in cones)
     _require(total == m, f"cone dims sum to {total}, expected m = {m}")
     try:
-        return ConicProblem(P, q, A, b, cones)
+        problem = ConicProblem(P, q, A, b, cones)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    # Same relative tolerance as ConicProblem's symmetry test; the induced
+    # infinity norm bounds the spectral radius, so eigvalsh rounding fits.
+    min_eig = float(np.linalg.eigvalsh(problem.P).min())
+    scale = max(1.0, float(np.abs(problem.P).sum(axis=1).max()))
+    _require(
+        min_eig >= -1e-12 * scale,
+        f"P must be positive semidefinite (smallest eigenvalue {min_eig:.3e})",
+    )
+    return problem

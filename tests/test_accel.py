@@ -6,7 +6,6 @@ from fpaccel.accel import (
     TYPE_I,
     TYPE_II,
     AccelMemory,
-    Coefficients,
     SingularSystem,
     alpha_from_eta,
     eta_guard,
@@ -47,16 +46,16 @@ def test_push_pair_collinear_residual_diff():
 def test_eta_type2_single_column():
     mem = AccelMemory(2, 4)
     mem.push_pair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-    coeffs = mem.compute_eta_type2(np.array([1.0, 0.0]))
-    assert_allclose(coeffs.eta, [0.5])
+    eta = mem.compute_eta_type2(np.array([1.0, 0.0]))
+    assert_allclose(eta, [0.5])
 
 
 def test_eta_type2_orthogonal_residual_is_zero():
     mem = AccelMemory(3, 4)
     mem.push_pair(np.ones(3), np.array([1.0, 0.0, 0.0]))
     mem.push_pair(np.ones(3), np.array([0.0, 1.0, 0.0]))
-    coeffs = mem.compute_eta_type2(np.array([0.0, 0.0, 3.0]))
-    assert_allclose(coeffs.eta, [0.0, 0.0], atol=1e-14)
+    eta = mem.compute_eta_type2(np.array([0.0, 0.0, 3.0]))
+    assert_allclose(eta, [0.0, 0.0], atol=1e-14)
 
 
 def test_eta_type2_matches_normal_equations():
@@ -67,7 +66,7 @@ def test_eta_type2_matches_normal_equations():
     r_k = rng.standard_normal(50)
     R = mem.r_diffs
     oracle = np.linalg.solve(R.T @ R, R.T @ r_k)
-    got = mem.compute_eta_type2(r_k).eta
+    got = mem.compute_eta_type2(r_k)
     assert np.linalg.norm(got - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
 
 
@@ -75,8 +74,8 @@ def test_eta_type1_degenerate_equals_type2():
     mem = AccelMemory(2, 4, variant=TYPE_I)
     col = np.array([2.0, 0.0])
     mem.push_pair(col.copy(), col.copy())  # V = R
-    coeffs = mem.compute_eta_type1(np.array([1.0, 0.0]))
-    assert_allclose(coeffs.eta, [0.5])
+    eta = mem.compute_eta_type1(np.array([1.0, 0.0]))
+    assert_allclose(eta, [0.5])
 
 
 def test_eta_type1_matches_direct_solve():
@@ -86,7 +85,7 @@ def test_eta_type1_matches_direct_solve():
         mem.push_pair(rng.standard_normal(20), rng.standard_normal(20))
     r_k = rng.standard_normal(20)
     oracle = np.linalg.solve(mem.v_diffs.T @ mem.r_diffs, mem.v_diffs.T @ r_k)
-    got = mem.compute_eta_type1(r_k).eta
+    got = mem.compute_eta_type1(r_k)
     assert np.linalg.norm(got - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
 
 
@@ -107,7 +106,7 @@ def test_candidate_equals_f_when_histories_match():
         d = rng.standard_normal(5)
         mem.push_pair(d.copy(), d.copy())  # V = R exactly
     f_k = rng.standard_normal(5)
-    out = mem.candidate(f_k, Coefficients(rng.standard_normal(3)))
+    out = mem.candidate(f_k, rng.standard_normal(3))
     assert np.array_equal(out, f_k)
 
 
@@ -116,7 +115,7 @@ def test_candidate_zero_eta_returns_f():
     mem = AccelMemory(4, 4)
     mem.push_pair(rng.standard_normal(4), rng.standard_normal(4))
     f_k = rng.standard_normal(4)
-    assert np.array_equal(mem.candidate(f_k, Coefficients(np.zeros(1))), f_k)
+    assert np.array_equal(mem.candidate(f_k, np.zeros(1)), f_k)
 
 
 def test_candidate_matches_inverse_jacobian_form():
@@ -140,8 +139,8 @@ def test_candidate_matches_inverse_jacobian_form():
         mem.push_pair(v_new - v, r_new - r)
         v, f, r = v_new, f_new, r_new
 
-    coeffs = mem.compute_eta_type2(r)
-    got = mem.candidate(f, coeffs)
+    eta = mem.compute_eta_type2(r)
+    got = mem.candidate(f, eta)
     V, R = mem.v_diffs, mem.r_diffs
     h = np.eye(n) + (V - R) @ np.linalg.solve(R.T @ R, R.T)
     oracle = v - h @ r
@@ -149,10 +148,10 @@ def test_candidate_matches_inverse_jacobian_form():
 
 
 def test_eta_guard_boundary():
-    assert eta_guard(Coefficients(np.array([3.0, 4.0])), 5.0)  # norm exactly 5
-    assert not eta_guard(Coefficients(np.array([3.0, 4.0])), 4.9)
+    assert eta_guard(np.array([3.0, 4.0]), 5.0)  # norm exactly 5
+    assert not eta_guard(np.array([3.0, 4.0]), 4.9)
     with pytest.raises(ValueError):
-        eta_guard(Coefficients(np.zeros(1)), 0.0)
+        eta_guard(np.zeros(1), 0.0)
 
 
 def test_restart_empties_memory():

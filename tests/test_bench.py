@@ -180,6 +180,22 @@ def test_load_schema_errors(tmp_path):
         load_problem(path)
 
 
+def test_load_rejects_non_psd_cost(tmp_path):
+    doc = {
+        "n": 1,
+        "m": 1,
+        "P": [{"row": 0, "col": 0, "value": -10.0}],
+        "q": [0.0],
+        "A": [{"row": 0, "col": 0, "value": 1.0}],
+        "b": [1.0],
+        "cones": [{"kind": "nonneg", "dim": 1}],
+    }
+    path = tmp_path / "nonpsd.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="P must be positive semidefinite"):
+        load_problem(path)
+
+
 # -- benchmark runner ---------------------------------------------------------------
 
 

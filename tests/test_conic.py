@@ -1,14 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fpaccel.cones import NONNEG, ZERO, ConeBlock
-from fpaccel.conic import (
-    ConicProblem,
-    DrsOperator,
-    residual_norms,
-    solve,
-)
+from fpaccel.conic import ConicProblem, DrsOperator, solve
 from fpaccel.problems import generate
 
 
@@ -39,24 +36,28 @@ def test_prox_identity_when_objective_vanishes():
     prob = ConicProblem(None, np.zeros(3), None, [], [])
     op = DrsOperator(prob, gamma=0.7)
     v = np.array([1.0, -2.0, 3.0])
-    assert_allclose(op.prox_quadratic(v), v, atol=1e-9)
+    assert_allclose(op.apply(v), v, atol=1e-9)
+    assert_allclose(op.info.x, v, atol=1e-9)
 
 
 def test_prox_pure_quadratic():
     prob = ConicProblem(np.eye(2), np.zeros(2), None, [], [])
     op = DrsOperator(prob, gamma=1.0)
     v = np.array([2.0, -4.0])
-    assert_allclose(op.prox_quadratic(v), v / 2.0, atol=1e-9)
+    op.apply(v)
+    assert_allclose(op.info.x, v / 2.0, atol=1e-9)
 
 
 def test_prox_satisfies_equality_constraint():
     rng = np.random.default_rng(0)
     prob = generate("RandomQP", n=20, m=30, seed=1)
     op = DrsOperator(prob, gamma=0.5)
+    n = prob.n
     for _ in range(20):
         v = 5.0 * rng.standard_normal(op.dim)
-        z = op.prox_quadratic(v)
-        lhs = prob.A @ z[: prob.n] + z[prob.n :]
+        x, lam, ax = op.solve_kkt(v[:n] / op.gamma - prob.q, prob.b - v[n:])
+        assert np.array_equal(ax, prob.A @ x)
+        lhs = ax + (v[n:] - op.gamma * lam)  # A z_x + z_s for the prox output z
         assert np.linalg.norm(lhs - prob.b) <= 1e-8 * max(1.0, np.linalg.norm(prob.b))
 
 
@@ -74,7 +75,8 @@ def test_prox_kkt_residual_small(gamma):
     )
     v = rng.standard_normal(op.dim)
     rhs = np.concatenate([v[:n] / gamma - prob.q, prob.b - v[n:]])
-    sol = op.solve_kkt(rhs)
+    x, lam, _ax = op.solve_kkt(rhs[:n], rhs[n:])
+    sol = np.concatenate([x, lam])
     assert np.linalg.norm(kkt @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs)
     # Dense oracle on the full KKT matrix; lam is compared as gamma * lam,
     # the slack correction the prox step actually uses.
@@ -117,8 +119,8 @@ def test_zero_cone_matches_equality_kkt_oracle():
 def test_residual_norms_trivial():
     prob = ConicProblem(None, np.zeros(2), np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]),
                         [ConeBlock(NONNEG, 3)])
-    r_prim, r_dual = residual_norms(prob, np.zeros(2), prob.b.copy(), np.zeros(3))
-    assert r_prim == 0.0 and r_dual == 0.0
+    step = DrsOperator(prob).residuals(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3))
+    assert step.r_prim == 0.0 and step.r_dual == 0.0
 
 
 def test_residual_norms_match_recomputation():
@@ -127,9 +129,9 @@ def test_residual_norms_match_recomputation():
     x = rng.standard_normal(10)
     s = rng.standard_normal(15)
     y = rng.standard_normal(15)
-    r_prim, r_dual = residual_norms(prob, x, s, y)
-    assert r_prim == pytest.approx(np.abs(prob.A @ x + s - prob.b).max())
-    assert r_dual == pytest.approx(np.abs(prob.P @ x + prob.q + prob.A.T @ y).max())
+    step = DrsOperator(prob).residuals(x, s, y, prob.A @ x)
+    assert step.r_prim == pytest.approx(np.abs(prob.A @ x + s - prob.b).max())
+    assert step.r_dual == pytest.approx(np.abs(prob.P @ x + prob.q + prob.A.T @ y).max())
 
 
 def test_residuals_at_converged_point():
@@ -140,10 +142,10 @@ def test_residuals_at_converged_point():
 def test_gamma_update_refactors_and_bumps_epoch():
     op = DrsOperator(tiny_qp(), gamma=1.0)
     v = np.array([0.3, 0.4])
-    before = op.prox_quadratic(v).copy()
+    before = op.apply(v)
     op.set_params([0.5])
     assert op.epoch == 1 and op.gamma == 0.5
-    after = op.prox_quadratic(v)
+    after = op.apply(v)
     assert not np.allclose(before, after)  # the KKT system really changed
     op.set_params([0.5])
     assert op.epoch == 1  # unchanged parameters do not bump the epoch
@@ -154,26 +156,50 @@ def test_adapt_gamma_deadband_and_clip():
     op = DrsOperator(prob, gamma=1.0)
     v = np.zeros(op.dim)
     op.apply(v)
-    r_prim, r_dual, x, s, y = op.residuals(v)
+    step = op.info
+    x, s, y = step.x, step.s, step.y
+    # the record's residuals are those of its own point, bit for bit
+    assert step.r_prim == np.abs(prob.A @ x + s - prob.b).max()
+    assert step.r_dual == np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
     prim_scale = max(np.abs(prob.A @ x).max(), np.abs(s).max(), np.abs(prob.b).max(), 1.0)
     dual_scale = max(
         np.abs(prob.P @ x).max(), np.abs(prob.q).max(), np.abs(prob.A.T @ y).max(), 1.0
     )
 
     # balanced residuals: factor 1 sits inside the deadband
-    assert not op.adapt_gamma(prim_scale, dual_scale)
+    assert not op.adapt_gamma(replace(step, r_prim=prim_scale, r_dual=dual_scale))
     assert op.epoch == 0
 
     # scaled ratio 100 -> clip(sqrt(100)) = 10 -> gamma divided by 10
-    assert op.adapt_gamma(100.0 * prim_scale, dual_scale)
+    assert op.adapt_gamma(replace(step, r_prim=100.0 * prim_scale, r_dual=dual_scale))
     assert op.epoch == 1
     assert op.gamma == pytest.approx(0.1)
 
     # converged state: no change regardless of the ratio
     op2 = DrsOperator(prob, gamma=1.0)
     op2.apply(v)
-    assert not op2.adapt_gamma(1e-9, 1e-13, tol=1e-6)
+    assert not op2.adapt_gamma(replace(op2.info, r_prim=1e-9, r_dual=1e-13), tol=1e-6)
     assert op2.epoch == 0
+
+
+def test_kkt_solves_are_the_counted_evaluations(monkeypatch):
+    # Every KKT solve is the setup evaluation, a counted loop evaluation or
+    # an infeasibility check: none is spent re-deriving data at an iterate.
+    prob = generate("RandomQP", n=30, m=60, seed=17)
+    calls = []
+    solve_kkt = DrsOperator.solve_kkt
+
+    def counted(op, r1, r2):
+        calls.append(1)
+        return solve_kkt(op, r1, r2)
+
+    monkeypatch.setattr(DrsOperator, "solve_kkt", counted)
+    for gamma in (100.0, 0.001):
+        calls.clear()
+        rec = solve(prob, "safeguarded", eps=1e-6, gamma=gamma).record
+        checks = sum(e.infeas_checked for e in rec.entries)
+        assert rec.rejected_candidates > 0 and checks > 0
+        assert len(calls) == rec.operator_evaluations + 1 + checks
 
 
 def test_drs_firmly_nonexpansive_small():

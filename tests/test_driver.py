@@ -52,6 +52,14 @@ class BetaOperator(AffineTestOperator):
         return self.a @ v + self.beta * self.b
 
 
+class EchoOperator(BetaOperator):
+    """Beta operator whose evaluation record is a copy of its input."""
+
+    def _apply(self, v):
+        self.info = v.copy()
+        return super()._apply(v)
+
+
 def contraction(seed, n, radius=0.9):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -83,12 +91,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DriverConfig(tau=2.5)
     with pytest.raises(ValueError):
-        DriverConfig(tau=1.5, safeguard_mode="strict")
+        DriverConfig(tau=1.5, mode="strict")
     with pytest.raises(ValueError):
         DriverConfig(m_max=1)
     with pytest.raises(ValueError):
         DriverConfig(eps=0.0)
-    DriverConfig(tau=0.5, safeguard_mode="strict")
+    DriverConfig(tau=0.5, mode="strict")
 
 
 # -- basic runs -----------------------------------------------------------------
@@ -238,7 +246,7 @@ def test_accepted_steps_satisfy_relaxed_bound_exactly():
 def test_strict_mode_counts_extra_evaluations():
     a, b, rng = contraction(8, 10)
     op = AffineTestOperator(a, b)
-    cfg = DriverConfig(eps=1e-11, tau=0.99, safeguard_mode="strict", check_interval=1)
+    cfg = DriverConfig(eps=1e-11, tau=0.99, mode="strict", check_interval=1)
     rec = run(op, rng.standard_normal(10), cfg, residual_hook(1e-11))
     assert rec.status == "converged"
     assert rec.strict_checks > 0
@@ -370,6 +378,41 @@ def test_time_cap_status():
     cfg = DriverConfig(eps=1e-16, max_iter=10**6, check_interval=100)
     rec = run_vanilla(op, rng.standard_normal(6), cfg, residual_hook(0.0), time_cap=0.05)
     assert rec.status == "time_limit"
+
+
+@pytest.mark.parametrize("mode, tau", [("safeguarded", 0.2), ("strict", 0.5)])
+def test_hooks_see_the_record_of_the_current_iterate(mode, tau):
+    a, b, rng = contraction(16, 12, radius=0.97)
+    op = EchoOperator(a, b)
+    seen = []
+
+    def record_matches(state):
+        seen.append(np.array_equal(state.info, state.v))
+
+    def converged(state, _op):
+        record_matches(state)
+        return np.linalg.norm(state.r) <= 1e-12
+
+    def operator_update(op_, state):
+        record_matches(state)
+        if op_.epoch < 3:
+            op_.set_params(op_.params * 1.001)
+
+    def metrics(_op, state):
+        record_matches(state)
+        return math.nan, math.nan
+
+    cfg = DriverConfig(
+        eps=1e-12, tau=tau, mode=mode, check_interval=1, adapt_interval=5, max_iter=300
+    )
+    hooks = Hooks(converged=converged, operator_update=operator_update, metrics=metrics)
+    rec = run(op, rng.standard_normal(12), cfg, hooks)
+    assert rec.status == "converged"
+    assert rec.rejected_candidates > 0 and op.epoch == 3
+    if mode == "strict":
+        assert rec.strict_checks > 0
+    assert len(seen) > rec.iterations and all(seen)
+    assert np.array_equal(rec.final_state.info, rec.final_state.v)
 
 
 def test_trace_entry_bookkeeping():
