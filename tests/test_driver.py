@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fpaccel import accel
 from fpaccel.driver import (
     Driver,
     DriverConfig,
@@ -14,6 +15,7 @@ from fpaccel.driver import (
     safeguard_relaxed,
     safeguard_strict,
 )
+from fpaccel.linalg import ColumnRankDeficient
 from fpaccel.operators import AffineTestOperator, FixedPointOperator, identity_operator
 
 
@@ -270,6 +272,54 @@ def test_residual_never_worse_than_safeguard_bound():
         assert norms[k] <= bound + 1e-10
 
 
+def plain_steps_from(entries, i):
+    """Entries from index i up to the next one that extrapolates with j == 3.
+
+    Each of them must be a plain step (j < 3, nothing accepted).
+    """
+    count = 0
+    for e in entries[i:]:
+        if e.j == 3:
+            return count
+        assert e.j < 3 and not e.accepted
+        count += 1
+    raise AssertionError("the run ended before j reached 3 again")
+
+
+def test_full_memory_restart_is_followed_by_two_plain_steps():
+    a, b, rng = contraction(5, 20, radius=0.97)
+    op = AffineTestOperator(a, b)
+    cfg = DriverConfig(eps=1e-12, m_max=4, check_interval=1, max_iter=60)
+    rec = run(op, rng.standard_normal(20), cfg, residual_hook(1e-12))
+    full = [i for i, e in enumerate(rec.entries[:-3]) if e.j == cfg.m_max + 1]
+    assert len(full) >= 5
+    for i in full:
+        assert plain_steps_from(rec.entries, i + 1) == 2
+
+
+def test_rank_deficient_push_is_followed_by_three_plain_steps(monkeypatch):
+    # The 7th QR append reports its column as collinear; the push that made
+    # it is not committed, the memory restarts, and the anchor is dropped.
+    real_append = accel.qr_append_column
+    appends = []
+
+    def append(state, col, *args, **kwargs):
+        appends.append(1)
+        if len(appends) == 7:
+            raise ColumnRankDeficient("forced")
+        return real_append(state, col, *args, **kwargs)
+
+    monkeypatch.setattr(accel, "qr_append_column", append)
+    a, b, rng = contraction(5, 20, radius=0.97)
+    op = AffineTestOperator(a, b)
+    cfg = DriverConfig(eps=1e-14, check_interval=1, max_iter=30)
+    rec = run(op, rng.standard_normal(20), cfg, residual_hook(1e-14))
+    js = [e.j for e in rec.entries]
+    # appends 1..6 fill j = 2..7 on steps 2..7; step 8's push is the 7th
+    assert js[:7] == [1, 2, 3, 4, 5, 6, 7] and js[7] == 1
+    assert plain_steps_from(rec.entries, 7) == 3
+
+
 # -- scheduling -------------------------------------------------------------------
 
 
@@ -308,6 +358,9 @@ def test_epoch_change_restarts_memory():
         if i + 1 < len(entries):
             assert entries[i + 1].j == 1
             assert not entries[i].accepted
+        if i + 3 < len(entries):
+            # the step that changed the operator and the two after it
+            assert plain_steps_from(entries, i) == 3
 
 
 def test_out_of_band_epoch_change_restarts_memory():
@@ -322,6 +375,8 @@ def test_out_of_band_epoch_change_restarts_memory():
     entry = driver.step()
     assert entry.j == 1  # memory was rebuilt before any push
     assert driver.mem.epoch == op.epoch
+    entries = [entry] + [driver.step() for _ in range(3)]
+    assert plain_steps_from(entries, 0) == 3
 
 
 def test_infeasibility_hook_fires_only_at_j2():
