@@ -3,7 +3,8 @@
 Holds the difference histories of iterates and residuals, solves for the
 extrapolation coefficients (type-II through an incrementally updated QR,
 type-I through a dense solve recomputed each step), assembles candidate
-points, and restarts the memory when it fills up or the operator changes.
+points, and restarts the memory when it fills up, when the operator
+changes, or when a new residual difference is rank-deficient.
 
 Column-pointer convention: ``j`` counts 1 + stored columns.  A fresh or
 restarted memory has j = 1; the first push moves it to 2; extrapolation is
@@ -17,7 +18,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .linalg import QrState, qr_append_column, qr_solve_ls
+from .linalg import ColumnRankDeficient, QrState, qr_append_column, qr_solve_ls
 
 TYPE_I = "type1"
 TYPE_II = "type2"
@@ -45,6 +46,7 @@ class AccelMemory:
         self.variant = variant
         self.epoch = epoch
         self.j = 1
+        self._anchor = None  # (v, r) of the previous observed iterate
         self._v = np.zeros((dim, m_max))
         self._r = np.zeros((dim, m_max))
         self.qr = QrState(dim, m_max) if variant == TYPE_II else None
@@ -60,6 +62,27 @@ class AccelMemory:
     @property
     def r_diffs(self) -> np.ndarray:
         return self._r[:, : self.ncols]
+
+    def observe(self, v: np.ndarray, r: np.ndarray, epoch: int) -> "AccelMemory":
+        """Take iterate v with residual r, evaluated under operator ``epoch``.
+
+        Restarts on an epoch change or a rank-deficient pair and drops the
+        anchor (the previous iterate), so three plain steps (j = 1, 1, 2)
+        follow; restarts on a full memory keeping (v, r) as the anchor, so
+        two follow (j = 1, 2); otherwise pushes the pair formed against the
+        anchor.
+        """
+        if epoch != self.epoch:
+            return self.restart(epoch)
+        if self.ncols == self.m_max:
+            self.restart()
+        elif self._anchor is not None:
+            try:
+                self.push_pair(v - self._anchor[0], r - self._anchor[1])
+            except ColumnRankDeficient:
+                return self.restart()
+        self._anchor = (v, r)
+        return self
 
     def push_pair(self, dv: np.ndarray, dr: np.ndarray) -> "AccelMemory":
         """Append one (delta v, delta r) column pair and advance j.
@@ -125,8 +148,9 @@ class AccelMemory:
         return np.asarray(f_k, dtype=float) - (self.v_diffs - self.r_diffs) @ eta
 
     def restart(self, epoch: int | None = None) -> "AccelMemory":
-        """Drop all columns, reset j to 1, and resync the operator epoch."""
+        """Drop all columns and the anchor, reset j to 1, and resync the epoch."""
         self.j = 1
+        self._anchor = None
         if self.qr is not None:
             self.qr.reset()
         if epoch is not None:

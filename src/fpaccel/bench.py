@@ -11,6 +11,7 @@ time cap.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
+from .driver import DriverConfig
 
-CONFIGS = ("vanilla", "unsafe", "safeguarded")
+CONFIGS = conic.MODES
 
 TRACE_COLUMNS = (
     "iter",
@@ -160,24 +162,16 @@ def run_benchmark(
     problems,
     configs=CONFIGS,
     *,
-    eps: float = 1e-6,
-    tau: float = 2.0,
-    eta_max: float = 1e4,
-    m_max: int = 15,
-    variant: str = "type2",
-    check_interval: int = 25,
-    max_iter: int = 10000,
     time_cap: float = 300.0,
-    gamma: float = 1.0,
-    adapt: bool = True,
-    adapt_interval: int = 40,
     sh: float = 10.0,
     out_dir=None,
     workers: int = 1,
+    **settings,
 ) -> BenchSummary:
     """Execute every (problem, config) pair and aggregate the results.
 
-    ``problems`` is a list of (name, ConicProblem) pairs.  Mean and median
+    ``problems`` is a list of (name, ConicProblem) pairs with distinct
+    names; ``settings`` go to ``conic.solve`` by name.  Mean and median
     statistics use only the problems solved by every configuration; the
     shifted geometric mean covers all problems with unsolved ones entered
     at ``time_cap`` seconds.
@@ -189,20 +183,15 @@ def run_benchmark(
     for config in configs:
         if config not in CONFIGS:
             raise ValueError(f"unknown configuration {config!r}")
+    names = [name for name, _ in problems]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate problem name {name!r}")
+    # A bad setting raises here once instead of failing every run.
+    solve_args = inspect.signature(conic.solve).parameters
+    DriverConfig(**{k: v for k, v in settings.items() if k not in solve_args})
 
-    kwargs = dict(
-        eps=eps,
-        tau=tau,
-        eta_max=eta_max,
-        m_max=m_max,
-        variant=variant,
-        check_interval=check_interval,
-        max_iter=max_iter,
-        time_cap=time_cap,
-        gamma=gamma,
-        adapt=adapt,
-        adapt_interval=adapt_interval,
-    )
+    kwargs = dict(settings, time_cap=time_cap)
     tasks = [
         (name, problem, config, kwargs)
         for name, problem in problems

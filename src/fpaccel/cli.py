@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import bench, problems
+from .driver import DriverConfig
 
 
 def _parse_params(text: str) -> dict:
@@ -135,20 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark the fixed-point solver configurations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = DriverConfig()  # the solver settings' defaults
 
     run_p = sub.add_parser("run", help="run a benchmark batch")
     run_p.add_argument("--problems", help="directory or glob of problem JSON files")
     run_p.add_argument("--generate", help="generator specs kind:params:seed[,...]")
-    run_p.add_argument("--configs", default="vanilla,unsafe,safeguarded")
-    run_p.add_argument("--eps", type=float, default=1e-6)
-    run_p.add_argument("--tau", type=float, default=2.0)
-    run_p.add_argument("--eta-max", dest="eta_max", type=float, default=1e4)
-    run_p.add_argument("--mmax", type=int, default=15)
-    run_p.add_argument("--check-interval", dest="check_interval", type=int, default=25)
-    run_p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
+    run_p.add_argument("--configs", default=",".join(bench.CONFIGS))
+    run_p.add_argument("--eps", type=float, default=cfg.eps)
+    run_p.add_argument("--tau", type=float, default=cfg.tau)
+    run_p.add_argument("--eta-max", dest="eta_max", type=float, default=cfg.eta_max)
+    run_p.add_argument("--mmax", type=int, default=cfg.m_max)
+    run_p.add_argument(
+        "--check-interval", dest="check_interval", type=int, default=cfg.check_interval
+    )
+    run_p.add_argument("--max-iter", dest="max_iter", type=int, default=cfg.max_iter)
     run_p.add_argument("--time-cap", dest="time_cap", type=float, default=300.0)
     run_p.add_argument("--out-dir", dest="out_dir")
-    run_p.add_argument("--variant", choices=("type2", "type1"), default="type2")
+    run_p.add_argument("--variant", choices=("type2", "type1"), default=cfg.variant)
     run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--gamma", type=float, default=1.0, help="initial step size")
     run_p.add_argument("--no-adapt", action="store_true", help="freeze the step size")

@@ -294,48 +294,33 @@ class ConicSolution:
         self.certificate = certificate
 
 
-MODES = ("vanilla", "unsafe", "safeguarded")
+MODES = (_driver.VANILLA, _driver.UNSAFE, _driver.SAFEGUARDED)
 
 
 def solve(
     problem: ConicProblem,
-    mode: str = "safeguarded",
+    mode: str = _driver.SAFEGUARDED,
     *,
-    eps: float = 1e-6,
     gamma: float = 1.0,
     adapt: bool = True,
-    tau: float = 2.0,
-    eta_max: float = 1e4,
-    m_max: int = 15,
-    variant: str = "type2",
-    check_interval: int = 25,
-    max_iter: int = 10000,
-    adapt_interval: int = 40,
     eps_infeas: float = 1e-6,
     time_cap: float | None = None,
     v0: np.ndarray | None = None,
+    **settings,
 ) -> ConicSolution:
     """Solve a conic QP with one of the three driver configurations.
 
     ``mode`` selects vanilla (plain splitting iterations), unsafe
     (acceleration without the residual safeguard), or safeguarded
-    acceleration.  Termination tests the absolute infinity-norm primal and
-    dual residuals against ``eps`` every ``check_interval`` iterations.
+    acceleration; ``settings`` are ``DriverConfig`` fields by name.
+    Termination tests the absolute infinity-norm primal and dual residuals
+    against ``eps`` every ``check_interval`` iterations.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    cfg = _driver.DriverConfig(mode=mode, **settings)
+    eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
-    cfg = _driver.DriverConfig(
-        eps=eps,
-        tau=tau,
-        eta_max=eta_max,
-        m_max=m_max,
-        variant=variant,
-        mode=mode,
-        check_interval=check_interval,
-        max_iter=max_iter,
-        adapt_interval=adapt_interval,
-    )
     hooks = _driver.Hooks(
         converged=lambda state, _op: state.info.r_prim <= eps and state.info.r_dual <= eps,
         operator_update=(

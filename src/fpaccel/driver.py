@@ -7,24 +7,23 @@ One ``Driver`` instance runs one solve, in the configuration named by
 fresh evaluation at the current point).  ``run`` is the single entry point.
 Each iteration, in order:
 
-1. restart the memory if the operator epoch moved under us;
-2. push the (delta v, delta r) pair formed against the previous iterate,
-   when one exists inside the current memory lifetime;
-3. with more than two history slots (j > 2): solve for the extrapolation
+1. hand the current iterate to the memory (``AccelMemory.observe``), which
+   pushes the (delta v, delta r) pair formed against the previous iterate,
+   or restarts on an operator epoch change, a full memory or a
+   rank-deficient pair;
+2. with more than two history slots (j > 2): solve for the extrapolation
    coefficients, guard their norm, build the candidate, evaluate the
    operator there, and run the configured safeguard; on success adopt the
    candidate together with its already-computed operator value;
-4. otherwise fall back to a plain operator step -- applying any pending
+3. otherwise fall back to a plain operator step -- applying any pending
    operator-parameter update first (which restarts the memory);
-5. run the scheduled infeasibility hook when the step was a pure operator
+4. run the scheduled infeasibility hook when the step was a pure operator
    step in a fresh history (j == 2); vanilla mode keeps no history, so there
-   the hook runs on the next step without a parameter update;
-6. restart the memory once it exceeds its capacity.
+   the hook runs on the next step without a parameter update.
 
-Every restart clears the previous-iterate anchor as well, so each restart
-is followed by two plain iterations before extrapolation resumes; the
-infeasibility hook therefore always sees a difference of consecutive pure
-operator steps.
+Every restart is followed by at least two plain iterations (see
+``AccelMemory.observe``), so the infeasibility hook always sees a difference
+of consecutive pure operator steps.
 
 Parameter updates and infeasibility checks are latched on fixed iteration
 cadences (``adapt_interval`` and ``check_interval``) and consumed at the
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accel import AccelMemory, SingularSystem, eta_guard
-from .linalg import ColumnRankDeficient, SingularTriangular
+from .linalg import SingularTriangular
 from .operators import FixedPointOperator, NonFiniteOutput
 
 CONVERGED = "converged"
@@ -77,10 +76,14 @@ class FixedPointState:
     v: np.ndarray
     f: np.ndarray
     r: np.ndarray
+    r_norm: float | None = None  # ||r||, computed from r when not given
     k: int = 0
     r_prev_norm: float = math.inf
-    acc_success: bool = False
     info: object = None
+
+    def __post_init__(self):
+        if self.r_norm is None:
+            self.r_norm = float(np.linalg.norm(self.r))
 
 
 @dataclass
@@ -198,8 +201,6 @@ class Driver:
             if self.accelerate
             else None
         )
-        self._anchor_v: np.ndarray | None = None
-        self._anchor_r: np.ndarray | None = None
         self._pending_update = False
         self._pending_infeas = False
         # Loop evaluations only: the setup evaluation above is excluded so
@@ -209,16 +210,11 @@ class Driver:
         self._strict_checks = 0
         self._checks = 0
         self._accel_seconds = 0.0
-        self._last_step_norm = float(np.linalg.norm(self.state.r))
+        self._last_step_norm = self.state.r_norm
         self.entries: list[TraceEntry] = []
         self.certificate = None
 
     # -- internals ---------------------------------------------------------
-
-    def _restart_memory(self) -> None:
-        self.mem.restart(self.op.epoch)
-        self._anchor_v = None
-        self._anchor_r = None
 
     def _converged(self) -> bool:
         self._checks += 1
@@ -232,24 +228,13 @@ class Driver:
         cfg, op, st = self.cfg, self.op, self.state
         accel_t = 0.0
         accepted = False
-        restarted = False
         op_changed = False
-        r_curr_norm = float(np.linalg.norm(st.r))
         new = None
 
         if self.accelerate:
-            if self.mem.epoch != op.epoch:
-                self._restart_memory()
-                restarted = True
-            if self._anchor_v is not None:
-                t0 = time.perf_counter()
-                try:
-                    self.mem.push_pair(st.v - self._anchor_v, st.r - self._anchor_r)
-                    accel_t += time.perf_counter() - t0
-                except ColumnRankDeficient:
-                    accel_t += time.perf_counter() - t0
-                    self._restart_memory()
-                    restarted = True
+            t0 = time.perf_counter()
+            self.mem.observe(st.v, st.r, op.epoch)
+            accel_t = time.perf_counter() - t0
         j_decision = self.mem.j if self.accelerate else 1
 
         if self.accelerate and self.mem.j > 2:
@@ -283,7 +268,7 @@ class Driver:
                     ok = safeguard_relaxed(r_acc_norm, st.r_prev_norm, cfg.tau)
                 if ok:
                     accepted = True
-                    new = (v_acc, f_acc, r_acc, info_acc)
+                    new = (v_acc, f_acc, r_acc, r_acc_norm, info_acc)
                 else:
                     self._rejected += 1
 
@@ -295,26 +280,17 @@ class Driver:
                 self.hooks.operator_update(op, st)
                 op_changed = True
                 if self.accelerate:
-                    self._restart_memory()
-                    restarted = True
+                    self.mem.restart(op.epoch)
             v_next = st.f.copy()
             f_next = op.apply(v_next)
-            new = (v_next, f_next, v_next - f_next, op.info)
+            r_next = v_next - f_next
+            new = (v_next, f_next, r_next, float(np.linalg.norm(r_next)), op.info)
 
-        old_v, old_r = st.v, st.r
-        st.v, st.f, st.r, st.info = new
+        old_v = st.v
+        st.r_prev_norm = st.r_norm
+        st.v, st.f, st.r, st.r_norm, st.info = new
         st.k += 1
-        st.r_prev_norm = r_curr_norm
-        st.acc_success = accepted
         self._last_step_norm = float(np.linalg.norm(st.v - old_v))
-
-        if self.accelerate:
-            if restarted:
-                self._anchor_v = None
-                self._anchor_r = None
-            else:
-                self._anchor_v = old_v
-                self._anchor_r = old_r
 
         infeas_checked = False
         if self._pending_infeas and self.hooks.infeasibility is not None:
@@ -332,15 +308,12 @@ class Driver:
         if self.hooks.infeasibility is not None and st.k % cfg.check_interval == 0:
             self._pending_infeas = True
 
-        if self.accelerate and self.mem.j > cfg.m_max:
-            self._restart_memory()
-
         r_prim = r_dual = math.nan
         if self.hooks.metrics is not None:
             r_prim, r_dual = self.hooks.metrics(op, st)
         entry = TraceEntry(
             k=st.k,
-            r_norm=float(np.linalg.norm(st.r)),
+            r_norm=st.r_norm,
             accepted=accepted,
             j=j_decision,
             epoch=op.epoch,

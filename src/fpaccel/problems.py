@@ -218,15 +218,23 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; true, 0.7 or 1e400 are rejected rather than truncated."""
+    _require(type(value) is int, f"{field} must be an integer")
+    return value
+
+
 def _dense_from_triplets(entries, rows, cols, field, symmetric) -> np.ndarray:
     mat = np.zeros((rows, cols))
     _require(isinstance(entries, list), f"{field} must be a list of triplets")
     for idx, t in enumerate(entries):
         _require(isinstance(t, dict), f"{field}[{idx}] must be an object")
         try:
-            i, j, val = int(t["row"]), int(t["col"]), float(t["value"])
+            val = float(t["value"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{field}[{idx}] needs integer row/col and numeric value") from exc
+            raise SchemaError(f"{field}[{idx}].value must be numeric") from exc
+        i = _integer(t.get("row"), f"{field}[{idx}].row")
+        j = _integer(t.get("col"), f"{field}[{idx}].col")
         _require(0 <= i < rows and 0 <= j < cols, f"{field}[{idx}] index ({i},{j}) out of range")
         if symmetric:
             _require(i <= j, f"{field}[{idx}] must lie in the upper triangle")
@@ -263,23 +271,23 @@ def _bounds(entries, size, field) -> np.ndarray | None:
 def load_problem(path) -> ConicProblem:
     """Read a problem from a JSON file, validating the schema."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("n", "m", "P", "q", "A", "b", "cones"):
         _require(key in doc, f"missing field {key!r}")
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("n and m must be integers") from exc
+    n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
     _require(n >= 1 and m >= 0, "need n >= 1 and m >= 0")
 
-    P = _dense_from_triplets(doc["P"], n, n, "P", symmetric=True)
+    # The vectors first: their lengths bound n and m before any n-by-n buffer.
     q = _vector(doc["q"], n, "q")
-    A = _dense_from_triplets(doc["A"], m, n, "A", symmetric=False)
     b = _vector(doc["b"], m, "b")
+    P = _dense_from_triplets(doc["P"], n, n, "P", symmetric=True)
+    A = _dense_from_triplets(doc["A"], m, n, "A", symmetric=False)
 
     cones = []
     _require(isinstance(doc["cones"], list), "cones must be a list")
@@ -288,10 +296,7 @@ def load_problem(path) -> ConicProblem:
         _require(isinstance(entry, dict), f"{field} must be an object")
         kind = _FILE_KINDS.get(entry.get("kind"))
         _require(kind is not None, f"{field}.kind must be one of {sorted(_FILE_KINDS)}")
-        try:
-            dim = int(entry["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{field}.dim must be an integer") from exc
+        dim = _integer(entry.get("dim"), f"{field}.dim")
         _require(dim >= 1, f"{field}.dim must be positive")
         try:
             if kind == BOX:

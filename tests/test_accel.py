@@ -165,6 +165,44 @@ def test_restart_empties_memory():
     assert mem.j == 1 and mem.ncols == 0  # idempotent
 
 
+def test_observe_anchor_rules():
+    rng = np.random.default_rng(9)
+    mem = AccelMemory(4, 2, epoch=0)
+    vs = [rng.standard_normal(4) for _ in range(10)]
+    rs = [rng.standard_normal(4) for _ in range(10)]
+
+    # a fresh memory keeps the first iterate as its anchor, then pushes
+    assert mem.observe(vs[0], rs[0], 0).j == 1
+    assert mem.observe(vs[1], rs[1], 0).j == 2
+    assert mem.observe(vs[2], rs[2], 0).j == 3
+    assert_allclose(mem.v_diffs, np.column_stack([vs[1] - vs[0], vs[2] - vs[1]]))
+    assert_allclose(mem.r_diffs, np.column_stack([rs[1] - rs[0], rs[2] - rs[1]]))
+
+    # full: restart and keep this iterate, so the next push uses it
+    assert mem.observe(vs[3], rs[3], 0).j == 1
+    assert mem.observe(vs[4], rs[4], 0).j == 2
+    assert_allclose(mem.v_diffs[:, 0], vs[4] - vs[3])
+
+    # epoch change: restart without an anchor, so one more observation
+    # passes before the next push
+    assert mem.observe(vs[5], rs[5], 1).j == 1 and mem.epoch == 1
+    assert mem.observe(vs[6], rs[6], 1).j == 1
+    assert mem.observe(vs[7], rs[7], 1).j == 2
+    assert_allclose(mem.v_diffs[:, 0], vs[7] - vs[6])
+
+    # rank-deficient pair: the pair is dropped along with the anchor
+    assert mem.observe(vs[8], rs[7] + 2.0 * (rs[7] - rs[6]), 1).j == 1
+    assert mem.observe(vs[9], rs[9], 1).j == 1
+    assert mem.observe(vs[0], rs[0], 1).j == 2
+    assert_allclose(mem.r_diffs[:, 0], rs[0] - rs[9])
+
+    # an external restart drops the anchor as well
+    mem.restart(epoch=2)
+    assert mem.observe(vs[1], rs[1], 2).j == 1
+    assert mem.observe(vs[2], rs[2], 2).j == 2
+    assert_allclose(mem.v_diffs[:, 0], vs[2] - vs[1])
+
+
 def test_alpha_from_eta():
     assert_allclose(alpha_from_eta(np.array([])), [1.0])
     assert_allclose(alpha_from_eta(np.array([0.5])), [0.5, 0.5])

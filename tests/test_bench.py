@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fpaccel import cli
 from fpaccel.bench import EmptyInput, CONFIGS, run_benchmark, shifted_gmean
 from fpaccel.cones import BOX, NONNEG, PSD_TRIANGLE, ConeBlock
 from fpaccel.conic import ConicProblem
+from fpaccel.driver import DriverConfig
 from fpaccel.problems import (
     InvalidParams,
     ParseError,
@@ -179,6 +181,49 @@ def test_load_schema_errors(tmp_path):
     with pytest.raises(ParseError, match="line 1"):
         load_problem(path)
 
+    path.write_bytes(b'{"n": "\xff"}')  # not UTF-8
+    with pytest.raises(ParseError, match="utf-8"):
+        load_problem(path)
+
+    path.write_text("[" * 100000 + "]" * 100000)  # too deep to decode
+    with pytest.raises(ParseError, match="recursion"):
+        load_problem(path)
+
+    # Dimensions and indices must be JSON integers, written here as raw
+    # literals: true, 0.7 and 1.9 used to be truncated, 1e400 to overflow.
+    valid = {
+        "n": 2,
+        "m": 2,
+        "P": [],
+        "q": [0.0, 0.0],
+        "A": [{"row": 0, "col": 0, "value": 1.0}],
+        "b": [0.0, 0.0],
+        "cones": [{"kind": "nonneg", "dim": 2}],
+    }
+    path.write_text(json.dumps(valid))
+    assert load_problem(path).n == 2
+    path.write_text(json.dumps(dict(valid, n=10**20)))  # no 10^20-square buffer
+    with pytest.raises(SchemaError, match="q must have"):
+        load_problem(path)
+    for where, literal, name in [
+        (("n",), "true", "n"),
+        (("m",), "2.0", "m"),
+        (("n",), "1e400", "n"),
+        (("A", 0, "row"), "0.7", "A[0].row"),
+        (("A", 0, "col"), "1.9", "A[0].col"),
+        (("P",), '[{"row": false, "col": 0, "value": 1.0}]', "P[0].row"),
+        (("cones", 0, "dim"), "1e400", "cones[0].dim"),
+        (("cones", 0, "dim"), "true", "cones[0].dim"),
+    ]:
+        doc = json.loads(json.dumps(valid))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(name)} must be an integer"):
+            load_problem(path)
+
 
 def test_load_rejects_non_psd_cost(tmp_path):
     doc = {
@@ -279,6 +324,26 @@ def test_run_benchmark_empty_inputs():
         run_benchmark([], ["vanilla"])
     with pytest.raises(ValueError):
         run_benchmark(small_suite(1), ["turbo"])
+    with pytest.raises(TypeError, match="m_maxx"):
+        run_benchmark(small_suite(1), ["vanilla"], m_maxx=5)
+    with pytest.raises(ValueError, match="tau"):
+        run_benchmark(small_suite(1), ["vanilla"], tau=5.0)
+
+
+def test_run_benchmark_rejects_duplicate_names(tmp_path, capsys):
+    (name, problem), (_, other) = small_suite(2)
+    with pytest.raises(ValueError, match="duplicate problem name 'qp1'"):
+        run_benchmark([(name, problem), ("qp2", other), (name, other)], ["vanilla"])
+
+    # two files of the same name in different directories, one glob
+    for sub, p in (("a", problem), ("b", other)):
+        (tmp_path / sub).mkdir()
+        save_problem(p, tmp_path / sub / "qp.json")
+    out_dir = tmp_path / "results"
+    rc = cli.main(["run", "--problems", str(tmp_path / "*" / "qp.json"), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert "duplicate problem name 'qp'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -304,6 +369,21 @@ def test_cli_gen_and_run(tmp_path, capsys):
     assert "common subset: 3 problems" in captured.out
     assert (out_dir / "summary.csv").exists()
     assert len(list((out_dir / "traces").glob("*.csv"))) == 6
+
+
+def test_cli_run_defaults_are_the_driver_config_defaults():
+    args = cli.build_parser().parse_args(["run"])
+    cfg = DriverConfig()
+    assert (
+        args.eps,
+        args.tau,
+        args.eta_max,
+        args.mmax,
+        args.check_interval,
+        args.max_iter,
+        args.variant,
+    ) == (cfg.eps, cfg.tau, cfg.eta_max, cfg.m_max, cfg.check_interval, cfg.max_iter, cfg.variant)
+    assert args.configs.split(",") == list(CONFIGS)
 
 
 def test_cli_generate_spec_parsing():
