@@ -13,10 +13,8 @@ only attempted once j > 2, i.e. with at least two stored difference pairs.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .linalg import ColumnRankDeficient, QrState, qr_append_column, qr_solve_ls
 
@@ -118,25 +116,36 @@ class AccelMemory:
         return qr_solve_ls(self.qr, np.asarray(r_k, dtype=float))
 
     def compute_eta_type1(self, r_k: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
-        """eta solves (V'R) eta = V' r_k by dense LU with partial pivoting."""
+        """eta solves (V'R) eta = V' r_k by dense LU with partial pivoting.
+
+        LAPACK getrf/getrs, called as lu_factor/lu_solve would.  Raises
+        SingularSystem when a pivot is below ``pivot_tol`` times the largest
+        entry of V'R (an exactly zero pivot included), and ValueError when
+        V'R or V' r_k is not finite.
+        """
         if self.ncols < 1:
             raise ValueError("no stored columns")
         r_k = np.asarray(r_k, dtype=float)
         v = self.v_diffs
         m = v.T @ self.r_diffs
+        if not np.isfinite(m).all():
+            raise ValueError("V'R must be finite")
         max_entry = float(np.abs(m).max())
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)  # singularity handled below
-                lu, piv = lu_factor(m)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
+        lu, piv, info = dgetrf(m, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
         pivots = np.abs(np.diagonal(lu))
         if max_entry == 0.0 or pivots.min() < pivot_tol * max_entry:
             raise SingularSystem(
                 f"pivot {pivots.min():.3e} below {pivot_tol:.0e} * max entry {max_entry:.3e}"
             )
-        return lu_solve((lu, piv), v.T @ r_k)
+        rhs = v.T @ r_k
+        if not np.isfinite(rhs).all():
+            raise ValueError("V' r_k must be finite")
+        eta, info = dgetrs(lu, piv, rhs, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        return eta
 
     def candidate(self, f_k: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Accelerated point f_k - (V - R) eta."""

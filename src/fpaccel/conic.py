@@ -24,7 +24,9 @@ leaves the reduced system
     (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
 
 whose matrix is symmetric positive definite (P is PSD and gamma > 0), so
-one Cholesky factorization serves every solve at a given gamma.
+one Cholesky factorization (scipy's ``cho_factor``, run once per gamma)
+serves every solve at that gamma.  Each solve calls LAPACK ``dpotrs`` on the
+factor directly, as ``cho_solve`` would, without its per-call wrapper.
 
 Each application also reads off the primal-dual point x = z_x, s = w_s,
 y = (v_s - z_s) / gamma and keeps it, with its residual norms, as one
@@ -45,7 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from . import driver as _driver
 from .cones import ConeBlock, cone_support, in_recession_of_negation, project_cone
@@ -77,6 +80,8 @@ class ConicProblem:
     def __init__(self, P, q, A, b, cones):
         q = np.asarray(q, dtype=float)
         n = q.size
+        if n < 1:
+            raise ValueError("problem needs at least one variable")
         P = np.zeros((n, n)) if P is None else np.asarray(P, dtype=float)
         if P.shape != (n, n):
             raise ValueError("P must be n-by-n")
@@ -165,18 +170,22 @@ class DrsOperator(FixedPointOperator):
         """Cholesky-factor the reduced matrix P + (I + A'A) / gamma.
 
         Raises scipy's LinAlgError when it is not positive definite, which
-        can happen only when P is not positive semidefinite.
+        can happen only when P is not positive semidefinite.  The upper
+        factor is kept in the Fortran order cho_factor returns, so dpotrs
+        reads it without a copy.
         """
         prob = self.problem
         reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / self.gamma
-        self._factor = cho_factor(reduced)
+        self._factor = cho_factor(reduced)[0]
 
     # -- the operator -------------------------------------------------------
 
     def solve_kkt(self, r1: np.ndarray, r2: np.ndarray):
         """(x, lam, A x) solving the KKT system through the reduced one."""
         prob, gamma = self.problem, self.gamma
-        x = cho_solve(self._factor, r1 + prob.A.T @ r2 / gamma, check_finite=False)
+        x, info = dpotrs(self._factor, r1 + prob.A.T @ r2 / gamma, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
         ax = prob.A @ x
         return x, (ax - r2) / gamma, ax
 

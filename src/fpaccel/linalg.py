@@ -3,9 +3,14 @@
 A QR factorization that grows one column at a time: each append
 orthogonalizes the new column by classical Gram-Schmidt applied twice
 (CGS2), two pairs of BLAS matrix-vector products, O(n*j) per append.
-Least-squares solves back-substitute on the triangular factor.  The KKT
-solve and the eigendecompositions elsewhere in the package call LAPACK
-through numpy/scipy directly.
+Least-squares solves back-substitute on the triangular factor.
+
+The per-iteration solves call ``scipy.linalg.lapack`` directly: ``dtrtrs``
+here, ``dpotrs`` in the KKT solve (conic.py), ``dgetrf``/``dgetrs`` for the
+type-I coefficients (accel.py).  These are the routines and arguments the
+scipy.linalg helpers use, so results are bit for bit theirs, without the
+helpers' per-call validation, which costs more than these small solves;
+the checks they made (finite input, LAPACK ``info``) are kept.
 
 Everything is dense float64; matrices are plain numpy arrays.
 """
@@ -13,7 +18,7 @@ Everything is dense float64; matrices are plain numpy arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 
 class ColumnRankDeficient(Exception):
@@ -99,7 +104,8 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
     """Least-squares solve min ||rhs - M eta|| for the factored matrix M.
 
     Back-substitution on r applied to q' rhs.  Raises SingularTriangular
-    when the smallest |r_ii| is not above ``pivot_tol`` times the largest.
+    when the smallest |r_ii| is not above ``pivot_tol`` times the largest,
+    and ValueError when r or q' rhs is not finite.
     """
     k = state.ncols
     if k == 0:
@@ -110,5 +116,15 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
         raise SingularTriangular(
             f"diagonal ratio {diag.min() / diag.max():.3e} below {pivot_tol:.0e}"
         )
+    r = state._r[:k, :k]
     qtr = state._q[:, :k].T @ rhs
-    return solve_triangular(state._r[:k, :k], qtr, lower=False)
+    if not (np.isfinite(r).all() and np.isfinite(qtr).all()):
+        raise ValueError("least-squares data must be finite")
+    # r.T is the lower factor in Fortran order; solving r.T' eta = qtr is the
+    # branch scipy.linalg.solve_triangular takes for the C-ordered r.
+    eta, info = dtrtrs(r.T, qtr, lower=1, trans=1, overwrite_b=1)
+    if info > 0:
+        raise SingularTriangular(f"diagonal {info - 1} of the triangular factor is zero")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
+    return eta

@@ -224,15 +224,21 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _number(value, field: str, what: str = "a number") -> float:
+    """A JSON number; strings such as "1.5" and booleans are rejected, not converted."""
+    _require(type(value) in (int, float), f"{field} must be {what}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise SchemaError(f"{field} is out of range") from exc
+
+
 def _dense_from_triplets(entries, rows, cols, field, symmetric) -> np.ndarray:
     mat = np.zeros((rows, cols))
     _require(isinstance(entries, list), f"{field} must be a list of triplets")
     for idx, t in enumerate(entries):
         _require(isinstance(t, dict), f"{field}[{idx}] must be an object")
-        try:
-            val = float(t["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{field}[{idx}].value must be numeric") from exc
+        val = _number(t.get("value"), f"{field}[{idx}].value")
         i = _integer(t.get("row"), f"{field}[{idx}].row")
         j = _integer(t.get("col"), f"{field}[{idx}].col")
         _require(0 <= i < rows and 0 <= j < cols, f"{field}[{idx}] index ({i},{j}) out of range")
@@ -246,10 +252,7 @@ def _dense_from_triplets(entries, rows, cols, field, symmetric) -> np.ndarray:
 
 def _vector(entries, size, field) -> np.ndarray:
     _require(isinstance(entries, list) and len(entries) == size, f"{field} must have {size} entries")
-    try:
-        return np.array([float(x) for x in entries])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{field} entries must be numeric") from exc
+    return np.array([_number(x, f"{field}[{i}]") for i, x in enumerate(entries)])
 
 
 def _bounds(entries, size, field) -> np.ndarray | None:
@@ -261,10 +264,7 @@ def _bounds(entries, size, field) -> np.ndarray | None:
         if x is None:
             out[i] = -np.inf if field.endswith(".l") else np.inf
         else:
-            try:
-                out[i] = float(x)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{field}[{i}] must be numeric or null") from exc
+            out[i] = _number(x, f"{field}[{i}]", "a number or null")
     return out
 
 
@@ -275,7 +275,8 @@ def load_problem(path) -> ConicProblem:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, nested too deep, or an integer literal too long to convert.
         raise ParseError(f"{path}: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("n", "m", "P", "q", "A", "b", "cones"):

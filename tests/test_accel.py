@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor, lu_solve
 
 from fpaccel.accel import (
     TYPE_I,
@@ -97,6 +98,36 @@ def test_eta_type1_singular_system():
     mem.push_pair(np.array([0.0, 1.0, 0.0]), dr.copy())
     with pytest.raises(SingularSystem):
         mem.compute_eta_type1(np.ones(3))
+
+
+def test_eta_type1_bit_identical_to_lu_solve():
+    # compute_eta_type1 calls LAPACK getrf/getrs itself; it must give the
+    # bits of scipy's lu_factor/lu_solve for every column count.
+    rng = np.random.default_rng(6)
+    mem = AccelMemory(20, 8, variant=TYPE_I)
+    for _ in range(8):
+        mem.push_pair(rng.standard_normal(20), rng.standard_normal(20))
+        r_k = rng.standard_normal(20)
+        v = mem.v_diffs
+        want = lu_solve(lu_factor(v.T @ mem.r_diffs), v.T @ r_k)
+        assert mem.compute_eta_type1(r_k).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eta_type1_rejects_non_finite(bad):
+    rng = np.random.default_rng(7)
+    mem = AccelMemory(5, 4, variant=TYPE_I)
+    for _ in range(2):
+        mem.push_pair(rng.standard_normal(5), rng.standard_normal(5))
+    r_k = rng.standard_normal(5)
+    r_k[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mem.compute_eta_type1(r_k)
+    dr = rng.standard_normal(5)
+    dr[0] = bad  # V'R is not finite; V' r_k is
+    mem.push_pair(rng.standard_normal(5), dr)
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        mem.compute_eta_type1(rng.standard_normal(5))
 
 
 def test_candidate_equals_f_when_histories_match():

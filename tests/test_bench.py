@@ -189,6 +189,15 @@ def test_load_schema_errors(tmp_path):
     with pytest.raises(ParseError, match="recursion"):
         load_problem(path)
 
+    def write_with_literal(base, where, literal):
+        """Write base with the entry at the key path ``where`` set to a raw JSON literal."""
+        doc = json.loads(json.dumps(base))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+
     # Dimensions and indices must be JSON integers, written here as raw
     # literals: true, 0.7 and 1.9 used to be truncated, 1e400 to overflow.
     valid = {
@@ -215,14 +224,31 @@ def test_load_schema_errors(tmp_path):
         (("cones", 0, "dim"), "1e400", "cones[0].dim"),
         (("cones", 0, "dim"), "true", "cones[0].dim"),
     ]:
-        doc = json.loads(json.dumps(valid))
-        parent = doc
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = "@"
-        path.write_text(json.dumps(doc).replace('"@"', literal))
+        write_with_literal(valid, where, literal)
         with pytest.raises(SchemaError, match=rf"^{re.escape(name)} must be an integer"):
             load_problem(path)
+
+    # Data entries must be JSON numbers: strings and booleans used to be
+    # converted by float(); null stays "unbounded" in box bounds only.
+    box = dict(valid, cones=[{"kind": "box", "dim": 2, "l": [None, 0.0], "u": [1.0, None]}])
+    path.write_text(json.dumps(box))
+    assert load_problem(path).cones[0].l[0] == -np.inf
+    for where, literal, message in [
+        (("q", 0), '"1.5"', "q[0] must be a number"),
+        (("b", 1), "false", "b[1] must be a number"),
+        (("b", 0), "null", "b[0] must be a number"),
+        (("A", 0, "value"), '"2"', "A[0].value must be a number"),
+        (("A", 0, "value"), "true", "A[0].value must be a number"),
+        (("cones", 0, "l", 1), '"0"', "cones[0].l[1] must be a number or null"),
+        (("cones", 0, "u", 0), "true", "cones[0].u[0] must be a number or null"),
+        (("q", 1), "1" + "0" * 400, "q[1] is out of range"),
+    ]:
+        write_with_literal(box, where, literal)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
+            load_problem(path)
+    path.write_text(json.dumps(box).replace("1.0", "1" * 5000))  # too long to convert
+    with pytest.raises(ParseError, match="digits"):
+        load_problem(path)
 
 
 def test_load_rejects_non_psd_cost(tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 from fpaccel.cones import NONNEG, ZERO, ConeBlock
 from fpaccel.conic import ConicProblem, DrsOperator, solve
@@ -83,6 +84,20 @@ def test_prox_kkt_residual_small(gamma):
     oracle = np.linalg.solve(kkt, rhs)
     for got, want in ((sol[:n], oracle[:n]), (gamma * sol[n:], gamma * oracle[n:])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_solve_kkt_bit_identical_to_cho_solve(gamma):
+    # solve_kkt calls LAPACK potrs on the factor itself; it must give the
+    # bits of scipy's cho_solve with the same factor and right-hand side.
+    rng = np.random.default_rng(3)
+    prob = generate("RandomQP", n=30, m=60, seed=4)
+    op = DrsOperator(prob, gamma=gamma)
+    factor = cho_factor(prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / gamma)
+    for _ in range(3):
+        r1, r2 = rng.standard_normal(prob.n), rng.standard_normal(prob.m)
+        want = cho_solve(factor, r1 + prob.A.T @ r2 / gamma)
+        assert op.solve_kkt(r1, r2)[0].tobytes() == want.tobytes()
 
 
 def test_drs_fixed_point_is_fixed():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from fpaccel.linalg import (
     ColumnRankDeficient,
@@ -129,3 +130,48 @@ def test_solve_ls_singular_triangular():
 def test_solve_ls_empty_state():
     with pytest.raises(ValueError):
         qr_solve_ls(QrState(3, 3), np.zeros(3))
+
+
+def test_solve_ls_bit_identical_to_solve_triangular():
+    # qr_solve_ls calls LAPACK trtrs itself; it must give scipy's bits for
+    # every column count, the full buffer (a C-contiguous r) included.
+    rng = np.random.default_rng(4)
+    state = QrState(30, 8)
+    for k in range(1, 9):
+        qr_append_column(state, rng.standard_normal(30))
+        for _ in range(3):
+            rhs = rng.standard_normal(30)
+            want = solve_triangular(state.r, state.q.T @ rhs, lower=False)
+            assert qr_solve_ls(state, rhs).tobytes() == want.tobytes()
+    assert state.ncols == state.capacity
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_ls_rejects_non_finite(bad):
+    rng = np.random.default_rng(5)
+    state = QrState(6, 3)
+    for _ in range(2):
+        qr_append_column(state, rng.standard_normal(6))
+    rhs = rng.standard_normal(6)
+    rhs[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qr_solve_ls(state, rhs)
+    # A non-finite column reaches the factor; its NaN pivot passes the ratio test.
+    col = rng.standard_normal(6)
+    col[0] = bad
+    with np.errstate(invalid="ignore"):
+        qr_append_column(state, col)
+    with pytest.raises(ValueError, match="finite"):
+        qr_solve_ls(state, rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("pivot_tol", [1e-12, 0.0, -1.0])
+def test_solve_ls_exact_zero_diagonal(pivot_tol):
+    # pivot_tol = -1 turns the ratio test off, so LAPACK's own report of the
+    # zero pivot is what raises.
+    state = QrState(3, 3)
+    qr_append_column(state, np.array([1.0, 0.0, 0.0]))
+    qr_append_column(state, np.array([1.0, 1.0, 0.0]))
+    state._r[1, 1] = 0.0
+    with pytest.raises(SingularTriangular):
+        qr_solve_ls(state, np.array([1.0, 1.0, 0.0]), pivot_tol=pivot_tol)
