@@ -2,7 +2,7 @@
 Douglas-Rachford conic QP/SDP solver as the reference operator and a
 benchmark harness comparing vanilla, unsafe, and safeguarded runs."""
 
-from .accel import AccelMemory, alpha_from_eta, eta_guard
+from .accel import AccelMemory, eta_guard
 from .bench import BenchSummary, run_benchmark, shifted_gmean
 from .cones import ConeBlock, project_cone, smat, svec
 from .conic import Certificate, ConicProblem, ConicSolution, DrsOperator, solve
@@ -18,7 +18,7 @@ from .driver import (
     safeguard_relaxed,
     safeguard_strict,
 )
-from .operators import AffineTestOperator, FixedPointOperator, identity_operator, update_params
+from .operators import AffineTestOperator, FixedPointOperator, update_params
 from .problems import generate, load_problem, save_problem
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "FixedPointState",
     "Hooks",
     "RunRecord",
-    "alpha_from_eta",
     "eta_guard",
     "generate",
-    "identity_operator",
     "load_problem",
     "project_cone",
     "run",

@@ -107,7 +107,6 @@ def _cmd_run(args) -> int:
         tau=args.tau,
         eta_max=args.eta_max,
         m_max=args.mmax,
-        variant=args.variant,
         check_interval=args.check_interval,
         max_iter=args.max_iter,
         time_cap=args.time_cap,
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--max-iter", dest="max_iter", type=int, default=cfg.max_iter)
     run_p.add_argument("--time-cap", dest="time_cap", type=float, default=300.0)
     run_p.add_argument("--out-dir", dest="out_dir")
-    run_p.add_argument("--variant", choices=("type2", "type1"), default=cfg.variant)
     run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--gamma", type=float, default=1.0, help="initial step size")
     run_p.add_argument("--no-adapt", action="store_true", help="freeze the step size")

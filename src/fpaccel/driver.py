@@ -29,6 +29,9 @@ Parameter updates and infeasibility checks are latched on fixed iteration
 cadences (``adapt_interval`` and ``check_interval``) and consumed at the
 next legal point in the loop.
 
+A non-finite operator value ends the run as ``diverged``, the one at ``v0``
+included: that run stops before its first iteration.
+
 The state carries, in ``info``, the operator's record of the evaluation
 that produced ``f`` from ``v``: it is taken right after the evaluation the
 driver adopts, so hooks always read data belonging to ``state.v`` and never
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelMemory, SingularSystem, eta_guard
+from .accel import AccelMemory, eta_guard
 from .linalg import SingularTriangular
 from .operators import FixedPointOperator, NonFiniteOutput
 
@@ -83,7 +86,7 @@ class FixedPointState:
 
     def __post_init__(self):
         if self.r_norm is None:
-            self.r_norm = float(np.linalg.norm(self.r))
+            self.r_norm = math.sqrt(self.r @ self.r)
 
 
 @dataclass
@@ -92,7 +95,6 @@ class DriverConfig:
     tau: float = 2.0
     eta_max: float = 1e4
     m_max: int = 15
-    variant: str = "type2"
     mode: str = SAFEGUARDED
     check_interval: int = 25
     max_iter: int = 10000
@@ -113,8 +115,6 @@ class DriverConfig:
             raise ValueError("intervals must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.variant not in ("type1", "type2"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -194,10 +194,17 @@ class Driver:
         if v0.shape != (op.dim,):
             raise ValueError(f"v0 has shape {v0.shape}, expected ({op.dim},)")
         self._start = time.perf_counter()
-        f0 = op.apply(v0)
+        self._status = None
+        try:
+            f0 = op.apply(v0)
+        except NonFiniteOutput:
+            # run() ends before the first iteration; info keeps the operator's
+            # record of the failed evaluation.
+            f0 = np.full(op.dim, math.nan)
+            self._status = DIVERGED
         self.state = FixedPointState(v=v0.copy(), f=f0, r=v0 - f0, info=op.info)
         self.mem = (
-            AccelMemory(op.dim, self.cfg.m_max, self.cfg.variant, epoch=op.epoch)
+            AccelMemory(op.dim, self.cfg.m_max, epoch=op.epoch)
             if self.accelerate
             else None
         )
@@ -242,7 +249,7 @@ class Driver:
             eta = None
             try:
                 eta = self.mem.compute_eta(st.r)
-            except (SingularTriangular, SingularSystem):
+            except SingularTriangular:
                 pass
             v_acc = None
             if eta is not None and eta_guard(eta, cfg.eta_max):
@@ -253,7 +260,7 @@ class Driver:
                 f_acc = op.apply(v_acc)
                 info_acc = op.info  # the strict test below re-evaluates st.v
                 r_acc = v_acc - f_acc
-                r_acc_norm = float(np.linalg.norm(r_acc))
+                r_acc_norm = math.sqrt(r_acc @ r_acc)
                 if cfg.mode == UNSAFE:
                     ok = True
                 elif cfg.mode == STRICT:
@@ -261,9 +268,8 @@ class Driver:
                     # current point, which is what makes it expensive.
                     f_now = op.apply(st.v)
                     self._strict_checks += 1
-                    ok = safeguard_strict(
-                        r_acc_norm, float(np.linalg.norm(st.v - f_now)), cfg.tau
-                    )
+                    r_now = st.v - f_now
+                    ok = safeguard_strict(r_acc_norm, math.sqrt(r_now @ r_now), cfg.tau)
                 else:
                     ok = safeguard_relaxed(r_acc_norm, st.r_prev_norm, cfg.tau)
                 if ok:
@@ -284,13 +290,14 @@ class Driver:
             v_next = st.f.copy()
             f_next = op.apply(v_next)
             r_next = v_next - f_next
-            new = (v_next, f_next, r_next, float(np.linalg.norm(r_next)), op.info)
+            new = (v_next, f_next, r_next, math.sqrt(r_next @ r_next), op.info)
 
         old_v = st.v
         st.r_prev_norm = st.r_norm
         st.v, st.f, st.r, st.r_norm, st.info = new
         st.k += 1
-        self._last_step_norm = float(np.linalg.norm(st.v - old_v))
+        step = st.v - old_v
+        self._last_step_norm = math.sqrt(step @ step)
 
         infeas_checked = False
         if self._pending_infeas and self.hooks.infeasibility is not None:
@@ -298,7 +305,7 @@ class Driver:
             if at_checkpoint:
                 self._pending_infeas = False
                 infeas_checked = True
-                cert = self.hooks.infeasibility(op, st.v - old_v)
+                cert = self.hooks.infeasibility(op, step)
                 if cert is not None:
                     self.certificate = cert
 
@@ -333,8 +340,8 @@ class Driver:
 
     def run(self) -> RunRecord:
         cfg = self.cfg
-        status = None
-        if self._converged():
+        status = self._status
+        if status is None and self._converged():
             status = CONVERGED
         while status is None:
             if self.state.k >= cfg.max_iter:

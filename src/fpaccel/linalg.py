@@ -6,16 +6,21 @@ orthogonalizes the new column by classical Gram-Schmidt applied twice
 Least-squares solves back-substitute on the triangular factor.
 
 The per-iteration solves call ``scipy.linalg.lapack`` directly: ``dtrtrs``
-here, ``dpotrs`` in the KKT solve (conic.py), ``dgetrf``/``dgetrs`` for the
-type-I coefficients (accel.py).  These are the routines and arguments the
-scipy.linalg helpers use, so results are bit for bit theirs, without the
-helpers' per-call validation, which costs more than these small solves;
-the checks they made (finite input, LAPACK ``info``) are kept.
+here, ``dpotrs`` in the KKT solve (conic.py).  These are the routines and
+arguments the scipy.linalg helpers use, so results are bit for bit theirs,
+without the helpers' per-call validation, which costs more than these small
+solves; the checks they made (finite input, LAPACK ``info``) are kept.
+
+Vector norms are ``math.sqrt(x @ x)``: the dot product and square root that
+``np.linalg.norm`` computes for a 1-D float array, so the same bits, without
+its dispatch cost.
 
 Everything is dense float64; matrices are plain numpy arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -77,24 +82,21 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     col = np.asarray(col, dtype=float)
     if col.shape != (state.dim,):
         raise ValueError(f"column has shape {col.shape}, expected ({state.dim},)")
-    col_norm = float(np.linalg.norm(col))
+    col_norm = math.sqrt(col @ col)
 
     q = state._q[:, :k]
-    w = col.copy()
-    coeffs = np.zeros(k)
-    for _ in range(2):
-        c = q.T @ w
-        w -= q @ c
-        coeffs += c
-
-    w_norm = float(np.linalg.norm(w))
+    c = q.T @ col
+    w = col - q @ c
+    c2 = q.T @ w
+    w -= q @ c2
+    w_norm = math.sqrt(w @ w)
     if w_norm <= rank_tol * col_norm:
         raise ColumnRankDeficient(
             f"column {k} is collinear with the current basis "
             f"(remainder {w_norm:.3e} vs norm {col_norm:.3e})"
         )
-    state._q[:, k] = w / w_norm
-    state._r[:k, k] = coeffs
+    np.divide(w, w_norm, out=state._q[:, k])
+    np.add(c, c2, out=state._r[:k, k])
     state._r[k, k] = w_norm
     state.ncols = k + 1
     return state
@@ -111,14 +113,21 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
     if k == 0:
         raise ValueError("factorization holds no columns")
     rhs = np.asarray(rhs, dtype=float)
-    diag = np.abs(np.diagonal(state._r)[:k])
-    if diag.min() <= pivot_tol * diag.max():
+    # Python's min and max skip a NaN that numpy's would return, and numpy's
+    # NaN fails the ratio test; so a NaN diagonal passes it here too.
+    diag = state._r.diagonal()[:k].tolist()
+    lo, hi = min(map(abs, diag)), max(map(abs, diag))
+    if lo <= pivot_tol * hi and not any(map(math.isnan, diag)):
         raise SingularTriangular(
-            f"diagonal ratio {diag.min() / diag.max():.3e} below {pivot_tol:.0e}"
+            f"smallest diagonal {lo:.3e} not above {pivot_tol:.0e} times the largest {hi:.3e}"
         )
     r = state._r[:k, :k]
     qtr = state._q[:, :k].T @ rhs
-    if not (np.isfinite(r).all() and np.isfinite(qtr).all()):
+    # A finite sum proves every entry finite; finite entries can also
+    # overflow the sum, so only then is the entrywise test needed.
+    if not math.isfinite(r.sum() + qtr.sum()) and not (
+        np.isfinite(r).all() and np.isfinite(qtr).all()
+    ):
         raise ValueError("least-squares data must be finite")
     # r.T is the lower factor in Fortran order; solving r.T' eta = qtr is the
     # branch scipy.linalg.solve_triangular takes for the C-ordered r.

@@ -77,10 +77,6 @@ class AffineTestOperator(FixedPointOperator):
         return self.a @ v + self.b
 
 
-def identity_operator(dim: int) -> AffineTestOperator:
-    return AffineTestOperator(np.eye(dim), np.zeros(dim))
-
-
 def update_params(op: FixedPointOperator, rule, state) -> int:
     """Run an update rule rho* = u(F, v, f, r, rho) and apply the result.
 

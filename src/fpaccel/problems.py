@@ -228,9 +228,11 @@ def _number(value, field: str, what: str = "a number") -> float:
     """A JSON number; strings such as "1.5" and booleans are rejected, not converted."""
     _require(type(value) in (int, float), f"{field} must be {what}")
     try:
-        return float(value)
+        out = float(value)
     except OverflowError as exc:  # an integer literal beyond the float range
         raise SchemaError(f"{field} is out of range") from exc
+    _require(math.isfinite(out), f"{field} is out of range")  # a float literal such as 1e400
+    return out
 
 
 def _dense_from_triplets(entries, rows, cols, field, symmetric) -> np.ndarray:
@@ -268,15 +270,20 @@ def _bounds(entries, size, field) -> np.ndarray | None:
     return out
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_problem(path) -> ConicProblem:
     """Read a problem from a JSON file, validating the schema."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
-        # Not UTF-8, nested too deep, or an integer literal too long to convert.
+        # Not UTF-8, nested too deep, an integer literal too long to convert,
+        # or NaN/Infinity.
         raise ParseError(f"{path}: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("n", "m", "P", "q", "A", "b", "cones"):

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import lu_factor, lu_solve
 
-from fpaccel.accel import (
-    TYPE_I,
-    TYPE_II,
-    AccelMemory,
-    SingularSystem,
-    alpha_from_eta,
-    eta_guard,
-)
+from fpaccel.accel import AccelMemory, eta_guard
 from fpaccel.driver import DriverConfig, Hooks, run_unsafe
 from fpaccel.linalg import ColumnRankDeficient
 from fpaccel.operators import AffineTestOperator
@@ -21,8 +13,8 @@ def test_push_pair_advances_pointer():
     assert mem.j == 1 and mem.ncols == 0
     mem.push_pair(np.array([1.0, 0.0]), np.array([0.5, 0.0]))
     assert mem.j == 2 and mem.ncols == 1
-    assert_allclose(mem.v_diffs[:, 0], [1.0, 0.0])
-    assert_allclose(mem.r_diffs[:, 0], [0.5, 0.0])
+    assert_allclose(mem.f_diffs[:, 0], [0.5, 0.0])  # dv - dr
+    assert_allclose(mem.qr.q @ mem.qr.r, [[0.5], [0.0]])  # dr
 
 
 def test_push_pair_capacity_boundary():
@@ -47,7 +39,7 @@ def test_push_pair_collinear_residual_diff():
 def test_eta_type2_single_column():
     mem = AccelMemory(2, 4)
     mem.push_pair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-    eta = mem.compute_eta_type2(np.array([1.0, 0.0]))
+    eta = mem.compute_eta(np.array([1.0, 0.0]))
     assert_allclose(eta, [0.5])
 
 
@@ -55,79 +47,21 @@ def test_eta_type2_orthogonal_residual_is_zero():
     mem = AccelMemory(3, 4)
     mem.push_pair(np.ones(3), np.array([1.0, 0.0, 0.0]))
     mem.push_pair(np.ones(3), np.array([0.0, 1.0, 0.0]))
-    eta = mem.compute_eta_type2(np.array([0.0, 0.0, 3.0]))
+    eta = mem.compute_eta(np.array([0.0, 0.0, 3.0]))
     assert_allclose(eta, [0.0, 0.0], atol=1e-14)
 
 
 def test_eta_type2_matches_normal_equations():
     rng = np.random.default_rng(1)
     mem = AccelMemory(50, 8)
-    for _ in range(5):
-        mem.push_pair(rng.standard_normal(50), rng.standard_normal(50))
+    drs = [rng.standard_normal(50) for _ in range(5)]
+    for dr in drs:
+        mem.push_pair(rng.standard_normal(50), dr)
     r_k = rng.standard_normal(50)
-    R = mem.r_diffs
+    R = np.column_stack(drs)
     oracle = np.linalg.solve(R.T @ R, R.T @ r_k)
-    got = mem.compute_eta_type2(r_k)
+    got = mem.compute_eta(r_k)
     assert np.linalg.norm(got - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
-
-
-def test_eta_type1_degenerate_equals_type2():
-    mem = AccelMemory(2, 4, variant=TYPE_I)
-    col = np.array([2.0, 0.0])
-    mem.push_pair(col.copy(), col.copy())  # V = R
-    eta = mem.compute_eta_type1(np.array([1.0, 0.0]))
-    assert_allclose(eta, [0.5])
-
-
-def test_eta_type1_matches_direct_solve():
-    rng = np.random.default_rng(2)
-    mem = AccelMemory(20, 6, variant=TYPE_I)
-    for _ in range(4):
-        mem.push_pair(rng.standard_normal(20), rng.standard_normal(20))
-    r_k = rng.standard_normal(20)
-    oracle = np.linalg.solve(mem.v_diffs.T @ mem.r_diffs, mem.v_diffs.T @ r_k)
-    got = mem.compute_eta_type1(r_k)
-    assert np.linalg.norm(got - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
-
-
-def test_eta_type1_singular_system():
-    mem = AccelMemory(3, 4, variant=TYPE_I)
-    dr = np.array([1.0, 0.0, 0.0])
-    # identical residual columns make V'R rank one
-    mem.push_pair(np.array([1.0, 0.0, 0.0]), dr.copy())
-    mem.push_pair(np.array([0.0, 1.0, 0.0]), dr.copy())
-    with pytest.raises(SingularSystem):
-        mem.compute_eta_type1(np.ones(3))
-
-
-def test_eta_type1_bit_identical_to_lu_solve():
-    # compute_eta_type1 calls LAPACK getrf/getrs itself; it must give the
-    # bits of scipy's lu_factor/lu_solve for every column count.
-    rng = np.random.default_rng(6)
-    mem = AccelMemory(20, 8, variant=TYPE_I)
-    for _ in range(8):
-        mem.push_pair(rng.standard_normal(20), rng.standard_normal(20))
-        r_k = rng.standard_normal(20)
-        v = mem.v_diffs
-        want = lu_solve(lu_factor(v.T @ mem.r_diffs), v.T @ r_k)
-        assert mem.compute_eta_type1(r_k).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_eta_type1_rejects_non_finite(bad):
-    rng = np.random.default_rng(7)
-    mem = AccelMemory(5, 4, variant=TYPE_I)
-    for _ in range(2):
-        mem.push_pair(rng.standard_normal(5), rng.standard_normal(5))
-    r_k = rng.standard_normal(5)
-    r_k[2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        mem.compute_eta_type1(r_k)
-    dr = rng.standard_normal(5)
-    dr[0] = bad  # V'R is not finite; V' r_k is
-    mem.push_pair(rng.standard_normal(5), dr)
-    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-        mem.compute_eta_type1(rng.standard_normal(5))
 
 
 def test_candidate_equals_f_when_histories_match():
@@ -139,6 +73,25 @@ def test_candidate_equals_f_when_histories_match():
     f_k = rng.standard_normal(5)
     out = mem.candidate(f_k, rng.standard_normal(3))
     assert np.array_equal(out, f_k)
+
+
+def test_candidate_bit_identical_to_difference_matrix_form():
+    # The F buffer stores dv - dr at push time; the candidate must keep the
+    # bits of f - (V - R) eta with V - R formed from separate V and R
+    # buffers, for every column count up to a full memory.
+    rng = np.random.default_rng(10)
+    n, m_max = 150, 15
+    mem = AccelMemory(n, m_max)
+    v_buf, r_buf = np.zeros((n, m_max)), np.zeros((n, m_max))
+    for k in range(1, m_max + 1):
+        dv, dr = rng.standard_normal(n), rng.standard_normal(n)
+        mem.push_pair(dv, dr)
+        v_buf[:, k - 1], r_buf[:, k - 1] = dv, dr
+        for _ in range(3):
+            f_k, eta = rng.standard_normal(n), rng.standard_normal(k)
+            want = f_k - (v_buf[:, :k] - r_buf[:, :k]) @ eta
+            assert mem.candidate(f_k, eta).tobytes() == want.tobytes()
+    assert mem.ncols == m_max
 
 
 def test_candidate_zero_eta_returns_f():
@@ -163,16 +116,19 @@ def test_candidate_matches_inverse_jacobian_form():
     v = rng.standard_normal(n)
     f = op.apply(v)
     r = v - f
+    dvs, drs = [], []
     for _ in range(n):
         v_new = f
         f_new = op.apply(v_new)
         r_new = v_new - f_new
-        mem.push_pair(v_new - v, r_new - r)
+        dvs.append(v_new - v)
+        drs.append(r_new - r)
+        mem.push_pair(dvs[-1], drs[-1])
         v, f, r = v_new, f_new, r_new
 
-    eta = mem.compute_eta_type2(r)
+    eta = mem.compute_eta(r)
     got = mem.candidate(f, eta)
-    V, R = mem.v_diffs, mem.r_diffs
+    V, R = np.column_stack(dvs), np.column_stack(drs)
     h = np.eye(n) + (V - R) @ np.linalg.solve(R.T @ R, R.T)
     oracle = v - h @ r
     assert np.linalg.norm(got - oracle) <= 1e-9 * max(1.0, np.linalg.norm(oracle))
@@ -183,6 +139,11 @@ def test_eta_guard_boundary():
     assert not eta_guard(np.array([3.0, 4.0]), 4.9)
     with pytest.raises(ValueError):
         eta_guard(np.zeros(1), 0.0)
+
+
+def test_variant_argument_is_gone():
+    with pytest.raises(TypeError):
+        AccelMemory(4, 3, variant="type2")
 
 
 def test_restart_empties_memory():
@@ -196,6 +157,15 @@ def test_restart_empties_memory():
     assert mem.j == 1 and mem.ncols == 0  # idempotent
 
 
+def assert_pairs(mem, pairs):
+    """The memory holds exactly these (dv, dr) pairs: F = V - R and QR = R."""
+    V = np.column_stack([dv for dv, _ in pairs])
+    R = np.column_stack([dr for _, dr in pairs])
+    assert mem.ncols == len(pairs)
+    assert np.array_equal(mem.f_diffs, V - R)
+    assert_allclose(mem.qr.q @ mem.qr.r, R, atol=1e-14)
+
+
 def test_observe_anchor_rules():
     rng = np.random.default_rng(9)
     mem = AccelMemory(4, 2, epoch=0)
@@ -206,43 +176,31 @@ def test_observe_anchor_rules():
     assert mem.observe(vs[0], rs[0], 0).j == 1
     assert mem.observe(vs[1], rs[1], 0).j == 2
     assert mem.observe(vs[2], rs[2], 0).j == 3
-    assert_allclose(mem.v_diffs, np.column_stack([vs[1] - vs[0], vs[2] - vs[1]]))
-    assert_allclose(mem.r_diffs, np.column_stack([rs[1] - rs[0], rs[2] - rs[1]]))
+    assert_pairs(mem, [(vs[1] - vs[0], rs[1] - rs[0]), (vs[2] - vs[1], rs[2] - rs[1])])
 
     # full: restart and keep this iterate, so the next push uses it
     assert mem.observe(vs[3], rs[3], 0).j == 1
     assert mem.observe(vs[4], rs[4], 0).j == 2
-    assert_allclose(mem.v_diffs[:, 0], vs[4] - vs[3])
+    assert_pairs(mem, [(vs[4] - vs[3], rs[4] - rs[3])])
 
     # epoch change: restart without an anchor, so one more observation
     # passes before the next push
     assert mem.observe(vs[5], rs[5], 1).j == 1 and mem.epoch == 1
     assert mem.observe(vs[6], rs[6], 1).j == 1
     assert mem.observe(vs[7], rs[7], 1).j == 2
-    assert_allclose(mem.v_diffs[:, 0], vs[7] - vs[6])
+    assert_pairs(mem, [(vs[7] - vs[6], rs[7] - rs[6])])
 
     # rank-deficient pair: the pair is dropped along with the anchor
     assert mem.observe(vs[8], rs[7] + 2.0 * (rs[7] - rs[6]), 1).j == 1
     assert mem.observe(vs[9], rs[9], 1).j == 1
     assert mem.observe(vs[0], rs[0], 1).j == 2
-    assert_allclose(mem.r_diffs[:, 0], rs[0] - rs[9])
+    assert_pairs(mem, [(vs[0] - vs[9], rs[0] - rs[9])])
 
     # an external restart drops the anchor as well
     mem.restart(epoch=2)
     assert mem.observe(vs[1], rs[1], 2).j == 1
     assert mem.observe(vs[2], rs[2], 2).j == 2
-    assert_allclose(mem.v_diffs[:, 0], vs[2] - vs[1])
-
-
-def test_alpha_from_eta():
-    assert_allclose(alpha_from_eta(np.array([])), [1.0])
-    assert_allclose(alpha_from_eta(np.array([0.5])), [0.5, 0.5])
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        eta = rng.standard_normal(5)
-        alpha = alpha_from_eta(eta)
-        assert alpha.size == 6
-        assert abs(alpha.sum() - 1.0) < 1e-13
+    assert_pairs(mem, [(vs[2] - vs[1], rs[2] - rs[1])])
 
 
 def test_affine_full_memory_reaches_fixed_point():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
-from fpaccel.cones import NONNEG, ZERO, ConeBlock
+from fpaccel.cones import BOX, NONNEG, ZERO, ConeBlock
 from fpaccel.conic import ConicProblem, DrsOperator, solve
 from fpaccel.problems import generate
 
@@ -281,3 +281,15 @@ def test_three_modes_agree_on_tiny_qp():
     for mode, sol in sols.items():
         assert sol.status == "converged", mode
         assert abs(sol.x[0] - 1.0) <= 1e-5, mode
+
+
+def test_nan_box_bound_ends_diverged():
+    # A NaN bound makes the first operator value non-finite; the solve
+    # reports it as a status instead of raising from the driver.
+    prob = ConicProblem(
+        [[1.0]], [0.0], [[1.0], [1.0]], [0.0, 1.0],
+        [ConeBlock(BOX, 2, l=[np.nan, 0.0], u=[np.inf, np.inf])],
+    )
+    for mode in ("vanilla", "unsafe", "safeguarded"):
+        sol = solve(prob, mode)
+        assert sol.status == "diverged" and sol.record.iterations == 0

@@ -16,7 +16,7 @@ from fpaccel.driver import (
     safeguard_strict,
 )
 from fpaccel.linalg import ColumnRankDeficient
-from fpaccel.operators import AffineTestOperator, FixedPointOperator, identity_operator
+from fpaccel.operators import AffineTestOperator, FixedPointOperator
 
 
 class QueueOperator(FixedPointOperator):
@@ -99,13 +99,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DriverConfig(eps=0.0)
     DriverConfig(tau=0.5, mode="strict")
+    with pytest.raises(TypeError):  # type-II is the only coefficient solve
+        DriverConfig(variant="type2")
 
 
 # -- basic runs -----------------------------------------------------------------
 
 
 def test_identity_converges_without_iterating():
-    rec = run(identity_operator(4), np.ones(4), DriverConfig())
+    rec = run(AffineTestOperator(np.eye(4), np.zeros(4)), np.ones(4), DriverConfig())
     assert rec.status == "converged"
     assert rec.iterations == 0
     assert rec.convergence_checks == 1
@@ -114,8 +116,22 @@ def test_identity_converges_without_iterating():
 
 
 def test_vanilla_identity_single_check():
-    rec = run_vanilla(identity_operator(3), np.zeros(3), DriverConfig())
+    rec = run_vanilla(AffineTestOperator(np.eye(3), np.zeros(3)), np.zeros(3), DriverConfig())
     assert rec.status == "converged" and rec.convergence_checks == 1
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+def test_non_finite_first_evaluation_is_diverged(mode):
+    # The evaluation at v0 runs before the loop; a non-finite value there
+    # ends the run as diverged, not in an exception from the constructor.
+    op = QueueOperator(2, [[math.nan, 0.0]])
+    cfg = DriverConfig(mode=mode, tau=0.5 if mode == "strict" else 2.0)
+    rec = run(op, np.zeros(2), cfg)
+    assert rec.status == "diverged"
+    assert rec.iterations == 0 and rec.operator_evaluations == 0 and rec.entries == []
+    assert rec.convergence_checks == 0
+    assert np.array_equal(rec.final_state.v, np.zeros(2))
+    assert math.isnan(rec.final_state.r_norm)
 
 
 def test_vanilla_linear_rate_on_trace():

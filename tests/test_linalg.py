@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -66,6 +68,47 @@ def test_qr_invariants_on_random_appends():
             assert np.all(np.tril(state.r, -1) == 0.0)
             mat = np.column_stack(cols)
             assert np.linalg.norm(state.q @ state.r - mat) < 1e-10 * np.linalg.norm(mat)
+
+
+def reference_cgs2_append(q_buf, r_buf, k, col):
+    """The append as first written: CGS2 on a copy, coefficients from zeros."""
+    q = q_buf[:, :k]
+    w = col.copy()
+    coeffs = np.zeros(k)
+    for _ in range(2):
+        c = q.T @ w
+        w -= q @ c
+        coeffs += c
+    w_norm = float(np.linalg.norm(w))
+    q_buf[:, k] = w / w_norm
+    r_buf[:k, k] = coeffs
+    r_buf[k, k] = w_norm
+
+
+def test_qr_append_bit_identical_to_reference_cgs2():
+    rng = np.random.default_rng(6)
+    n, capacity = 150, 15
+    state = QrState(n, capacity)
+    q_buf, r_buf = np.zeros((n, capacity)), np.zeros((capacity, capacity))
+    for k in range(capacity):
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
+        qr_append_column(state, col)
+        reference_cgs2_append(q_buf, r_buf, k, col)
+        assert state.q.tobytes() == q_buf[:, : k + 1].tobytes()
+        assert state.r.tobytes() == r_buf[: k + 1, : k + 1].tobytes()
+    assert state.ncols == state.capacity
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("size", [1, 2, 7, 15, 150, 1040])
+def test_dot_norm_bit_identical_to_numpy_norm(scale, size):
+    # The norms on the iteration path are math.sqrt(x @ x), which must be
+    # the bits of np.linalg.norm(x) for 1-D float vectors.
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        x = rng.standard_normal(size) * scale
+        got, want = math.sqrt(x @ x), np.linalg.norm(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_qr_collinear_column_rejected():
@@ -163,6 +206,25 @@ def test_solve_ls_rejects_non_finite(bad):
         qr_append_column(state, col)
     with pytest.raises(ValueError, match="finite"):
         qr_solve_ls(state, rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("nan_at", [0, 2])
+def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
+    # A NaN anywhere on the diagonal passes the ratio test, as it does with
+    # numpy's NaN-propagating min and max, even beside a negligible pivot;
+    # the finite check then raises.
+    state = QrState(4, 3)
+    qr_append_column(state, np.array([1.0, 0.0, 0.0, 0.0]))
+    qr_append_column(state, np.array([1.0, 1e-15, 0.0, 0.0]), rank_tol=0.0)
+    with pytest.raises(SingularTriangular):
+        qr_solve_ls(state, np.ones(4))
+    with np.errstate(invalid="ignore"):
+        qr_append_column(state, np.array([0.0, 0.0, np.nan, 1.0]))
+    if nan_at == 0:  # Python's min and max keep a NaN met first
+        state._r[0, 0], state._r[2, 2] = state._r[2, 2], state._r[0, 0]
+    assert np.isnan(state._r[nan_at, nan_at])
+    with pytest.raises(ValueError, match="finite"):
+        qr_solve_ls(state, np.ones(4))
 
 
 @pytest.mark.parametrize("pivot_tol", [1e-12, 0.0, -1.0])

@@ -7,7 +7,6 @@ from fpaccel.operators import (
     AffineTestOperator,
     FixedPointOperator,
     NonFiniteOutput,
-    identity_operator,
     update_params,
 )
 
@@ -41,7 +40,7 @@ def _state(op, v):
 
 
 def test_identity_apply():
-    op = identity_operator(2)
+    op = AffineTestOperator(np.eye(2), np.zeros(2))
     assert_allclose(op.apply(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
@@ -51,7 +50,7 @@ def test_affine_contraction_apply():
 
 
 def test_apply_counts_evaluations():
-    op = identity_operator(3)
+    op = AffineTestOperator(np.eye(3), np.zeros(3))
     v = np.ones(3)
     op.apply(v)
     op.apply(v)
@@ -75,7 +74,7 @@ def test_apply_rejects_nonfinite_output():
 
 
 def test_apply_rejects_wrong_dim():
-    op = identity_operator(2)
+    op = AffineTestOperator(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         op.apply(np.ones(3))
 
