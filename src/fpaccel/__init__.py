@@ -15,8 +15,7 @@ from .driver import (
     run,
     run_unsafe,
     run_vanilla,
-    safeguard_relaxed,
-    safeguard_strict,
+    safeguard,
 )
 from .operators import AffineTestOperator, FixedPointOperator, update_params
 from .problems import generate, load_problem, save_problem
@@ -44,8 +43,7 @@ __all__ = [
     "run_benchmark",
     "run_unsafe",
     "run_vanilla",
-    "safeguard_relaxed",
-    "safeguard_strict",
+    "safeguard",
     "save_problem",
     "shifted_gmean",
     "smat",

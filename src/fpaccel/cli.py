@@ -111,7 +111,8 @@ def _cmd_run(args) -> int:
         max_iter=args.max_iter,
         time_cap=args.time_cap,
         gamma=args.gamma,
-        adapt=not args.no_adapt,
+        # Updates latched past the last iteration never run: a frozen step size.
+        adapt_interval=args.max_iter + 1 if args.no_adapt else DriverConfig.adapt_interval,
         out_dir=args.out_dir,
         workers=args.threads,
     )

@@ -21,7 +21,7 @@ BOX = "box"
 SECOND_ORDER = "soc"
 PSD_TRIANGLE = "psd"
 
-_KINDS = (ZERO, NONNEG, BOX, SECOND_ORDER, PSD_TRIANGLE)
+KINDS = (ZERO, NONNEG, BOX, SECOND_ORDER, PSD_TRIANGLE)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,7 +38,7 @@ class ConeBlock:
     """One block of the product cone, with bounds for box blocks."""
 
     def __init__(self, kind: str, dim: int, l=None, u=None):
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise ValueError(f"unknown cone kind {kind!r}")
         if dim < 1:
             raise ValueError("cone dimension must be positive")

@@ -311,7 +311,6 @@ def solve(
     mode: str = _driver.SAFEGUARDED,
     *,
     gamma: float = 1.0,
-    adapt: bool = True,
     eps_infeas: float = 1e-6,
     time_cap: float | None = None,
     v0: np.ndarray | None = None,
@@ -323,7 +322,8 @@ def solve(
     (acceleration without the residual safeguard), or safeguarded
     acceleration; ``settings`` are ``DriverConfig`` fields by name.
     Termination tests the absolute infinity-norm primal and dual residuals
-    against ``eps`` every ``check_interval`` iterations.
+    against ``eps`` every ``check_interval`` iterations.  An
+    ``adapt_interval`` beyond ``max_iter`` freezes the step size ``gamma``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -332,11 +332,7 @@ def solve(
     op = DrsOperator(problem, gamma=gamma)
     hooks = _driver.Hooks(
         converged=lambda state, _op: state.info.r_prim <= eps and state.info.r_dual <= eps,
-        operator_update=(
-            (lambda operator, state: operator.adapt_gamma(state.info, tol=eps))
-            if adapt
-            else None
-        ),
+        operator_update=lambda operator, state: operator.adapt_gamma(state.info, tol=eps),
         infeasibility=lambda operator, dv: operator.infeasibility_check(dv, eps_infeas),
         metrics=lambda _op, state: (state.info.r_prim, state.info.r_dual),
     )

@@ -7,14 +7,13 @@ One ``Driver`` instance runs one solve, in the configuration named by
 fresh evaluation at the current point).  ``run`` is the single entry point.
 Each iteration, in order:
 
-1. hand the current iterate to the memory (``AccelMemory.observe``), which
-   pushes the (delta v, delta r) pair formed against the previous iterate,
-   or restarts on an operator epoch change, a full memory or a
-   rank-deficient pair;
-2. with more than two history slots (j > 2): solve for the extrapolation
-   coefficients, guard their norm, build the candidate, evaluate the
-   operator there, and run the configured safeguard; on success adopt the
-   candidate together with its already-computed operator value;
+1. ask the memory for a candidate (``AccelMemory.propose``): it takes in
+   the current iterate, pushing the (delta v, delta r) pair formed against
+   the previous one or restarting, and returns the accelerated point when
+   its history, coefficient solve and coefficient-norm guard allow one;
+2. evaluate the operator at the candidate and run the configured safeguard;
+   on success adopt the candidate together with its already-computed
+   operator value;
 3. otherwise fall back to a plain operator step -- applying any pending
    operator-parameter update first (which restarts the memory);
 4. run the scheduled infeasibility hook when the step was a pure operator
@@ -46,8 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelMemory, eta_guard
-from .linalg import SingularTriangular
+from .accel import AccelMemory
 from .operators import FixedPointOperator, NonFiniteOutput
 
 CONVERGED = "converged"
@@ -62,14 +60,13 @@ STRICT = "strict"
 MODES = (VANILLA, UNSAFE, SAFEGUARDED, STRICT)
 
 
-def safeguard_relaxed(r_acc_norm: float, r_prev_norm: float, tau: float) -> bool:
-    """Accept when the candidate residual is within tau times the previous one."""
-    return r_acc_norm <= tau * r_prev_norm
+def safeguard(r_acc_norm: float, r_ref_norm: float, tau: float) -> bool:
+    """Accept when the candidate residual is within tau times the reference one.
 
-
-def safeguard_strict(r_acc_norm: float, r_curr_norm: float, tau: float) -> bool:
-    """Accept when the candidate residual contracts the current one by tau < 1."""
-    return r_acc_norm <= tau * r_curr_norm
+    The relaxed test's reference is the previous iterate's residual norm; the
+    strict test's is a fresh evaluation at the current point, with tau < 1.
+    """
+    return r_acc_norm <= tau * r_ref_norm
 
 
 @dataclass
@@ -191,8 +188,6 @@ class Driver:
         self.time_cap = time_cap
 
         v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (op.dim,):
-            raise ValueError(f"v0 has shape {v0.shape}, expected ({op.dim},)")
         self._start = time.perf_counter()
         self._status = None
         try:
@@ -238,41 +233,27 @@ class Driver:
         op_changed = False
         new = None
 
+        j_decision = 1
         if self.accelerate:
             t0 = time.perf_counter()
-            self.mem.observe(st.v, st.r, op.epoch)
+            v_acc = self.mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max)
             accel_t = time.perf_counter() - t0
-        j_decision = self.mem.j if self.accelerate else 1
-
-        if self.accelerate and self.mem.j > 2:
-            t0 = time.perf_counter()
-            eta = None
-            try:
-                eta = self.mem.compute_eta(st.r)
-            except SingularTriangular:
-                pass
-            v_acc = None
-            if eta is not None and eta_guard(eta, cfg.eta_max):
-                v_acc = self.mem.candidate(st.f, eta)
-            accel_t += time.perf_counter() - t0
+            j_decision = self.mem.j
 
             if v_acc is not None:
                 f_acc = op.apply(v_acc)
                 info_acc = op.info  # the strict test below re-evaluates st.v
                 r_acc = v_acc - f_acc
                 r_acc_norm = math.sqrt(r_acc @ r_acc)
-                if cfg.mode == UNSAFE:
-                    ok = True
-                elif cfg.mode == STRICT:
+                r_ref_norm = st.r_prev_norm
+                if cfg.mode == STRICT:
                     # The strict test prices in a fresh evaluation at the
                     # current point, which is what makes it expensive.
                     f_now = op.apply(st.v)
                     self._strict_checks += 1
                     r_now = st.v - f_now
-                    ok = safeguard_strict(r_acc_norm, math.sqrt(r_now @ r_now), cfg.tau)
-                else:
-                    ok = safeguard_relaxed(r_acc_norm, st.r_prev_norm, cfg.tau)
-                if ok:
+                    r_ref_norm = math.sqrt(r_now @ r_now)
+                if cfg.mode == UNSAFE or safeguard(r_acc_norm, r_ref_norm, cfg.tau):
                     accepted = True
                     new = (v_acc, f_acc, r_acc, r_acc_norm, info_acc)
                 else:

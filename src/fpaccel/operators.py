@@ -9,6 +9,8 @@ extra evaluations spent on rejected candidate points.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -52,7 +54,9 @@ class FixedPointOperator:
         out = self._apply(v)
         if out.shape != (self.dim,):
             raise AssertionError("operator changed the vector dimension")
-        if not np.all(np.isfinite(out)):
+        # A finite sum proves every entry finite; finite entries can also
+        # overflow the sum, so only then is the entrywise test needed.
+        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
             raise NonFiniteOutput("operator output contains inf/nan entries")
         self.eval_count += 1
         return out

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .cones import BOX, NONNEG, PSD_TRIANGLE, SECOND_ORDER, ZERO, ConeBlock, svec
+from .cones import BOX, KINDS, NONNEG, PSD_TRIANGLE, ZERO, ConeBlock, svec
 from .conic import ConicProblem
 
 
@@ -167,16 +167,6 @@ def generate(kind: str, seed: int = 0, **params) -> ConicProblem:
 # Problem files
 # ---------------------------------------------------------------------------
 
-_FILE_KINDS = {
-    "zero": ZERO,
-    "nonneg": NONNEG,
-    "box": BOX,
-    "soc": SECOND_ORDER,
-    "psd": PSD_TRIANGLE,
-}
-_KIND_NAMES = {v: k for k, v in _FILE_KINDS.items()}
-
-
 def _triplets(mat: np.ndarray, upper_only: bool) -> list[dict]:
     rows, cols = np.nonzero(mat)
     out = []
@@ -195,7 +185,7 @@ def save_problem(problem: ConicProblem, path) -> None:
     """Write a problem to a JSON file (exact float round trip)."""
     cones = []
     for block in problem.cones:
-        entry = {"kind": _KIND_NAMES[block.kind], "dim": block.dim}
+        entry = {"kind": block.kind, "dim": block.dim}
         if block.kind == BOX:
             entry["l"] = _bound_list(block.l)
             entry["u"] = _bound_list(block.u)
@@ -302,8 +292,8 @@ def load_problem(path) -> ConicProblem:
     for idx, entry in enumerate(doc["cones"]):
         field = f"cones[{idx}]"
         _require(isinstance(entry, dict), f"{field} must be an object")
-        kind = _FILE_KINDS.get(entry.get("kind"))
-        _require(kind is not None, f"{field}.kind must be one of {sorted(_FILE_KINDS)}")
+        kind = entry.get("kind")
+        _require(kind in KINDS, f"{field}.kind must be one of {sorted(KINDS)}")
         dim = _integer(entry.get("dim"), f"{field}.dim")
         _require(dim >= 1, f"{field}.dim must be positive")
         try:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from fpaccel.accel import AccelMemory, eta_guard
 from fpaccel.driver import DriverConfig, Hooks, run_unsafe
-from fpaccel.linalg import ColumnRankDeficient
+from fpaccel.linalg import ColumnRankDeficient, SingularTriangular
 from fpaccel.operators import AffineTestOperator
 
 
@@ -139,6 +139,131 @@ def test_eta_guard_boundary():
     assert not eta_guard(np.array([3.0, 4.0]), 4.9)
     with pytest.raises(ValueError):
         eta_guard(np.zeros(1), 0.0)
+
+
+def assert_one_column_count(mem, j):
+    assert mem.j == j and mem.j == mem.qr.ncols + 1 and mem.ncols == mem.qr.ncols
+
+
+def test_j_is_the_qr_column_count_plus_one():
+    # j and ncols keep no counter of their own; every push, observe, restart
+    # and refused push leaves them equal to the QR factors' column count.
+    rng = np.random.default_rng(11)
+    mem = AccelMemory(4, 3)
+    assert_one_column_count(mem, 1)
+    dr = rng.standard_normal(4)
+    mem.push_pair(rng.standard_normal(4), dr)
+    assert_one_column_count(mem, 2)
+    with pytest.raises(ColumnRankDeficient):
+        mem.push_pair(rng.standard_normal(4), 2.0 * dr)
+    assert_one_column_count(mem, 2)
+    with pytest.raises(ValueError):  # a wrong dv is refused before the QR commit
+        mem.push_pair(rng.standard_normal(3), rng.standard_normal(4))
+    assert_one_column_count(mem, 2)
+    with pytest.raises(ValueError):  # a wrong dr is refused by the QR update
+        mem.push_pair(rng.standard_normal(4), rng.standard_normal(5))
+    assert_one_column_count(mem, 2)
+    mem.push_pair(rng.standard_normal(4), rng.standard_normal(4))
+    mem.push_pair(rng.standard_normal(4), rng.standard_normal(4))
+    assert_one_column_count(mem, 4)
+    with pytest.raises(ValueError):  # full
+        mem.push_pair(rng.standard_normal(4), rng.standard_normal(4))
+    assert_one_column_count(mem, 4)
+    mem.restart()
+    assert_one_column_count(mem, 1)
+    expected = [1, 2, 3, 4, 1, 2, 3, 1, 1, 2]  # full at the 5th, epoch change at the 8th
+    for i, j in enumerate(expected):
+        mem.observe(rng.standard_normal(4), rng.standard_normal(4), 0 if i < 7 else 1)
+        assert_one_column_count(mem, j)
+
+
+def test_memory_rejects_bad_sizes():
+    for dim, m_max in ((4, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            AccelMemory(dim, m_max)
+
+
+def manual_step(mem, v, r, f, epoch, eta_max):
+    """observe, then the j > 2 test, coefficient solve, guard and candidate."""
+    mem.observe(v, r, epoch)
+    if mem.j <= 2:
+        return None
+    try:
+        eta = mem.compute_eta(r)
+    except SingularTriangular:
+        return None
+    if not eta_guard(eta, eta_max):
+        return None
+    return mem.candidate(f, eta)
+
+
+def iterates(seed, n, count):
+    """(v, r, f) of a plain iteration of a random affine contraction."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    op = AffineTestOperator(a, rng.standard_normal(n))
+    v, out = rng.standard_normal(n), []
+    for _ in range(count):
+        f = op.apply(v)
+        out.append((v, v - f, f))
+        v = f
+    return out
+
+
+def test_propose_needs_two_stored_pairs():
+    mem = AccelMemory(6, 5)
+    steps = iterates(12, 6, 3)
+    assert mem.propose(*steps[0], 0, 1e4) is None and mem.j == 1
+    assert mem.propose(*steps[1], 0, 1e4) is None and mem.j == 2
+    v_acc = mem.propose(*steps[2], 0, 1e4)
+    assert mem.j == 3 and v_acc is not None and v_acc.shape == (6,)
+
+
+def test_propose_none_on_singular_solve():
+    # The second residual difference e1 + 1e-13 e2 passes the append's rank
+    # test (1e-14) but leaves a pivot ratio of 1e-13, below the solve's 1e-12.
+    e1, e2 = np.eye(3)[0], np.eye(3)[1]
+    mem = AccelMemory(3, 4)
+    r2 = np.array([2.0, 1e-13, 0.0])
+    assert mem.propose(np.zeros(3), np.zeros(3), np.ones(3), 0, 1e4) is None
+    assert mem.propose(e1, e1, np.ones(3), 0, 1e4) is None
+    assert mem.propose(e2, r2, np.ones(3), 0, 1e4) is None
+    assert mem.j == 3  # both pairs were stored; only the solve refused
+    with pytest.raises(SingularTriangular):
+        mem.compute_eta(r2)
+
+
+def test_propose_none_when_guard_trips():
+    steps = iterates(13, 6, 3)
+    probe = AccelMemory(6, 5)
+    for v, r, _f in steps:
+        probe.observe(v, r, 0)
+    eta_norm = float(np.linalg.norm(probe.compute_eta(steps[-1][1])))
+    for eta_max, passes in ((eta_norm, True), (np.nextafter(eta_norm, 0.0), False)):
+        mem = AccelMemory(6, 5)
+        out = [mem.propose(*step, 0, eta_max) for step in steps]
+        assert out[:2] == [None, None] and (out[2] is not None) == passes
+        assert mem.j == 3
+
+
+@pytest.mark.parametrize("eta_max", [1e4, 3.0])
+def test_propose_equals_the_manual_sequence(eta_max):
+    # Full memories (m_max = 3), an epoch change and, at eta_max = 3, guard
+    # trips: propose gives the bytes and the state of the step by step call.
+    steps = iterates(14, 8, 40)
+    got, want = AccelMemory(8, 3), AccelMemory(8, 3)
+    proposed = 0
+    for i, (v, r, f) in enumerate(steps):
+        epoch = int(i >= 17)
+        a = got.propose(v, r, f, epoch, eta_max)
+        b = manual_step(want, v, r, f, epoch, eta_max)
+        assert (a is None) == (b is None) and got.j == want.j and got.epoch == want.epoch
+        if a is not None:
+            proposed += 1
+            assert a.tobytes() == b.tobytes()
+        assert got.f_diffs.tobytes() == want.f_diffs.tobytes()
+    assert 0 < proposed < len(steps)
 
 
 def test_variant_argument_is_gone():

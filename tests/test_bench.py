@@ -11,7 +11,7 @@ import pytest
 from fpaccel import cli
 from fpaccel.bench import EmptyInput, CONFIGS, run_benchmark, shifted_gmean
 from fpaccel.cones import BOX, NONNEG, PSD_TRIANGLE, ConeBlock
-from fpaccel.conic import ConicProblem
+from fpaccel.conic import ConicProblem, solve
 from fpaccel.driver import DriverConfig
 from fpaccel.problems import (
     InvalidParams,
@@ -248,6 +248,12 @@ def test_load_schema_errors(tmp_path):
         write_with_literal(box, where, literal)
         with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
             load_problem(path)
+    # A cone kind must be one of the kind strings; a list or an object used
+    # to escape as TypeError (unhashable) from a dict lookup.
+    for kind in (["nonneg"], {"a": 1}, None, 2, "Nonneg"):
+        path.write_text(json.dumps(dict(valid, cones=[{"kind": kind, "dim": 2}])))
+        with pytest.raises(SchemaError, match=r"^cones\[0\]\.kind must be one of"):
+            load_problem(path)
     path.write_text(json.dumps(box).replace("1.0", "1" * 5000))  # too long to convert
     with pytest.raises(ParseError, match="digits"):
         load_problem(path)
@@ -456,6 +462,33 @@ def test_variant_setting_is_an_error(capsys):
     assert "--variant" in capsys.readouterr().err
     with pytest.raises(TypeError, match="variant"):
         run_benchmark(small_suite(1), ["vanilla"], variant="type2")
+
+
+def test_adapt_setting_is_an_error():
+    # An adapt_interval beyond max_iter freezes the step size; the old
+    # switch is rejected, not ignored.
+    with pytest.raises(TypeError, match="adapt"):
+        solve(generate("RandomQP", n=4, m=8, seed=1), adapt=False)
+    with pytest.raises(TypeError, match="adapt"):
+        run_benchmark(small_suite(1), ["vanilla"], adapt=False)
+
+
+def test_cli_no_adapt_freezes_the_step_size(tmp_path):
+    def epochs(*flags):
+        out_dir = tmp_path / "-".join(("run",) + flags)
+        argv = ["run", "--generate", "RandomQP:n=30;m=60:17", "--gamma", "100"]
+        assert cli.main(argv + list(flags) + ["--out-dir", str(out_dir)]) == 0
+        traces = sorted((out_dir / "traces").glob("*.csv"))
+        assert len(traces) == len(CONFIGS)
+        out = []
+        for trace in traces:
+            with open(trace) as fh:
+                out += [int(row["epoch"]) for row in csv.DictReader(fh)]
+        return out
+
+    assert max(epochs()) > 0  # the step size adapts from this start
+    frozen = epochs("--no-adapt")
+    assert frozen and set(frozen) == {0}
 
 
 def test_cli_generate_spec_parsing():

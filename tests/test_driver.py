@@ -12,8 +12,7 @@ from fpaccel.driver import (
     run,
     run_unsafe,
     run_vanilla,
-    safeguard_relaxed,
-    safeguard_strict,
+    safeguard,
 )
 from fpaccel.linalg import ColumnRankDeficient
 from fpaccel.operators import AffineTestOperator, FixedPointOperator
@@ -79,14 +78,17 @@ def residual_hook(tol):
 
 
 def test_safeguard_relaxed_values():
-    assert safeguard_relaxed(1.0, 0.6, 2.0)  # 1.0 <= 1.2
-    assert not safeguard_relaxed(1.3, 0.6, 2.0)
+    # reference: the previous residual norm, tau up to 2
+    assert safeguard(1.0, 0.6, 2.0)  # 1.0 <= 1.2
+    assert safeguard(1.2, 0.6, 2.0)  # the bound itself is accepted
+    assert not safeguard(1.3, 0.6, 2.0)
 
 
 def test_safeguard_strict_values():
-    assert safeguard_strict(0.4, 0.5, 0.9)
-    assert not safeguard_strict(0.5, 0.5, 0.9)
-    assert safeguard_strict(0.0, 123.4, 0.3)
+    # reference: a fresh residual norm at the current point, tau < 1
+    assert safeguard(0.4, 0.5, 0.9)
+    assert not safeguard(0.5, 0.5, 0.9)
+    assert safeguard(0.0, 123.4, 0.3)
 
 
 def test_config_validation():
@@ -104,6 +106,11 @@ def test_config_validation():
 
 
 # -- basic runs -----------------------------------------------------------------
+
+
+def test_wrong_v0_shape_is_refused():
+    with pytest.raises(ValueError, match="shape"):
+        Driver(AffineTestOperator(np.eye(4), np.zeros(4)), np.zeros(3))
 
 
 def test_identity_converges_without_iterating():
@@ -216,6 +223,42 @@ def test_no_acceleration_at_short_history_and_memory_cap():
             assert nxt.j == 1
         if nxt.j == 1:
             assert prev.j > cfg.m_max or prev.j == 1
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+def test_one_propose_call_per_accelerated_step(monkeypatch, mode):
+    # The driver asks the memory once per iteration and records the j the
+    # memory holds after that call; vanilla mode keeps no memory.
+    real_propose = accel.AccelMemory.propose
+    calls = []
+
+    def propose(mem, *args):
+        out = real_propose(mem, *args)
+        calls.append(mem.j)
+        return out
+
+    monkeypatch.setattr(accel.AccelMemory, "propose", propose)
+    a, b, rng = contraction(7, 10)
+    cfg = DriverConfig(eps=1e-10, tau=0.9, mode=mode, check_interval=1)
+    rec = run(AffineTestOperator(a, b), rng.standard_normal(10), cfg, residual_hook(1e-10))
+    assert rec.status == "converged"
+    if mode == "vanilla":
+        assert calls == [] and all(e.j == 1 for e in rec.entries)
+    else:
+        assert calls == [e.j for e in rec.entries]
+
+
+def test_guard_trip_is_a_plain_step():
+    # With a coefficient bound no eta meets, propose never returns a
+    # candidate: every step is plain, nothing is evaluated twice.
+    a, b, rng = contraction(8, 10)
+    v0 = rng.standard_normal(10)
+    cfg = DriverConfig(eps=1e-10, check_interval=1, max_iter=60, eta_max=1e-300)
+    guarded = run(AffineTestOperator(a, b), v0, cfg, residual_hook(1e-10))
+    plain = run_vanilla(AffineTestOperator(a, b), v0, cfg, residual_hook(1e-10))
+    assert guarded.iterations > 10 and not any(e.accepted for e in guarded.entries)
+    assert guarded.operator_evaluations == guarded.iterations
+    assert guarded.final_state.v.tobytes() == plain.final_state.v.tobytes()
 
 
 def test_rejected_candidate_costs_two_evaluations():

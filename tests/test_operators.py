@@ -73,6 +73,30 @@ def test_apply_rejects_nonfinite_output():
         op.apply(np.array([np.finfo(float).max]))
 
 
+class ConstantOperator(FixedPointOperator):
+    """Returns a fixed vector whatever the input."""
+
+    def __init__(self, out):
+        super().__init__(len(out))
+        self.out = np.asarray(out, dtype=float)
+
+    def _apply(self, v):
+        return self.out.copy()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_apply_finite_check_is_entrywise():
+    # Finite entries whose sum overflows are accepted; any inf or nan entry
+    # is rejected, also where the entries' sum is nan.
+    op = ConstantOperator([1e308, 1e308])
+    assert op.apply(np.zeros(2)).tolist() == [1e308, 1e308] and op.eval_count == 1
+    for out in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf]):
+        op = ConstantOperator(out)
+        with pytest.raises(NonFiniteOutput):
+            op.apply(np.zeros(2))
+        assert op.eval_count == 0
+
+
 def test_apply_rejects_wrong_dim():
     op = AffineTestOperator(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
