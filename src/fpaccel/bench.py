@@ -1,11 +1,14 @@
 """Benchmark harness: run problems through the three driver configurations
 and aggregate iteration counts, timings, and the shifted geometric mean.
 
-Per-run trace CSVs and a one-row-per-(problem, config) summary CSV are
-written when an output directory is given.  Aggregate statistics over the
-subset of problems solved by every configuration are returned (and printed
-by the CLI); unsolved runs enter the shifted geometric mean at the wall
-time cap.
+Each (problem, config) solve yields a ``RunResult`` holding the solve's
+``RunRecord``, from which every count and timing is read; a solve that
+raised keeps its error as the status and has no record.  Per-run trace CSVs
+and a one-row-per-(problem, config) summary CSV are written when an output
+directory is given.  Aggregate statistics over the subset of problems solved
+by every configuration are returned (and printed by the CLI); unsolved runs
+enter the shifted geometric mean at the wall time cap, which is also passed
+to every solve as its ``time_cap`` setting.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
-from .driver import DriverConfig
+from .driver import DriverConfig, RunRecord
 
 CONFIGS = conic.MODES
 
@@ -73,13 +76,8 @@ class RunResult:
     problem: str
     config: str
     status: str
-    iterations: int
-    solve_seconds: float
-    accel_seconds: float
-    operator_evals: int
-    rejected_candidates: int
     objective: float
-    record: object = None  # full RunRecord; kept for in-process consumers
+    record: RunRecord | None = None  # None when the solve raised
 
 
 @dataclass
@@ -112,31 +110,9 @@ def _solve_task(task):
     name, problem, config, kwargs = task
     try:
         sol = conic.solve(problem, mode=config, **kwargs)
-        rec = sol.record
-        return RunResult(
-            problem=name,
-            config=config,
-            status=sol.status,
-            iterations=rec.iterations,
-            solve_seconds=rec.total_seconds,
-            accel_seconds=rec.accel_seconds,
-            operator_evals=rec.operator_evaluations,
-            rejected_candidates=rec.rejected_candidates,
-            objective=sol.objective,
-            record=rec,
-        )
+        return RunResult(name, config, sol.status, sol.objective, sol.record)
     except Exception as exc:  # a failing run must not sink the batch
-        return RunResult(
-            problem=name,
-            config=config,
-            status=f"error: {type(exc).__name__}: {exc}",
-            iterations=0,
-            solve_seconds=0.0,
-            accel_seconds=0.0,
-            operator_evals=0,
-            rejected_candidates=0,
-            objective=math.nan,
-        )
+        return RunResult(name, config, f"error: {type(exc).__name__}: {exc}", math.nan)
 
 
 def _write_trace(path, record) -> None:
@@ -187,11 +163,13 @@ def run_benchmark(
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"duplicate problem name {name!r}")
+    if time_cap is None:  # unsolved runs enter the shifted geometric mean at the cap
+        raise ValueError("time_cap must be positive and finite")
+    kwargs = dict(settings, time_cap=time_cap)
     # A bad setting raises here once instead of failing every run.
     solve_args = inspect.signature(conic.solve).parameters
-    DriverConfig(**{k: v for k, v in settings.items() if k not in solve_args})
+    DriverConfig(**{k: v for k, v in kwargs.items() if k not in solve_args})
 
-    kwargs = dict(settings, time_cap=time_cap)
     tasks = [
         (name, problem, config, kwargs)
         for name, problem in problems
@@ -215,10 +193,10 @@ def run_benchmark(
     aggregates = {}
     for config in configs:
         sub = [r for r in rows if r.config == config and r.problem in common]
-        iters = [r.iterations for r in sub]
-        secs = [r.solve_seconds for r in sub]
+        iters = [r.record.iterations for r in sub]
+        secs = [r.record.total_seconds for r in sub]
         all_times = [
-            r.solve_seconds if r.status == "converged" else time_cap
+            r.record.total_seconds if r.status == "converged" else time_cap
             for r in rows
             if r.config == config
         ]
@@ -241,16 +219,17 @@ def run_benchmark(
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_COLUMNS)
             for r in rows:
+                rec = r.record or RunRecord()  # a failed run reports zero counts
                 writer.writerow(
                     [
                         r.problem,
                         r.config,
                         r.status,
-                        r.iterations,
-                        _fmt(r.solve_seconds),
-                        _fmt(r.accel_seconds),
-                        r.operator_evals,
-                        r.rejected_candidates,
+                        rec.iterations,
+                        _fmt(rec.total_seconds),
+                        _fmt(rec.accel_seconds),
+                        rec.operator_evaluations,
+                        rec.rejected_candidates,
                     ]
                 )
 

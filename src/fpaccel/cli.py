@@ -150,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-interval", dest="check_interval", type=int, default=cfg.check_interval
     )
     run_p.add_argument("--max-iter", dest="max_iter", type=int, default=cfg.max_iter)
-    run_p.add_argument("--time-cap", dest="time_cap", type=float, default=300.0)
+    run_p.add_argument(
+        "--time-cap", dest="time_cap", type=float, default=300.0,
+        help="wall seconds per solve (positive, finite)",
+    )
     run_p.add_argument("--out-dir", dest="out_dir")
     run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--gamma", type=float, default=1.0, help="initial step size")

@@ -312,7 +312,6 @@ def solve(
     *,
     gamma: float = 1.0,
     eps_infeas: float = 1e-6,
-    time_cap: float | None = None,
     v0: np.ndarray | None = None,
     **settings,
 ) -> ConicSolution:
@@ -339,7 +338,7 @@ def solve(
 
     if v0 is None:
         v0 = np.zeros(op.dim)
-    record = _driver.run(op, v0, cfg, hooks, time_cap)
+    record = _driver.run(op, v0, cfg, hooks)
     step = record.final_state.info
     return ConicSolution(
         status=record.status,

@@ -29,7 +29,14 @@ cadences (``adapt_interval`` and ``check_interval``) and consumed at the
 next legal point in the loop.
 
 A non-finite operator value ends the run as ``diverged``, the one at ``v0``
-included: that run stops before its first iteration.
+included: that run stops before its first iteration.  A run that passes
+``DriverConfig.time_cap`` wall seconds ends as ``time_limit``.
+
+The driver counts into the ``RunRecord`` it returns, ``Driver.record``: each
+step appends its trace entry and updates the counters in place, so the
+record is current between hand-driven ``step`` calls, and ``run`` fills in
+the status, iteration and evaluation counts and total time of that same
+record.
 
 The state carries, in ``info``, the operator's record of the evaluation
 that produced ``f`` from ``v``: it is taken right after the evaluation the
@@ -96,6 +103,7 @@ class DriverConfig:
     check_interval: int = 25
     max_iter: int = 10000
     adapt_interval: int = 40
+    time_cap: float | None = None  # wall seconds; None runs uncapped
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -114,6 +122,8 @@ class DriverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.time_cap is not None and not (math.isfinite(self.time_cap) and self.time_cap > 0):
+            raise ValueError("time_cap must be positive and finite")
 
 
 @dataclass
@@ -179,13 +189,10 @@ class Driver:
         v0: np.ndarray,
         cfg: DriverConfig | None = None,
         hooks: Hooks | None = None,
-        time_cap: float | None = None,
     ):
         self.op = op
         self.cfg = cfg if cfg is not None else DriverConfig()
         self.hooks = hooks if hooks is not None else Hooks()
-        self.accelerate = self.cfg.mode != VANILLA
-        self.time_cap = time_cap
 
         v0 = np.asarray(v0, dtype=float)
         self._start = time.perf_counter()
@@ -198,9 +205,10 @@ class Driver:
             f0 = np.full(op.dim, math.nan)
             self._status = DIVERGED
         self.state = FixedPointState(v=v0.copy(), f=f0, r=v0 - f0, info=op.info)
+        self.record = RunRecord(final_state=self.state)
         self.mem = (
             AccelMemory(op.dim, self.cfg.m_max, epoch=op.epoch)
-            if self.accelerate
+            if self.cfg.mode != VANILLA
             else None
         )
         self._pending_update = False
@@ -208,70 +216,62 @@ class Driver:
         # Loop evaluations only: the setup evaluation above is excluded so
         # that evaluations == iterations + rejections (+ strict checks).
         self._evals0 = op.eval_count
-        self._rejected = 0
-        self._strict_checks = 0
-        self._checks = 0
-        self._accel_seconds = 0.0
         self._last_step_norm = self.state.r_norm
-        self.entries: list[TraceEntry] = []
-        self.certificate = None
 
     # -- internals ---------------------------------------------------------
 
     def _converged(self) -> bool:
-        self._checks += 1
+        self.record.convergence_checks += 1
         if self.hooks.converged is not None:
             return bool(self.hooks.converged(self.state, self.op))
         return self._last_step_norm <= self.cfg.eps
 
+    def _evaluate(self, v: np.ndarray) -> tuple:
+        """(v, F(v), v - F(v), its norm, the operator's record of this evaluation)."""
+        f = self.op.apply(v)
+        r = v - f
+        return v, f, r, math.sqrt(r @ r), self.op.info
+
     # -- one iteration -----------------------------------------------------
 
     def step(self) -> TraceEntry:
-        cfg, op, st = self.cfg, self.op, self.state
+        cfg, op, st, rec, mem = self.cfg, self.op, self.state, self.record, self.mem
         accel_t = 0.0
         accepted = False
         op_changed = False
         new = None
 
         j_decision = 1
-        if self.accelerate:
+        if mem is not None:
             t0 = time.perf_counter()
-            v_acc = self.mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max)
+            v_acc = mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max)
             accel_t = time.perf_counter() - t0
-            j_decision = self.mem.j
+            j_decision = mem.j
 
             if v_acc is not None:
-                f_acc = op.apply(v_acc)
-                info_acc = op.info  # the strict test below re-evaluates st.v
-                r_acc = v_acc - f_acc
-                r_acc_norm = math.sqrt(r_acc @ r_acc)
+                candidate = self._evaluate(v_acc)
                 r_ref_norm = st.r_prev_norm
                 if cfg.mode == STRICT:
                     # The strict test prices in a fresh evaluation at the
                     # current point, which is what makes it expensive.
-                    f_now = op.apply(st.v)
-                    self._strict_checks += 1
-                    r_now = st.v - f_now
-                    r_ref_norm = math.sqrt(r_now @ r_now)
-                if cfg.mode == UNSAFE or safeguard(r_acc_norm, r_ref_norm, cfg.tau):
+                    r_ref_norm = self._evaluate(st.v)[3]
+                    rec.strict_checks += 1
+                if cfg.mode == UNSAFE or safeguard(candidate[3], r_ref_norm, cfg.tau):
                     accepted = True
-                    new = (v_acc, f_acc, r_acc, r_acc_norm, info_acc)
+                    new = candidate
                 else:
-                    self._rejected += 1
+                    rec.rejected_candidates += 1
 
         if new is None:
             # Fallback branch: either no candidate was accepted or the
             # history is too short.  Scheduled operator changes land here.
-            if self._pending_update and self.hooks.operator_update is not None:
+            if self._pending_update:
                 self._pending_update = False
                 self.hooks.operator_update(op, st)
                 op_changed = True
-                if self.accelerate:
-                    self.mem.restart(op.epoch)
-            v_next = st.f.copy()
-            f_next = op.apply(v_next)
-            r_next = v_next - f_next
-            new = (v_next, f_next, r_next, math.sqrt(r_next @ r_next), op.info)
+                if mem is not None:
+                    mem.restart(op.epoch)
+            new = self._evaluate(st.f.copy())
 
         old_v = st.v
         st.r_prev_norm = st.r_norm
@@ -281,14 +281,14 @@ class Driver:
         self._last_step_norm = math.sqrt(step @ step)
 
         infeas_checked = False
-        if self._pending_infeas and self.hooks.infeasibility is not None:
-            at_checkpoint = (self.mem.j == 2) if self.accelerate else not op_changed
+        if self._pending_infeas:
+            at_checkpoint = (mem.j == 2) if mem is not None else not op_changed
             if at_checkpoint:
                 self._pending_infeas = False
                 infeas_checked = True
                 cert = self.hooks.infeasibility(op, step)
                 if cert is not None:
-                    self.certificate = cert
+                    rec.certificate = cert
 
         # Latch the scheduled work for upcoming iterations.
         if self.hooks.operator_update is not None and st.k % cfg.adapt_interval == 0:
@@ -313,14 +313,14 @@ class Driver:
             r_dual=r_dual,
             infeas_checked=infeas_checked,
         )
-        self._accel_seconds += accel_t
-        self.entries.append(entry)
+        rec.accel_seconds += accel_t
+        rec.entries.append(entry)
         return entry
 
     # -- full solve --------------------------------------------------------
 
     def run(self) -> RunRecord:
-        cfg = self.cfg
+        cfg, rec = self.cfg, self.record
         status = self._status
         if status is None and self._converged():
             status = CONVERGED
@@ -333,40 +333,32 @@ class Driver:
             except NonFiniteOutput:
                 status = DIVERGED
                 break
-            if self.certificate is not None:
-                status = self.certificate.kind
+            if rec.certificate is not None:
+                status = rec.certificate.kind
                 break
             if self.state.k % cfg.check_interval == 0 and self._converged():
                 status = CONVERGED
                 break
-            if self.time_cap is not None and time.perf_counter() - self._start > self.time_cap:
+            if cfg.time_cap is not None and time.perf_counter() - self._start > cfg.time_cap:
                 status = TIME_LIMIT
                 break
-        return RunRecord(
-            entries=self.entries,
-            iterations=self.state.k,
-            status=status,
-            operator_evaluations=self.op.eval_count - self._evals0,
-            rejected_candidates=self._rejected,
-            strict_checks=self._strict_checks,
-            convergence_checks=self._checks,
-            total_seconds=time.perf_counter() - self._start,
-            accel_seconds=self._accel_seconds,
-            certificate=self.certificate,
-            final_state=self.state,
-        )
+        rec.status = status
+        rec.iterations = self.state.k
+        rec.operator_evaluations = self.op.eval_count - self._evals0
+        rec.total_seconds = time.perf_counter() - self._start
+        return rec
 
 
-def run(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
+def run(op, v0, cfg=None, hooks=None) -> RunRecord:
     """Solve in ``cfg.mode`` (the loop described above)."""
-    return Driver(op, v0, cfg, hooks, time_cap).run()
+    return Driver(op, v0, cfg, hooks).run()
 
 
-def run_vanilla(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
+def run_vanilla(op, v0, cfg=None, hooks=None) -> RunRecord:
     """``run`` in vanilla mode."""
-    return run(op, v0, replace(cfg or DriverConfig(), mode=VANILLA), hooks, time_cap)
+    return run(op, v0, replace(cfg or DriverConfig(), mode=VANILLA), hooks)
 
 
-def run_unsafe(op, v0, cfg=None, hooks=None, time_cap=None) -> RunRecord:
+def run_unsafe(op, v0, cfg=None, hooks=None) -> RunRecord:
     """``run`` in unsafe mode."""
-    return run(op, v0, replace(cfg or DriverConfig(), mode=UNSAFE), hooks, time_cap)
+    return run(op, v0, replace(cfg or DriverConfig(), mode=UNSAFE), hooks)

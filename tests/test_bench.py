@@ -348,13 +348,15 @@ def load_tiny():
     return ConicProblem([[1.0]], [-2.0], [[1.0]], [1.0], [ConeBlock(NONNEG, 1)])
 
 
-def test_run_benchmark_common_subset_rule():
+def test_run_benchmark_common_subset_rule(tmp_path):
     nonconvex = ConicProblem([[-10.0]], [0.0], [[1.0]], [1.0], [ConeBlock(NONNEG, 1)])
     problems = small_suite(2) + [
         ("infeas", generate("InfeasibleLP", seed=1)),
         ("nonconvex", nonconvex),
     ]
-    summary = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6, time_cap=60.0)
+    summary = run_benchmark(
+        problems, ["vanilla", "safeguarded"], eps=1e-6, time_cap=60.0, out_dir=tmp_path
+    )
     # the infeasible and failing problems are excluded from means but counted in rows
     assert "infeas" not in summary.common_subset
     assert len(summary.common_subset) == 2
@@ -364,17 +366,24 @@ def test_run_benchmark_common_subset_rule():
         assert row.problem == "nonconvex"
         prefix = "error: LinAlgError: "
         assert row.status.startswith(prefix) and row.status[len(prefix):].strip()
+        assert row.record is None
     for stats in summary.aggregates.values():
         assert stats.solved == 2
         assert math.isfinite(stats.mean_iterations)
+    # the summary reports a failed run with the zero counts of an empty record
+    with open(tmp_path / "summary.csv") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 9
+    for line, row in zip(lines[-2:], summary.rows[-2:]):
+        assert line == f"nonconvex,{row.config},{row.status},0,0,0,0,0"
 
 
 def test_run_benchmark_deterministic_iterations():
     problems = small_suite(2)
     s1 = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6)
     s2 = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6)
-    iters1 = [(r.problem, r.config, r.iterations) for r in s1.rows]
-    iters2 = [(r.problem, r.config, r.iterations) for r in s2.rows]
+    iters1 = [(r.problem, r.config, r.record.iterations) for r in s1.rows]
+    iters2 = [(r.problem, r.config, r.record.iterations) for r in s2.rows]
     assert iters1 == iters2
 
 
@@ -382,8 +391,8 @@ def test_run_benchmark_parallel_matches_serial():
     problems = small_suite(2)
     serial = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6)
     parallel = run_benchmark(problems, ["vanilla", "safeguarded"], eps=1e-6, workers=2)
-    a = [(r.problem, r.config, r.iterations, r.status) for r in serial.rows]
-    b = [(r.problem, r.config, r.iterations, r.status) for r in parallel.rows]
+    a = [(r.problem, r.config, r.record.iterations, r.status) for r in serial.rows]
+    b = [(r.problem, r.config, r.record.iterations, r.status) for r in parallel.rows]
     assert a == b
 
 
@@ -396,6 +405,31 @@ def test_run_benchmark_empty_inputs():
         run_benchmark(small_suite(1), ["vanilla"], m_maxx=5)
     with pytest.raises(ValueError, match="tau"):
         run_benchmark(small_suite(1), ["vanilla"], tau=5.0)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, None])
+def test_bad_time_cap_fails_before_any_solve(monkeypatch, cap):
+    calls = []
+    monkeypatch.setattr("fpaccel.conic.solve", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="time_cap"):
+        run_benchmark(small_suite(1), ["vanilla"], time_cap=cap)
+    assert calls == []
+
+
+def test_cli_bad_time_cap_exits_before_any_solve(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    for cap in ("0", "-1", "nan"):
+        argv = ["run", "--generate", "RandomQP:n=4;m=8:1", "--time-cap", cap]
+        assert cli.main(argv + ["--out-dir", str(out_dir)]) == 1
+        assert "time_cap must be positive and finite" in capsys.readouterr().err
+        assert not (out_dir / "summary.csv").exists()
+
+
+def test_solve_takes_time_cap_as_a_setting():
+    problem = generate("RandomQP", n=4, m=8, seed=1)
+    assert solve(problem, time_cap=60.0).status == "converged"
+    with pytest.raises(ValueError, match="time_cap"):
+        solve(problem, time_cap=0.0)
 
 
 def test_run_benchmark_rejects_duplicate_names(tmp_path, capsys):
@@ -517,3 +551,21 @@ def test_benchmark_spans_cover_every_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     assert tracing.Tracer().absent == []
+
+
+def test_solve_identity_digest_sees_one_bit(monkeypatch):
+    # tools/solve_identity.py fingerprints solves to show a change is
+    # bit-identical; one flipped bit of x or one trace column must show.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    digest = importlib.import_module("solve_identity").solve_digest
+    sol = solve(generate("RandomQP", n=6, m=12, seed=2), "safeguarded")
+    base = digest(sol)
+    sol.record.total_seconds += 1.0  # timings are left out
+    sol.record.entries[0].elapsed += 1.0
+    assert digest(sol) == base
+    sol.x.view(np.uint64)[0] ^= 1
+    assert digest(sol) != base
+    sol.x.view(np.uint64)[0] ^= 1
+    assert digest(sol) == base
+    sol.record.entries[-1].j += 1
+    assert digest(sol) != base

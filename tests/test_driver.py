@@ -103,6 +103,18 @@ def test_config_validation():
     DriverConfig(tau=0.5, mode="strict")
     with pytest.raises(TypeError):  # type-II is the only coefficient solve
         DriverConfig(variant="type2")
+    for cap in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time_cap"):
+            DriverConfig(time_cap=cap)
+    assert DriverConfig(time_cap=1e-3).time_cap == 1e-3
+
+
+def test_time_cap_is_not_an_argument():
+    # The time cap is a DriverConfig field; a fifth positional argument is an error.
+    op = AffineTestOperator(np.eye(2), np.zeros(2))
+    for entry in (Driver, run, run_vanilla, run_unsafe):
+        with pytest.raises(TypeError):
+            entry(op, np.ones(2), DriverConfig(), Hooks(), 60.0)
 
 
 # -- basic runs -----------------------------------------------------------------
@@ -277,6 +289,24 @@ def test_rejected_candidate_costs_two_evaluations():
     assert rec.rejected_candidates == 1
     assert e3.cum_evals - rec.entries[1].cum_evals == 2
     assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
+
+
+def test_driver_counts_into_the_record_it_returns():
+    # The scripted rejection above, stepped by hand: the record is live
+    # before run(), which finishes and returns that same record.
+    scripted = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], np.full(3, 50.0)]
+    op = QueueOperator(3, scripted + [np.ones(3)] * 4)
+    cfg = DriverConfig(eps=1e-15, check_interval=1, max_iter=3)
+    driver = Driver(op, np.zeros(3), cfg, Hooks(converged=lambda st, _o: False))
+    stepped = [driver.step() for _ in range(3)]
+    rec = driver.record
+    assert rec.entries == stepped
+    assert rec.rejected_candidates == 1
+    assert rec.accel_seconds > 0
+    assert rec.accel_seconds == pytest.approx(math.fsum(e.accel_seconds for e in stepped))
+    assert driver.run() is rec
+    assert (rec.status, rec.iterations, rec.operator_evaluations) == ("max_iter", 3, 4)
+    assert rec.entries == stepped and rec.final_state is driver.state
 
 
 def test_accepted_candidate_reuses_evaluation():
@@ -489,8 +519,8 @@ def test_vanilla_runs_infeasibility_when_scheduled():
 def test_time_cap_status():
     a, b, rng = contraction(14, 6, radius=0.9999)
     op = AffineTestOperator(a, b)
-    cfg = DriverConfig(eps=1e-16, max_iter=10**6, check_interval=100)
-    rec = run_vanilla(op, rng.standard_normal(6), cfg, residual_hook(0.0), time_cap=0.05)
+    cfg = DriverConfig(eps=1e-16, max_iter=10**6, check_interval=100, time_cap=0.05)
+    rec = run_vanilla(op, rng.standard_normal(6), cfg, residual_hook(0.0))
     assert rec.status == "time_limit"
 
 

@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Solve-by-solve fingerprint of the benchmark's solves, to show a change is bit-identical.
+
+    python3 tools/solve_identity.py
+
+Runs from the root of a source checkout and imports ``fpaccel`` from its
+``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
+solves two sets and prints one sha256 per solve, then one digest per set:
+
+* ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
+  and 1 and ``qp_large`` at seed 0, each case in the three configurations
+  (267 solves);
+* ``strict``: strict mode with ``tau = 0.9`` on the first 10 ``qp_small``
+  cases and the 20 ``adapt_infeas`` cases at seed 0 (30 solves).
+
+Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
+``y`` and the final iterate, the objective's bits and every trace column
+except the two timings.  Equal digests on two checkouts mean every iterate,
+decision and count is the same.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BENCH_SETS = (
+    ("qp_small", 0), ("qp_small", 1), ("sdp", 0), ("sdp", 1),
+    ("adapt_infeas", 0), ("adapt_infeas", 1), ("qp_large", 0),
+)
+STRICT_TAU = 0.9
+STRICT_QP_SMALL_CASES = 10
+
+
+def solve_digest(sol) -> str:
+    """sha256 over everything a solve decides, its timings excepted."""
+    rec = sol.record
+    h = hashlib.sha256(sol.status.encode())
+    h.update(struct.pack(
+        "<5q", rec.iterations, rec.operator_evaluations, rec.rejected_candidates,
+        rec.strict_checks, rec.convergence_checks,
+    ))
+    for arr in (sol.x, sol.s, sol.y, rec.final_state.v):
+        h.update(struct.pack("<q", arr.size) + arr.astype("<f8").tobytes())
+    h.update(struct.pack("<d", sol.objective))
+    for e in rec.entries:
+        h.update(struct.pack(
+            "<qd?qqqddd?", e.k, e.r_norm, e.accepted, e.j, e.epoch, e.cum_evals,
+            e.step_norm, e.r_prim, e.r_dual, e.infeas_checked,
+        ))
+    return h.hexdigest()
+
+
+def combined(digests) -> str:
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+def main() -> int:
+    # Before numpy loads: one BLAS thread, so a dense product sums in one order.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from fpaccel import conic
+    import workloads
+
+    # solve() offers the three benchmark configurations; admit strict mode too,
+    # so the strict runs go through the same operator and hooks.
+    conic.MODES = (*conic.MODES, "strict")
+
+    bench = []
+    for workload, seed in BENCH_SETS:
+        for case in workloads.build(workload, seed):
+            for mode in workloads.MODES:
+                sol = conic.solve(case.problem, mode, eps=case.eps, gamma=case.gamma)
+                bench.append(solve_digest(sol))
+                print(f"bench  {workload}@{seed} {case.name} {mode} {bench[-1]}")
+
+    strict = []
+    cases = (workloads.build("qp_small")[:STRICT_QP_SMALL_CASES]
+             + workloads.build("adapt_infeas"))
+    for case in cases:
+        sol = conic.solve(case.problem, "strict", eps=case.eps, gamma=case.gamma, tau=STRICT_TAU)
+        strict.append(solve_digest(sol))
+        print(f"strict {case.name} {strict[-1]}")
+
+    print(f"bench digest ({len(bench)} solves): {combined(bench)}")
+    print(f"strict digest ({len(strict)} solves): {combined(strict)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
