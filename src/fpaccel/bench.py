@@ -169,6 +169,9 @@ def run_benchmark(
     # A bad setting raises here once instead of failing every run.
     solve_args = inspect.signature(conic.solve).parameters
     DriverConfig(**{k: v for k, v in kwargs.items() if k not in solve_args})
+    for name in ("gamma", "eps_infeas"):
+        if name in kwargs:
+            conic.positive_finite(name, kwargs[name])
 
     tasks = [
         (name, problem, config, kwargs)

@@ -24,16 +24,24 @@ leaves the reduced system
     (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
 
 whose matrix is symmetric positive definite (P is PSD and gamma > 0), so
-one Cholesky factorization (scipy's ``cho_factor``, run once per gamma)
+one Cholesky factorization (LAPACK ``dpotrf``, run once per gamma)
 serves every solve at that gamma.  Each solve calls LAPACK ``dpotrs`` on the
 factor directly, as ``cho_solve`` would, without its per-call wrapper.
 
 Each application also reads off the primal-dual point x = z_x, s = w_s,
-y = (v_s - z_s) / gamma and keeps it, with its residual norms, as one
-immutable ``DrsStep`` record.  The KKT solve already forms A x for lam, so
-the primal residual A x + s - b needs no further mat-vec; P x and A'y are
-formed once per application and reused when gamma is rebalanced.  The
-driver carries the record of the iterate it holds in
+y = lam and keeps it, with its residual norms, as one immutable ``DrsStep``
+record.  Neither norm costs a mat-vec: the KKT solve already forms A x for
+lam, which gives the primal residual A x + s - b, and its first row reads
+
+    P x + q + A' lam = (v_x - x) / gamma,
+
+which gives the dual residual to within the residual of the reduced solve,
+about eps ||M|| ||x|| for the reduced matrix M.  Only where that bound could
+exceed ``IDENTITY_RTOL`` of the norm (small gamma near a solution) is the
+dual residual formed from the data instead.  Otherwise P x and A'y are
+formed only when gamma is rebalanced, and once by ``solve`` for the dual
+residual it reports, which it recomputes from the data at the returned
+point.  The driver carries the record of the iterate it holds in
 ``FixedPointState.info``; convergence, trace metrics, step-size adaptation
 and the returned solution all read it there, so no operator evaluation
 happens outside the counted ones.  The step size gamma is the single
@@ -47,8 +55,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import driver as _driver
 from .cones import ConeBlock, cone_support, in_recession_of_negation, project_cone
@@ -59,6 +67,11 @@ DUAL_INFEASIBLE = "dual_infeasible"
 
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 1e6
+
+# Accuracy, relative to max(1, r_dual), that the dual residual norm r_dual
+# read off a KKT solve must have; below it the data give r_dual instead.
+IDENTITY_RTOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 class Certificate:
@@ -116,22 +129,24 @@ class ConicProblem:
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x)
 
+    def dual_residual(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The infinity norm of P x + q + A'y, formed from the data."""
+        return _inf_norm(self.P @ x + self.q + self.A.T @ y)
+
 
 @dataclass(frozen=True)
 class DrsStep:
     """One operator evaluation read as a primal-dual point.
 
-    x is the prox output, s the projected slack and y the scaled slack
-    correction; ax, px and aty are the products A x, P x and A'y behind the
-    residual norms, kept for the step-size rebalancing.
+    x is the prox output, s the projected slack and y the KKT multiplier
+    lam; ax is the product A x behind the primal residual norm.  The dual
+    residual norm comes from the KKT identity (see the module docstring).
     """
 
     x: np.ndarray
     s: np.ndarray
     y: np.ndarray
     ax: np.ndarray
-    px: np.ndarray
-    aty: np.ndarray
     r_prim: float
     r_dual: float
 
@@ -146,6 +161,7 @@ class DrsOperator(FixedPointOperator):
         super().__init__(problem.n + problem.m)
         self.problem = problem
         self._slices = problem.cone_slices()
+        gamma = positive_finite("gamma", gamma)
         self.gamma = float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
         self._refactor()
 
@@ -170,13 +186,19 @@ class DrsOperator(FixedPointOperator):
         """Cholesky-factor the reduced matrix P + (I + A'A) / gamma.
 
         Raises scipy's LinAlgError when it is not positive definite, which
-        can happen only when P is not positive semidefinite.  The upper
-        factor is kept in the Fortran order cho_factor returns, so dpotrs
-        reads it without a copy.
+        can happen only when P is not positive semidefinite.  LAPACK
+        ``dpotrf`` is called as ``cho_factor`` would call it, without its
+        finiteness scan (the data are finite and gamma is clipped); the upper
+        factor is kept in the Fortran order it returns, so dpotrs reads it
+        without a copy.
         """
         prob = self.problem
         reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / self.gamma
-        self._factor = cho_factor(reduced)[0]
+        self._factor, info = dpotrf(reduced, lower=0, clean=0)
+        if info != 0:
+            raise LinAlgError(f"KKT reduced matrix not positive definite (potrf info {info})")
+        # Bound on the reduced solve's residual per unit of ||x||: eps ||M||.
+        self._solve_err = _EPS * float(np.abs(reduced, out=reduced).sum(axis=1).max())
 
     # -- the operator -------------------------------------------------------
 
@@ -189,13 +211,17 @@ class DrsOperator(FixedPointOperator):
         ax = prob.A @ x
         return x, (ax - r2) / gamma, ax
 
-    def residuals(self, x, s, y, ax) -> DrsStep:
-        """The step record of (x, s, y), with its primal and dual residual norms."""
+    def residuals(self, x, s, y, ax, r_dual=None) -> DrsStep:
+        """The step record of (x, s, y), with its primal and dual residual norms.
+
+        ``r_dual`` is the norm of the dual residual P x + q + A'y when it is
+        already known; otherwise it is formed from the data.
+        """
         prob = self.problem
-        px, aty = prob.P @ x, prob.A.T @ y
+        if r_dual is None:
+            r_dual = prob.dual_residual(x, y)
         r_prim = _inf_norm(ax + s - prob.b) if prob.m else 0.0
-        r_dual = _inf_norm(px + prob.q + aty)
-        return DrsStep(x, s, y, ax, px, aty, r_prim, r_dual)
+        return DrsStep(x, s, y, ax, r_prim, r_dual)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         prob, gamma, n = self.problem, self.gamma, self.problem.n
@@ -206,13 +232,21 @@ class DrsOperator(FixedPointOperator):
         s = w[n:]
         for block, sl in zip(prob.cones, self._slices):
             s[sl] = project_cone(block, s[sl])
-        self.info = self.residuals(x, s, (v[n:] - z[n:]) / gamma, ax)
+        # The first KKT row: P x + q + A' lam = (v_x - x) / gamma, up to the
+        # residual of the reduced solve.
+        r_dual = _inf_norm(v[:n] - x) / gamma
+        if self._solve_err * _inf_norm(x) > IDENTITY_RTOL * max(1.0, r_dual):
+            r_dual = None
+        self.info = self.residuals(x, s, lam, ax, r_dual)
         return v + (w - z)
 
     # -- parameter adaptation -------------------------------------------------
 
     def adapt_gamma(self, step: DrsStep, tol: float = 1e-6) -> bool:
         """Rebalance gamma from the scaled primal/dual residual ratio of a step.
+
+        The dual scale's products P x and A'y are formed here, from the
+        step's own x and y; no evaluation keeps them.
 
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
@@ -228,7 +262,9 @@ class DrsOperator(FixedPointOperator):
         if prob.m == 0:
             return False
         prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
-        dual_scale = max(_inf_norm(step.px), _inf_norm(prob.q), _inf_norm(step.aty), 1.0)
+        dual_scale = max(
+            _inf_norm(prob.P @ step.x), _inf_norm(prob.q), _inf_norm(prob.A.T @ step.y), 1.0
+        )
         ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
         factor = float(np.clip(math.sqrt(ratio), 0.1, 10.0))
         if 0.2 <= factor <= 5.0:
@@ -284,6 +320,14 @@ class DrsOperator(FixedPointOperator):
         )
 
 
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _inf_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).max(initial=0.0))
 
@@ -326,6 +370,7 @@ def solve(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    positive_finite("eps_infeas", eps_infeas)
     cfg = _driver.DriverConfig(mode=mode, **settings)
     eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
@@ -347,7 +392,8 @@ def solve(
         y=step.y,
         objective=problem.objective(step.x),
         r_prim=step.r_prim,
-        r_dual=step.r_dual,
+        # The loop's r_dual may come from the KKT identity; report the data's.
+        r_dual=problem.dual_residual(step.x, step.y),
         record=record,
         certificate=record.certificate,
     )

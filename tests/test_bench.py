@@ -425,6 +425,28 @@ def test_cli_bad_time_cap_exits_before_any_solve(tmp_path, capsys):
         assert not (out_dir / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["gamma", "eps_infeas"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_solve_setting_fails_before_any_solve(monkeypatch, name, value):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        run_benchmark(small_suite(1), ["vanilla"], **{name: value})
+    assert calls == []
+
+
+@pytest.mark.parametrize("gamma", ["nan", "0", "-1"])
+def test_cli_bad_gamma_exits_before_any_solve(tmp_path, capsys, monkeypatch, gamma):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    out_dir = tmp_path / "results"
+    argv = ["run", "--generate", "RandomQP:n=4;m=8:1", "--gamma", gamma]
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 1
+    assert "gamma must be positive and finite" in capsys.readouterr().err
+    assert not (out_dir / "summary.csv").exists()
+    assert calls == []
+
+
 def test_solve_takes_time_cap_as_a_setting():
     problem = generate("RandomQP", n=4, m=8, seed=1)
     assert solve(problem, time_cap=60.0).status == "converged"

@@ -293,3 +293,116 @@ def test_nan_box_bound_ends_diverged():
     for mode in ("vanilla", "unsafe", "safeguarded"):
         sol = solve(prob, mode)
         assert sol.status == "diverged" and sol.record.iterations == 0
+
+
+@pytest.mark.parametrize("gamma", [0.0, -5.0, np.nan, np.inf, -np.inf])
+def test_bad_starting_gamma_is_rejected(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        DrsOperator(tiny_qp(), gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        solve(tiny_qp(), gamma=gamma)
+
+
+@pytest.mark.parametrize("eps_infeas", [0.0, -1.0, np.nan, np.inf])
+def test_bad_eps_infeas_is_rejected(eps_infeas):
+    with pytest.raises(ValueError, match="eps_infeas must be positive and finite"):
+        solve(tiny_qp(), eps_infeas=eps_infeas)
+
+
+def test_finite_positive_gamma_is_clipped():
+    assert DrsOperator(tiny_qp(), gamma=1e-9).gamma == 1e-6
+    op = DrsOperator(tiny_qp(), gamma=1e9)
+    assert op.gamma == 1e6
+    op.set_params([1e-9])  # the adaptive update clips as well
+    assert op.gamma == 1e-6 and op.epoch == 1
+    assert solve(tiny_qp(), gamma=1e9, eps=1e-8).status == "converged"
+
+
+def _data_residuals(prob, x, s, y):
+    """(r_prim, r_dual) of a primal-dual point, formed from the problem data."""
+    r_prim = np.abs(prob.A @ x + s - prob.b).max()
+    return r_prim, np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
+
+
+def _identity_test_points(prob, gamma, rng):
+    """A solved, a perturbed and a random iterate of the operator at gamma."""
+    sol = solve(prob, "safeguarded", eps=1e-9)
+    solved = np.concatenate([sol.x, sol.s + gamma * sol.y])  # the fixed point at gamma
+    perturbed = solved + 1e-3 * (1.0 + np.abs(solved)) * rng.standard_normal(solved.size)
+    return solved, perturbed, 5.0 * rng.standard_normal(solved.size)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_dual_residual_identity_matches_the_data(gamma):
+    # The operator reads r_dual off the first KKT row, (v_x - x) / gamma; it
+    # must be the data residual P x + q + A'y of its own point across gamma.
+    rng = np.random.default_rng(12)
+    for prob in (generate("RandomQP", n=20, m=40, seed=13), generate("RandomSDP", side=5, seed=14)):
+        op = DrsOperator(prob, gamma=gamma)
+        for v in _identity_test_points(prob, gamma, rng):
+            op.apply(v)
+            step = op.info
+            r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
+            assert step.r_prim == r_prim
+            assert abs(step.r_dual - r_dual) <= 1e-12 * max(1.0, r_dual)
+
+
+def test_adapt_gamma_decides_from_the_data_products():
+    # adapt_gamma forms P x and A'y itself; its decision must be the one the
+    # data products of the step's own x and y give.
+    rng = np.random.default_rng(15)
+    prob = generate("RandomQP", n=12, m=24, seed=16)
+    changed = 0
+    for gamma in (1e-3, 1.0, 1e3):
+        for _ in range(10):
+            op = DrsOperator(prob, gamma=gamma)
+            op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
+            step = op.info
+            prim_scale = max(np.abs(step.ax).max(), np.abs(step.s).max(), np.abs(prob.b).max(), 1.0)
+            dual_scale = max(
+                np.abs(prob.P @ step.x).max(), np.abs(prob.q).max(),
+                np.abs(prob.A.T @ step.y).max(), 1.0,
+            )
+            ratio = (step.r_prim / prim_scale) / max(step.r_dual / dual_scale, 1e-300)
+            factor = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
+            want = op.gamma if 0.2 <= factor <= 5.0 else float(np.clip(op.gamma / factor, 1e-6, 1e6))
+            assert op.adapt_gamma(step) == (want != gamma)
+            assert op.gamma == want
+            changed += want != gamma
+    assert 0 < changed < 30  # both decisions were exercised
+
+
+@pytest.mark.parametrize(
+    "prob, settings",
+    [
+        (generate("RandomQP", n=20, m=40, seed=9), {"eps": 1e-6}),
+        (generate("RandomSDP", side=6, seed=11), {"eps": 1e-5}),
+        (generate("RandomQP", n=20, m=40, seed=9), {"eps": 1e-12, "max_iter": 30}),
+    ],
+    ids=["converged_qp", "converged_sdp", "max_iter"],
+)
+def test_reported_residuals_are_the_data_residuals(prob, settings):
+    sol = solve(prob, "safeguarded", **settings)
+    assert sol.status == ("max_iter" if "max_iter" in settings else "converged")
+    r_prim, r_dual = _data_residuals(prob, sol.x, sol.s, sol.y)
+    assert sol.r_prim == r_prim and sol.r_dual == r_dual
+
+
+def test_evaluations_take_r_dual_from_the_kkt_solve(monkeypatch):
+    # At a moderate step size no evaluation forms P x or A'y.  At gamma =
+    # 1e-6 the identity is too coarse near the solution, and the data take
+    # over there.
+    from_data = []
+    residuals = DrsOperator.residuals
+
+    def counted(op, x, s, y, ax, r_dual=None):
+        from_data.append(r_dual is None)
+        return residuals(op, x, s, y, ax, r_dual)
+
+    monkeypatch.setattr(DrsOperator, "residuals", counted)
+    prob = generate("RandomQP", n=20, m=40, seed=9)
+    rec = solve(prob, "safeguarded", eps=1e-6).record
+    assert len(from_data) == rec.operator_evaluations + 1 and not any(from_data)
+    from_data.clear()
+    solve(prob, "vanilla", gamma=1e-6, eps=1e-6, adapt_interval=10**6, max_iter=200)
+    assert 1 < sum(from_data) < len(from_data)

@@ -5,7 +5,7 @@
 
 Runs from the root of a source checkout and imports ``fpaccel`` from its
 ``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
-solves two sets and prints one sha256 per solve, then one digest per set:
+solves two sets and prints one sha256 per solve, then two digests per set:
 
 * ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
   and 1 and ``qp_large`` at seed 0, each case in the three configurations
@@ -16,7 +16,10 @@ solves two sets and prints one sha256 per solve, then one digest per set:
 Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
 ``y`` and the final iterate, the objective's bits and every trace column
 except the two timings.  Equal digests on two checkouts mean every iterate,
-decision and count is the same.
+decision and count is the same.  The *counts* digest covers only the status,
+the run counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch``
+and ``cum_evals``: equal counts digests mean every decision and count is the
+same, even where a change moves the bits of the iterates or residuals.
 """
 
 from __future__ import annotations
@@ -37,14 +40,20 @@ STRICT_TAU = 0.9
 STRICT_QP_SMALL_CASES = 10
 
 
-def solve_digest(sol) -> str:
-    """sha256 over everything a solve decides, its timings excepted."""
+def _status_and_counters(sol):
     rec = sol.record
     h = hashlib.sha256(sol.status.encode())
     h.update(struct.pack(
         "<5q", rec.iterations, rec.operator_evaluations, rec.rejected_candidates,
         rec.strict_checks, rec.convergence_checks,
     ))
+    return h
+
+
+def solve_digest(sol) -> str:
+    """sha256 over everything a solve decides, its timings excepted."""
+    rec = sol.record
+    h = _status_and_counters(sol)
     for arr in (sol.x, sol.s, sol.y, rec.final_state.v):
         h.update(struct.pack("<q", arr.size) + arr.astype("<f8").tobytes())
     h.update(struct.pack("<d", sol.objective))
@@ -53,6 +62,14 @@ def solve_digest(sol) -> str:
             "<qd?qqqddd?", e.k, e.r_norm, e.accepted, e.j, e.epoch, e.cum_evals,
             e.step_norm, e.r_prim, e.r_dual, e.infeas_checked,
         ))
+    return h.hexdigest()
+
+
+def counts_digest(sol) -> str:
+    """sha256 over a solve's status, counters and per-iteration decisions."""
+    h = _status_and_counters(sol)
+    for e in sol.record.entries:
+        h.update(struct.pack("<q?qqq", e.k, e.accepted, e.j, e.epoch, e.cum_evals))
     return h.hexdigest()
 
 
@@ -71,24 +88,28 @@ def main() -> int:
     # so the strict runs go through the same operator and hooks.
     conic.MODES = (*conic.MODES, "strict")
 
-    bench = []
+    bench, bench_counts = [], []
     for workload, seed in BENCH_SETS:
         for case in workloads.build(workload, seed):
             for mode in workloads.MODES:
                 sol = conic.solve(case.problem, mode, eps=case.eps, gamma=case.gamma)
                 bench.append(solve_digest(sol))
+                bench_counts.append(counts_digest(sol))
                 print(f"bench  {workload}@{seed} {case.name} {mode} {bench[-1]}")
 
-    strict = []
+    strict, strict_counts = [], []
     cases = (workloads.build("qp_small")[:STRICT_QP_SMALL_CASES]
              + workloads.build("adapt_infeas"))
     for case in cases:
         sol = conic.solve(case.problem, "strict", eps=case.eps, gamma=case.gamma, tau=STRICT_TAU)
         strict.append(solve_digest(sol))
+        strict_counts.append(counts_digest(sol))
         print(f"strict {case.name} {strict[-1]}")
 
     print(f"bench digest ({len(bench)} solves): {combined(bench)}")
+    print(f"bench counts digest ({len(bench)} solves): {combined(bench_counts)}")
     print(f"strict digest ({len(strict)} solves): {combined(strict)}")
+    print(f"strict counts digest ({len(strict)} solves): {combined(strict_counts)}")
     return 0
 
 
