@@ -76,7 +76,9 @@ class AccelMemory:
         anchor (the previous iterate), so three plain steps (j = 1, 1, 2)
         follow; restarts on a full memory keeping (v, r) as the anchor, so
         two follow (j = 1, 2); otherwise pushes the pair formed against the
-        anchor.
+        anchor.  Every operator change arrives here as a new epoch, whether
+        the driver's scheduled update or a ``set_params`` between steps made
+        it.
         """
         if epoch != self.epoch:
             return self.restart(epoch)

@@ -62,8 +62,8 @@ def shifted_gmean(times, sh: float = 10.0) -> float:
     arr = np.asarray(list(times), dtype=float)
     if arr.size == 0:
         raise EmptyInput("shifted_gmean needs at least one value")
-    if sh <= 0:
-        raise ValueError("shift must be positive")
+    if not (math.isfinite(sh) and sh > 0):
+        raise ValueError(f"shift must be positive and finite, got {sh!r}")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("times must be finite and nonnegative")
     return float(np.exp(np.mean(np.log(arr + sh))) - sh)
@@ -165,6 +165,8 @@ def run_benchmark(
             raise ValueError(f"duplicate problem name {name!r}")
     if time_cap is None:  # unsolved runs enter the shifted geometric mean at the cap
         raise ValueError("time_cap must be positive and finite")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     kwargs = dict(settings, time_cap=time_cap)
     # A bad setting raises here once instead of failing every run.
     solve_args = inspect.signature(conic.solve).parameters
@@ -172,6 +174,7 @@ def run_benchmark(
     for name in ("gamma", "eps_infeas"):
         if name in kwargs:
             conic.positive_finite(name, kwargs[name])
+    shifted_gmean([time_cap], sh)  # a bad shift, too, before any run
 
     tasks = [
         (name, problem, config, kwargs)

@@ -7,26 +7,29 @@ One ``Driver`` instance runs one solve, in the configuration named by
 fresh evaluation at the current point).  ``run`` is the single entry point.
 Each iteration, in order:
 
-1. ask the memory for a candidate (``AccelMemory.propose``): it takes in
+1. run the scheduled operator update (``Hooks.operator_update``) when
+   ``k`` is a positive multiple of ``adapt_interval``;
+2. ask the memory for a candidate (``AccelMemory.propose``): it takes in
    the current iterate, pushing the (delta v, delta r) pair formed against
    the previous one or restarting, and returns the accelerated point when
    its history, coefficient solve and coefficient-norm guard allow one;
-2. evaluate the operator at the candidate and run the configured safeguard;
+3. evaluate the operator at the candidate and run the configured safeguard;
    on success adopt the candidate together with its already-computed
-   operator value;
-3. otherwise fall back to a plain operator step -- applying any pending
-   operator-parameter update first (which restarts the memory);
-4. run the scheduled infeasibility hook when the step was a pure operator
-   step in a fresh history (j == 2); vanilla mode keeps no history, so there
-   the hook runs on the next step without a parameter update.
+   operator value, otherwise take a plain operator step;
+4. run the scheduled infeasibility hook at the first checkpoint: a step in
+   which the operator epoch did not move and, with a history, whose memory
+   is fresh (j == 2).
 
-Every restart is followed by at least two plain iterations (see
+A scheduled update is an ordinary epoch change: when it moves the operator
+epoch, ``AccelMemory.observe`` restarts the memory, exactly as for a
+``set_params`` made between steps; an update that changes nothing leaves
+the history alone.  The driver never restarts the memory itself.  Every
+restart is followed by at least two plain iterations (see
 ``AccelMemory.observe``), so the infeasibility hook always sees a difference
 of consecutive pure operator steps.
 
-Parameter updates and infeasibility checks are latched on fixed iteration
-cadences (``adapt_interval`` and ``check_interval``) and consumed at the
-next legal point in the loop.
+Infeasibility checks are latched on the ``check_interval`` cadence and
+consumed at the next checkpoint.
 
 A non-finite operator value ends the run as ``diverged``, the one at ``v0``
 included: that run stops before its first iteration.  A run that passes
@@ -106,24 +109,24 @@ class DriverConfig:
     time_cap: float | None = None  # wall seconds; None runs uncapped
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        capped = () if self.time_cap is None else ("time_cap",)
+        for name in ("eps", "eta_max", *capped):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, least in (("m_max", 2), ("check_interval", 1), ("adapt_interval", 1),
+                            ("max_iter", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if not 0.0 < self.tau <= 2.0:
             raise ValueError("tau must lie in (0, 2]")
         if self.mode == STRICT and not self.tau < 1.0:
             raise ValueError("strict safeguarding needs tau in (0, 1)")
-        if self.eta_max <= 0:
-            raise ValueError("eta_max must be positive")
-        if self.m_max < 2:
-            raise ValueError("m_max must be at least 2")
-        if self.check_interval < 1 or self.adapt_interval < 1:
-            raise ValueError("intervals must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.time_cap is not None and not (math.isfinite(self.time_cap) and self.time_cap > 0):
-            raise ValueError("time_cap must be positive and finite")
 
 
 @dataclass
@@ -131,7 +134,9 @@ class Hooks:
     """Optional solve-specific behavior plugged into the loop.
 
     converged(state, op) -> bool replaces the default step-norm test.
-    operator_update(op, state) runs the scheduled parameter update.
+    operator_update(op, state) runs the scheduled parameter update at the
+    start of every step whose ``state.k`` is a positive multiple of
+    ``adapt_interval``, accelerated or not; a change must bump ``op.epoch``.
     infeasibility(op, dv) -> certificate-or-None inspects a pure-step
     difference; a returned object must expose ``kind`` (used as status).
     metrics(op, state) -> (r_prim, r_dual) fills the trace columns.
@@ -211,7 +216,6 @@ class Driver:
             if self.cfg.mode != VANILLA
             else None
         )
-        self._pending_update = False
         self._pending_infeas = False
         # Loop evaluations only: the setup evaluation above is excluded so
         # that evaluations == iterations + rejections (+ strict checks).
@@ -236,9 +240,11 @@ class Driver:
 
     def step(self) -> TraceEntry:
         cfg, op, st, rec, mem = self.cfg, self.op, self.state, self.record, self.mem
+        epoch0 = op.epoch
+        if self.hooks.operator_update is not None and st.k > 0 and st.k % cfg.adapt_interval == 0:
+            self.hooks.operator_update(op, st)
         accel_t = 0.0
         accepted = False
-        op_changed = False
         new = None
 
         j_decision = 1
@@ -262,15 +268,7 @@ class Driver:
                 else:
                     rec.rejected_candidates += 1
 
-        if new is None:
-            # Fallback branch: either no candidate was accepted or the
-            # history is too short.  Scheduled operator changes land here.
-            if self._pending_update:
-                self._pending_update = False
-                self.hooks.operator_update(op, st)
-                op_changed = True
-                if mem is not None:
-                    mem.restart(op.epoch)
+        if new is None:  # no candidate, or it was rejected: a plain step
             new = self._evaluate(st.f.copy())
 
         old_v = st.v
@@ -281,18 +279,15 @@ class Driver:
         self._last_step_norm = math.sqrt(step @ step)
 
         infeas_checked = False
-        if self._pending_infeas:
-            at_checkpoint = (mem.j == 2) if mem is not None else not op_changed
-            if at_checkpoint:
-                self._pending_infeas = False
-                infeas_checked = True
-                cert = self.hooks.infeasibility(op, step)
-                if cert is not None:
-                    rec.certificate = cert
+        # A checkpoint needs a pure step under one operator: no parameter
+        # change in this step and, with a history, a fresh one (j == 2).
+        if self._pending_infeas and op.epoch == epoch0 and (mem is None or mem.j == 2):
+            self._pending_infeas = False
+            infeas_checked = True
+            cert = self.hooks.infeasibility(op, step)
+            if cert is not None:
+                rec.certificate = cert
 
-        # Latch the scheduled work for upcoming iterations.
-        if self.hooks.operator_update is not None and st.k % cfg.adapt_interval == 0:
-            self._pending_update = True
         if self.hooks.infeasibility is not None and st.k % cfg.check_interval == 0:
             self._pending_infeas = True
 

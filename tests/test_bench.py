@@ -56,6 +56,9 @@ def test_shifted_gmean_errors():
         shifted_gmean([1.0], sh=0.0)
     with pytest.raises(ValueError):
         shifted_gmean([-1.0])
+    for sh in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift must be positive and finite"):
+            shifted_gmean([1.0], sh=sh)
 
 
 # -- generators ------------------------------------------------------------------
@@ -443,6 +446,43 @@ def test_cli_bad_gamma_exits_before_any_solve(tmp_path, capsys, monkeypatch, gam
     argv = ["run", "--generate", "RandomQP:n=4;m=8:1", "--gamma", gamma]
     assert cli.main(argv + ["--out-dir", str(out_dir)]) == 1
     assert "gamma must be positive and finite" in capsys.readouterr().err
+    assert not (out_dir / "summary.csv").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_bad_worker_count_fails_before_any_solve(monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_benchmark(small_suite(1), ["vanilla"], workers=workers)
+    assert calls == []
+
+
+def test_bad_shift_fails_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    with pytest.raises(ValueError, match="shift must be positive and finite"):
+        run_benchmark(small_suite(1), ["vanilla"], sh=math.nan)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "inf"], "eps must be positive and finite"),
+        (["--eps", "nan"], "eps must be positive and finite"),
+        (["--eta-max", "nan"], "eta_max must be positive and finite"),
+        (["--threads", "0"], "workers must be a positive integer"),
+    ],
+)
+def test_cli_bad_setting_exits_before_any_solve(tmp_path, capsys, monkeypatch, flags, message):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    out_dir = tmp_path / "results"
+    argv = ["run", "--generate", "RandomQP:n=4;m=8:1", "--out-dir", str(out_dir)]
+    assert cli.main(argv + flags) == 1
+    assert message in capsys.readouterr().err
     assert not (out_dir / "summary.csv").exists()
     assert calls == []
 

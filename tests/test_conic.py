@@ -406,3 +406,19 @@ def test_evaluations_take_r_dual_from_the_kkt_solve(monkeypatch):
     from_data.clear()
     solve(prob, "vanilla", gamma=1e-6, eps=1e-6, adapt_interval=10**6, max_iter=200)
     assert 1 < sum(from_data) < len(from_data)
+
+
+@pytest.mark.parametrize("mode", ["unsafe", "safeguarded"])
+def test_no_op_updates_leave_the_run_alone(mode):
+    # gamma never moves on this problem, so how often the update runs must
+    # not matter: an update that changes nothing keeps the history.
+    prob = generate("RandomQP", n=50, m=100, seed=1)
+    max_iter = 10000
+    runs = []
+    for adapt_interval in (1, 2, 3, 5, 40, max_iter + 1):
+        rec = solve(prob, mode, max_iter=max_iter, adapt_interval=adapt_interval).record
+        assert rec.status == "converged"
+        assert {e.epoch for e in rec.entries} == {0}
+        columns = [(e.k, e.j, e.accepted, e.epoch, e.cum_evals) for e in rec.entries]
+        runs.append((rec.final_state.v.tobytes(), columns))
+    assert all(run == runs[-1] for run in runs)

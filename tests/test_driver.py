@@ -109,6 +109,25 @@ def test_config_validation():
     assert DriverConfig(time_cap=1e-3).time_cap == 1e-3
 
 
+@pytest.mark.parametrize("name", ["eps", "eta_max"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_config_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        DriverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["m_max", "check_interval", "adapt_interval", "max_iter"])
+@pytest.mark.parametrize("value", [2.5, 10.0, math.nan, True, "10"])
+def test_config_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        DriverConfig(**{name: value})
+
+
+def test_config_counts_accept_numpy_integers():
+    cfg = DriverConfig(m_max=np.int64(5), max_iter=np.int32(50))
+    assert cfg.m_max == 5 and cfg.max_iter == 50
+
+
 def test_time_cap_is_not_an_argument():
     # The time cap is a DriverConfig field; a fifth positional argument is an error.
     op = AffineTestOperator(np.eye(2), np.zeros(2))
@@ -466,6 +485,53 @@ def test_out_of_band_epoch_change_restarts_memory():
     assert driver.mem.epoch == op.epoch
     entries = [entry] + [driver.step() for _ in range(3)]
     assert plain_steps_from(entries, 0) == 3
+
+
+@pytest.mark.parametrize("mode", ["unsafe", "safeguarded"])
+def test_operator_update_runs_on_its_cadence(mode):
+    # The update is due at the start of every step whose k is a positive
+    # multiple of adapt_interval, whether that step accelerates or not.
+    a, b, rng = contraction(17, 12, radius=0.97)
+    seen = []
+    cfg = DriverConfig(eps=1e-13, mode=mode, check_interval=1, adapt_interval=4, max_iter=200)
+    hooks = residual_hook(1e-13)
+    hooks.operator_update = lambda op_, state: seen.append(state.k)
+    rec = run(BetaOperator(a, b), rng.standard_normal(12), cfg, hooks)
+    assert rec.status == "converged"
+    assert seen == list(range(4, rec.iterations, 4))
+    # entries[k] is the step taken from iterate k
+    assert any(rec.entries[k].accepted for k in seen)
+
+
+def trace_columns(entries):
+    """Every trace column but the two timings."""
+    return [
+        (e.k, e.r_norm, e.accepted, e.j, e.epoch, e.cum_evals, e.step_norm, e.infeas_checked)
+        for e in entries
+    ]
+
+
+def test_scheduled_change_equals_the_same_change_made_between_steps():
+    a, b, rng = contraction(18, 10, radius=0.97)
+    v0 = rng.standard_normal(10)
+    cfg = DriverConfig(eps=1e-13, check_interval=1, adapt_interval=10)
+
+    def bump(op_, state):
+        if state.k == 10:
+            op_.set_params(op_.params * 1.01)
+
+    hooks = residual_hook(1e-13)
+    hooks.operator_update = bump
+    scheduled = Driver(BetaOperator(a, b), v0, cfg, hooks)
+    by_hand = Driver(BetaOperator(a, b), v0, cfg, residual_hook(1e-13))
+    for k in range(40):
+        if k == 10:
+            by_hand.op.set_params(by_hand.op.params * 1.01)
+        scheduled.step()
+        by_hand.step()
+    assert scheduled.op.epoch == by_hand.op.epoch == 1
+    assert trace_columns(scheduled.record.entries) == trace_columns(by_hand.record.entries)
+    assert scheduled.state.v.tobytes() == by_hand.state.v.tobytes()
 
 
 def test_infeasibility_hook_fires_only_at_j2():

@@ -20,6 +20,8 @@ decision and count is the same.  The *counts* digest covers only the status,
 the run counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch``
 and ``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
+Last come the summed iterations and operator evaluations of each set per
+``workload@seed`` and mode, the counts a behaviour change moves.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import os
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +91,12 @@ def main() -> int:
     # so the strict runs go through the same operator and hooks.
     conic.MODES = (*conic.MODES, "strict")
 
+    iters, evals = Counter(), Counter()  # keyed by (set, workload@seed, mode)
+
+    def tally(key, sol):
+        iters[key] += sol.record.iterations
+        evals[key] += sol.record.operator_evaluations
+
     bench, bench_counts = [], []
     for workload, seed in BENCH_SETS:
         for case in workloads.build(workload, seed):
@@ -95,21 +104,25 @@ def main() -> int:
                 sol = conic.solve(case.problem, mode, eps=case.eps, gamma=case.gamma)
                 bench.append(solve_digest(sol))
                 bench_counts.append(counts_digest(sol))
+                tally(("bench", f"{workload}@{seed}", mode), sol)
                 print(f"bench  {workload}@{seed} {case.name} {mode} {bench[-1]}")
 
     strict, strict_counts = [], []
-    cases = (workloads.build("qp_small")[:STRICT_QP_SMALL_CASES]
-             + workloads.build("adapt_infeas"))
-    for case in cases:
+    cases = [("qp_small", c) for c in workloads.build("qp_small")[:STRICT_QP_SMALL_CASES]]
+    cases += [("adapt_infeas", c) for c in workloads.build("adapt_infeas")]
+    for workload, case in cases:
         sol = conic.solve(case.problem, "strict", eps=case.eps, gamma=case.gamma, tau=STRICT_TAU)
         strict.append(solve_digest(sol))
         strict_counts.append(counts_digest(sol))
+        tally(("strict", f"{workload}@0", "strict"), sol)
         print(f"strict {case.name} {strict[-1]}")
 
     print(f"bench digest ({len(bench)} solves): {combined(bench)}")
     print(f"bench counts digest ({len(bench)} solves): {combined(bench_counts)}")
     print(f"strict digest ({len(strict)} solves): {combined(strict)}")
     print(f"strict counts digest ({len(strict)} solves): {combined(strict_counts)}")
+    for key in iters:
+        print("sums {} {} {} iterations={} evaluations={}".format(*key, iters[key], evals[key]))
     return 0
 
 
