@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
-from .driver import DriverConfig, RunRecord
+from .driver import SAFEGUARDED, UNSAFE, VANILLA, DriverConfig, RunRecord
+from .driver import is_integer_at_least, positive_finite
 
-CONFIGS = conic.MODES
+CONFIGS = (VANILLA, UNSAFE, SAFEGUARDED)
 
 TRACE_COLUMNS = (
     "iter",
@@ -62,8 +63,7 @@ def shifted_gmean(times, sh: float = 10.0) -> float:
     arr = np.asarray(list(times), dtype=float)
     if arr.size == 0:
         raise EmptyInput("shifted_gmean needs at least one value")
-    if not (math.isfinite(sh) and sh > 0):
-        raise ValueError(f"shift must be positive and finite, got {sh!r}")
+    positive_finite("shift", sh)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("times must be finite and nonnegative")
     return float(np.exp(np.mean(np.log(arr + sh))) - sh)
@@ -163,17 +163,15 @@ def run_benchmark(
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"duplicate problem name {name!r}")
-    if time_cap is None:  # unsolved runs enter the shifted geometric mean at the cap
-        raise ValueError("time_cap must be positive and finite")
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_integer_at_least(workers, 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     kwargs = dict(settings, time_cap=time_cap)
     # A bad setting raises here once instead of failing every run.
     solve_args = inspect.signature(conic.solve).parameters
     DriverConfig(**{k: v for k, v in kwargs.items() if k not in solve_args})
-    for name in ("gamma", "eps_infeas"):
+    for name in ("gamma", "eps_infeas", "time_cap"):
         if name in kwargs:
-            conic.positive_finite(name, kwargs[name])
+            positive_finite(name, kwargs[name])
     shifted_gmean([time_cap], sh)  # a bad shift, too, before any run
 
     tasks = [

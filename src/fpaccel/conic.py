@@ -8,18 +8,18 @@ Problems have the form
 with P positive semidefinite and K a product of cone blocks.  The iterate
 v stacks (x-part, s-part) in R^{n+m}.  One operator application is
 
-    z = prox(v)             -- one KKT solve,
-    w = project(2 z - v)    -- identity on the x-part, cone blocks on s,
-    v+ = v + (w - z),
+    (x, lam) = one KKT solve at v,
+    v+ = (x, project(v_s - 2 gamma lam) + gamma lam),
 
-a firmly nonexpansive map whose fixed points encode primal-dual optima.
-The prox step solves the KKT system
+the Douglas-Rachford step v + (project(2 z - v) - z) around the prox point
+z = (x, v_s - gamma lam), with the x-part and the v_s terms cancelled.  It
+is firmly nonexpansive, its fixed points encode primal-dual optima, and the
+projection onto K is taken block by block.  The KKT system is
 
     [[P + (1/gamma) I, A'], [A, -gamma I]] (x, lam) = (r1, r2),
-    r1 = (1/gamma) v_x - q,   r2 = b - v_s,
+    r1 = (1/gamma) v_x - q,   r2 = b - v_s.
 
-and returns z = (x, v_s - gamma lam).  Eliminating lam = (A x - r2) / gamma
-leaves the reduced system
+Eliminating lam = (A x - r2) / gamma leaves the reduced system
 
     (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
 
@@ -28,10 +28,11 @@ one Cholesky factorization (LAPACK ``dpotrf``, run once per gamma)
 serves every solve at that gamma.  Each solve calls LAPACK ``dpotrs`` on the
 factor directly, as ``cho_solve`` would, without its per-call wrapper.
 
-Each application also reads off the primal-dual point x = z_x, s = w_s,
-y = lam and keeps it, with its residual norms, as one immutable ``DrsStep``
-record.  Neither norm costs a mat-vec: the KKT solve already forms A x for
-lam, which gives the primal residual A x + s - b, and its first row reads
+Each application also reads off the primal-dual point x,
+s = project(v_s - 2 gamma lam), y = lam and keeps it, with its residual
+norms, as one immutable ``DrsStep`` record.  Neither norm costs a mat-vec:
+the KKT solve already forms A x for lam, which gives the primal residual
+A x + s - b, and its first row reads
 
     P x + q + A' lam = (v_x - x) / gamma,
 
@@ -161,7 +162,7 @@ class DrsOperator(FixedPointOperator):
         super().__init__(problem.n + problem.m)
         self.problem = problem
         self._slices = problem.cone_slices()
-        gamma = positive_finite("gamma", gamma)
+        gamma = _driver.positive_finite("gamma", gamma)
         self.gamma = float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
         self._refactor()
 
@@ -224,12 +225,10 @@ class DrsOperator(FixedPointOperator):
         return DrsStep(x, s, y, ax, r_prim, r_dual)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
+        """The DRS step in reduced form, v+ = (x, project(v_s - 2 gamma lam) + gamma lam)."""
         prob, gamma, n = self.problem, self.gamma, self.problem.n
         x, lam, ax = self.solve_kkt(v[:n] / gamma - prob.q, prob.b - v[n:])
-        # z = prox(v); w = 2 z - v, whose s-part is then projected onto K.
-        z = np.concatenate([x, v[n:] - gamma * lam])
-        w = 2.0 * z - v
-        s = w[n:]
+        s = v[n:] - 2.0 * gamma * lam
         for block, sl in zip(prob.cones, self._slices):
             s[sl] = project_cone(block, s[sl])
         # The first KKT row: P x + q + A' lam = (v_x - x) / gamma, up to the
@@ -238,7 +237,7 @@ class DrsOperator(FixedPointOperator):
         if self._solve_err * _inf_norm(x) > IDENTITY_RTOL * max(1.0, r_dual):
             r_dual = None
         self.info = self.residuals(x, s, lam, ax, r_dual)
-        return v + (w - z)
+        return np.concatenate([x, s + gamma * lam])
 
     # -- parameter adaptation -------------------------------------------------
 
@@ -320,14 +319,6 @@ class DrsOperator(FixedPointOperator):
         )
 
 
-def positive_finite(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is positive and finite."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
 def _inf_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).max(initial=0.0))
 
@@ -347,9 +338,6 @@ class ConicSolution:
         self.certificate = certificate
 
 
-MODES = (_driver.VANILLA, _driver.UNSAFE, _driver.SAFEGUARDED)
-
-
 def solve(
     problem: ConicProblem,
     mode: str = _driver.SAFEGUARDED,
@@ -359,18 +347,18 @@ def solve(
     v0: np.ndarray | None = None,
     **settings,
 ) -> ConicSolution:
-    """Solve a conic QP with one of the three driver configurations.
+    """Solve a conic QP in any driver mode.
 
     ``mode`` selects vanilla (plain splitting iterations), unsafe
-    (acceleration without the residual safeguard), or safeguarded
-    acceleration; ``settings`` are ``DriverConfig`` fields by name.
+    (acceleration without the residual safeguard), safeguarded acceleration
+    or strict safeguarding (which needs ``tau < 1``); ``settings`` are
+    ``DriverConfig`` fields by name, and ``DriverConfig`` rejects an unknown
+    mode.
     Termination tests the absolute infinity-norm primal and dual residuals
     against ``eps`` every ``check_interval`` iterations.  An
     ``adapt_interval`` beyond ``max_iter`` freezes the step size ``gamma``.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    positive_finite("eps_infeas", eps_infeas)
+    _driver.positive_finite("eps_infeas", eps_infeas)
     cfg = _driver.DriverConfig(mode=mode, **settings)
     eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)

@@ -79,6 +79,19 @@ def safeguard(r_acc_norm: float, r_ref_norm: float, tau: float) -> bool:
     return r_acc_norm <= tau * r_ref_norm
 
 
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a positive finite real (not a str or bool)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def is_integer_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer (a bool is not) of at least ``least``."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 @dataclass
 class FixedPointState:
     """Current iterate with its operator value, residual and evaluation record."""
@@ -110,18 +123,14 @@ class DriverConfig:
 
     def __post_init__(self):
         capped = () if self.time_cap is None else ("time_cap",)
-        for name in ("eps", "eta_max", *capped):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("eps", "eta_max", "tau", *capped):
+            positive_finite(name, getattr(self, name))
         for name, least in (("m_max", 2), ("check_interval", 1), ("adapt_interval", 1),
                             ("max_iter", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
-        if not 0.0 < self.tau <= 2.0:
+            if not is_integer_at_least(value, least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not self.tau <= 2.0:
             raise ValueError("tau must lie in (0, 2]")
         if self.mode == STRICT and not self.tau < 1.0:
             raise ValueError("strict safeguarding needs tau in (0, 1)")

@@ -410,7 +410,7 @@ def test_run_benchmark_empty_inputs():
         run_benchmark(small_suite(1), ["vanilla"], tau=5.0)
 
 
-@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, None])
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, None, "5", True])
 def test_bad_time_cap_fails_before_any_solve(monkeypatch, cap):
     calls = []
     monkeypatch.setattr("fpaccel.conic.solve", lambda *a, **k: calls.append(a))
@@ -429,7 +429,7 @@ def test_cli_bad_time_cap_exits_before_any_solve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["gamma", "eps_infeas"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf, "2", True, None])
 def test_bad_solve_setting_fails_before_any_solve(monkeypatch, name, value):
     calls = []
     monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
@@ -464,6 +464,17 @@ def test_bad_shift_fails_before_any_solve(monkeypatch):
     monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
     with pytest.raises(ValueError, match="shift must be positive and finite"):
         run_benchmark(small_suite(1), ["vanilla"], sh=math.nan)
+    assert calls == []
+
+
+@pytest.mark.parametrize("sh", ["10", True, None])
+def test_non_numeric_shift_is_rejected_before_any_solve(monkeypatch, sh):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    for call in (lambda: shifted_gmean([1.0], sh=sh),
+                 lambda: run_benchmark(small_suite(1), ["vanilla"], sh=sh)):
+        with pytest.raises(ValueError, match="shift must be positive and finite"):
+            call()
     assert calls == []
 
 
@@ -631,3 +642,16 @@ def test_solve_identity_digest_sees_one_bit(monkeypatch):
     assert digest(sol) == base
     sol.record.entries[-1].j += 1
     assert digest(sol) != base
+
+
+def test_accel_share_summary_on_a_small_problem(monkeypatch):
+    # tools/accel_share.py summarizes the acceleration share of repeated
+    # solves; its statistics must be ordered and within the solves' totals.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    summary = importlib.import_module("accel_share").summary
+    problem = generate("RandomQP", n=6, m=12, seed=2)
+    records = [solve(problem, "safeguarded").record for _ in range(2)]
+    stats = summary(records)
+    assert 0.0 < stats["share_median"] <= stats["share_p95"] <= stats["share_max"] < 1.0
+    assert 0.0 < stats["accel_p50_s"] <= stats["accel_p99_s"] <= stats["accel_max_s"]
+    assert 0.0 <= stats["stall_s"] <= sum(rec.accel_seconds for rec in records)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel.cones import (
@@ -95,6 +97,32 @@ def test_projection_idempotent_and_nonexpansive(kind):
         pw = project_cone(block, w)
         assert np.linalg.norm(project_cone(block, pu) - pu) <= 1e-12 * (1 + np.linalg.norm(pu))
         assert np.linalg.norm(pu - pw) <= np.linalg.norm(u - w) + 1e-12
+
+
+# Rounding allowance of the projection identities, relative to ||v||
+# (||v||^2 for the inner product).
+PROJECTION_RTOL = 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    block=st.one_of(
+        st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 8)),
+        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(2, 8)),
+        st.builds(ConeBlock, st.just(PSD_TRIANGLE), st.sampled_from([1, 3, 6, 10])),
+    ),
+    scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_self_dual_projection_identities(block, scale, seed):
+    # Idempotence, and Moreau's decomposition for a self-dual cone:
+    # v = P(v) - P(-v) with P(v) orthogonal to P(-v).
+    v = 10.0**scale * np.random.default_rng(seed).standard_normal(block.dim)
+    pos, neg = project_cone(block, v), project_cone(block, -v)
+    norm = np.linalg.norm(v)
+    assert np.linalg.norm(project_cone(block, pos) - pos) <= PROJECTION_RTOL * norm
+    assert np.linalg.norm(v - (pos - neg)) <= PROJECTION_RTOL * norm
+    assert abs(pos @ neg) <= PROJECTION_RTOL * norm**2
 
 
 def test_recession_of_negation():

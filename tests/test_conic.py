@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
@@ -229,6 +231,48 @@ def test_drs_firmly_nonexpansive_small():
         assert lhs <= np.linalg.norm(v - w) ** 2 + 1e-9
 
 
+# Generator kinds for the operator properties, at sizes that keep each
+# example well under a millisecond.
+PROPERTY_PROBLEMS = {
+    "RandomQP": dict(n=8, m=12),
+    "Portfolio": dict(assets=6, factors=2),
+    "Lasso": dict(features=4, samples=6),
+    "RandomSDP": dict(side=3),
+}
+# Firm nonexpansiveness may fail by rounding only: by at most this share of
+# ||v - w||^2.
+FNE_RTOL = 1e-6
+
+
+@st.composite
+def drs_points(draw):
+    """A DRS operator over gamma = 10^u, u in [-6, 6], and two points v, w
+    drawn at independent scales from 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(sorted(PROPERTY_PROBLEMS)))
+    prob = generate(kind, seed=draw(st.integers(0, 2)), **PROPERTY_PROBLEMS[kind])
+    op = DrsOperator(prob, gamma=10.0 ** draw(st.floats(-6.0, 6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, w = (10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal(op.dim) for _ in range(2))
+    return op, v, w
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(drs_points())
+def test_drs_step_returns_the_kkt_x(point):
+    op, v, _w = point
+    assert op.apply(v)[: op.problem.n].tobytes() == op.info.x.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drs_points())
+def test_drs_step_is_firmly_nonexpansive(point):
+    op, v, w = point
+    fv, fw = op.apply(v), op.apply(w)
+    d, df = v - w, fv - fw
+    slack = d @ d - df @ df - (d - df) @ (d - df)
+    assert slack >= -FNE_RTOL * (d @ d)
+
+
 def test_vanilla_converges_linearly_on_seeded_qp():
     prob = generate("RandomQP", n=20, m=40, seed=9)
     sol = solve(prob, "vanilla", eps=1e-6)
@@ -295,7 +339,7 @@ def test_nan_box_bound_ends_diverged():
         assert sol.status == "diverged" and sol.record.iterations == 0
 
 
-@pytest.mark.parametrize("gamma", [0.0, -5.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("gamma", [0.0, -5.0, np.nan, np.inf, -np.inf, "2", True, None])
 def test_bad_starting_gamma_is_rejected(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         DrsOperator(tiny_qp(), gamma=gamma)
@@ -303,10 +347,25 @@ def test_bad_starting_gamma_is_rejected(gamma):
         solve(tiny_qp(), gamma=gamma)
 
 
-@pytest.mark.parametrize("eps_infeas", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("eps_infeas", [0.0, -1.0, np.nan, np.inf, "1e-6", True, None])
 def test_bad_eps_infeas_is_rejected(eps_infeas):
     with pytest.raises(ValueError, match="eps_infeas must be positive and finite"):
         solve(tiny_qp(), eps_infeas=eps_infeas)
+
+
+def test_solve_runs_strict_mode():
+    sol = solve(tiny_qp(), "strict", tau=0.5)
+    assert sol.status == "converged" and sol.record.strict_checks > 0
+    with pytest.raises(ValueError, match="mode must be one of"):
+        solve(tiny_qp(), "turbo")
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+def test_solve_counts_every_loop_evaluation(mode):
+    prob = generate("RandomQP", n=20, m=40, seed=9)
+    rec = solve(prob, mode, tau=0.5 if mode == "strict" else 2.0).record
+    assert rec.status == "converged"
+    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates + rec.strict_checks
 
 
 def test_finite_positive_gamma_is_clipped():

@@ -103,14 +103,14 @@ def test_config_validation():
     DriverConfig(tau=0.5, mode="strict")
     with pytest.raises(TypeError):  # type-II is the only coefficient solve
         DriverConfig(variant="type2")
-    for cap in (0.0, -1.0, math.nan, math.inf):
+    for cap in (0.0, -1.0, math.nan, math.inf, "5", True):
         with pytest.raises(ValueError, match="time_cap"):
             DriverConfig(time_cap=cap)
     assert DriverConfig(time_cap=1e-3).time_cap == 1e-3
 
 
-@pytest.mark.parametrize("name", ["eps", "eta_max"])
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["eps", "eta_max", "tau"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, "1e-6", True, None])
 def test_config_tolerances_must_be_positive_and_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         DriverConfig(**{name: value})

@@ -87,10 +87,6 @@ def main() -> int:
     from fpaccel import conic
     import workloads
 
-    # solve() offers the three benchmark configurations; admit strict mode too,
-    # so the strict runs go through the same operator and hooks.
-    conic.MODES = (*conic.MODES, "strict")
-
     iters, evals = Counter(), Counter()  # keyed by (set, workload@seed, mode)
 
     def tally(key, sol):
