@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .driver import is_integer_at_least
+
 ZERO = "zero"
 NONNEG = "nonneg"
 BOX = "box"
@@ -40,8 +42,8 @@ class ConeBlock:
     def __init__(self, kind: str, dim: int, l=None, u=None):
         if kind not in KINDS:
             raise ValueError(f"unknown cone kind {kind!r}")
-        if dim < 1:
-            raise ValueError("cone dimension must be positive")
+        if not is_integer_at_least(dim, 1):
+            raise ValueError(f"cone dimension must be an integer of at least 1, got {dim!r}")
         self.kind = kind
         self.dim = dim
         self.l = None

@@ -29,25 +29,16 @@ serves every solve at that gamma.  Each solve calls LAPACK ``dpotrs`` on the
 factor directly, as ``cho_solve`` would, without its per-call wrapper.
 
 Each application also reads off the primal-dual point x,
-s = project(v_s - 2 gamma lam), y = lam and keeps it, with its residual
-norms, as one immutable ``DrsStep`` record.  Neither norm costs a mat-vec:
-the KKT solve already forms A x for lam, which gives the primal residual
-A x + s - b, and its first row reads
-
-    P x + q + A' lam = (v_x - x) / gamma,
-
-which gives the dual residual to within the residual of the reduced solve,
-about eps ||M|| ||x|| for the reduced matrix M.  Only where that bound could
-exceed ``IDENTITY_RTOL`` of the norm (small gamma near a solution) is the
-dual residual formed from the data instead.  Otherwise P x and A'y are
-formed only when gamma is rebalanced, and once by ``solve`` for the dual
-residual it reports, which it recomputes from the data at the returned
-point.  The driver carries the record of the iterate it holds in
-``FixedPointState.info``; convergence, trace metrics, step-size adaptation
-and the returned solution all read it there, so no operator evaluation
-happens outside the counted ones.  The step size gamma is the single
-operator parameter; adapting it refactors the reduced matrix and bumps the
-operator epoch.
+s = project(v_s - 2 gamma lam), y = lam and keeps it, with the product A x
+the KKT solve already formed, as one immutable ``DrsStep`` record; it forms
+no residual norm.  ``DrsOperator.residuals`` forms the primal and dual
+residual norms of a step from the data, and only the decisions that read
+them call it: the convergence test every ``check_interval`` steps,
+step-size adaptation every ``adapt_interval`` steps and ``solve``'s return.
+The driver carries the record of the iterate it holds in
+``FixedPointState.info``, so no operator evaluation happens outside the
+counted ones.  The step size gamma is the single operator parameter;
+adapting it refactors the reduced matrix and bumps the operator epoch.
 """
 
 from __future__ import annotations
@@ -69,11 +60,6 @@ DUAL_INFEASIBLE = "dual_infeasible"
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 1e6
 
-# Accuracy, relative to max(1, r_dual), that the dual residual norm r_dual
-# read off a KKT solve must have; below it the data give r_dual instead.
-IDENTITY_RTOL = 1e-13
-_EPS = float(np.finfo(float).eps)
-
 
 class Certificate:
     """Infeasibility witness, normalized to unit infinity-norm."""
@@ -93,6 +79,9 @@ class ConicProblem:
 
     def __init__(self, P, q, A, b, cones):
         q = np.asarray(q, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if q.ndim != 1 or b.ndim != 1:
+            raise ValueError("q and b must be vectors")
         n = q.size
         if n < 1:
             raise ValueError("problem needs at least one variable")
@@ -101,7 +90,6 @@ class ConicProblem:
             raise ValueError("P must be n-by-n")
         if np.abs(P - P.T).max(initial=0.0) > 1e-12 * (1.0 + np.abs(P).max(initial=0.0)):
             raise ValueError("P must be symmetric")
-        b = np.asarray(b, dtype=float)
         m = b.size
         A = np.zeros((m, n)) if A is None else np.asarray(A, dtype=float)
         if A.shape != (m, n):
@@ -130,26 +118,19 @@ class ConicProblem:
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x)
 
-    def dual_residual(self, x: np.ndarray, y: np.ndarray) -> float:
-        """The infinity norm of P x + q + A'y, formed from the data."""
-        return _inf_norm(self.P @ x + self.q + self.A.T @ y)
-
 
 @dataclass(frozen=True)
 class DrsStep:
     """One operator evaluation read as a primal-dual point.
 
     x is the prox output, s the projected slack and y the KKT multiplier
-    lam; ax is the product A x behind the primal residual norm.  The dual
-    residual norm comes from the KKT identity (see the module docstring).
+    lam; ax is the product A x that the KKT solve formed.
     """
 
     x: np.ndarray
     s: np.ndarray
     y: np.ndarray
     ax: np.ndarray
-    r_prim: float
-    r_dual: float
 
 
 class DrsOperator(FixedPointOperator):
@@ -162,8 +143,7 @@ class DrsOperator(FixedPointOperator):
         super().__init__(problem.n + problem.m)
         self.problem = problem
         self._slices = problem.cone_slices()
-        gamma = _driver.positive_finite("gamma", gamma)
-        self.gamma = float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
+        self.gamma = _step_size(gamma)
         self._refactor()
 
     # -- parameter handling --------------------------------------------
@@ -173,10 +153,10 @@ class DrsOperator(FixedPointOperator):
         return np.array([self.gamma])
 
     def set_params(self, rho) -> None:
-        rho = np.asarray(rho, dtype=float)
+        rho = np.asarray(rho)
         if rho.shape != (1,):
             raise ValueError("expected a single step-size parameter")
-        gamma = float(np.clip(rho[0], GAMMA_MIN, GAMMA_MAX))
+        gamma = _step_size(rho[0])
         if gamma == self.gamma:
             return
         self.gamma = gamma
@@ -198,8 +178,6 @@ class DrsOperator(FixedPointOperator):
         self._factor, info = dpotrf(reduced, lower=0, clean=0)
         if info != 0:
             raise LinAlgError(f"KKT reduced matrix not positive definite (potrf info {info})")
-        # Bound on the reduced solve's residual per unit of ||x||: eps ||M||.
-        self._solve_err = _EPS * float(np.abs(reduced, out=reduced).sum(axis=1).max())
 
     # -- the operator -------------------------------------------------------
 
@@ -212,17 +190,12 @@ class DrsOperator(FixedPointOperator):
         ax = prob.A @ x
         return x, (ax - r2) / gamma, ax
 
-    def residuals(self, x, s, y, ax, r_dual=None) -> DrsStep:
-        """The step record of (x, s, y), with its primal and dual residual norms.
-
-        ``r_dual`` is the norm of the dual residual P x + q + A'y when it is
-        already known; otherwise it is formed from the data.
-        """
+    def residuals(self, step: DrsStep) -> tuple[float, float]:
+        """(r_prim, r_dual): the infinity norms of A x + s - b and P x + q + A'y
+        at a step's point, formed from the data."""
         prob = self.problem
-        if r_dual is None:
-            r_dual = prob.dual_residual(x, y)
-        r_prim = _inf_norm(ax + s - prob.b) if prob.m else 0.0
-        return DrsStep(x, s, y, ax, r_prim, r_dual)
+        r_prim = _inf_norm(step.ax + step.s - prob.b)
+        return r_prim, _inf_norm(prob.P @ step.x + prob.q + prob.A.T @ step.y)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """The DRS step in reduced form, v+ = (x, project(v_s - 2 gamma lam) + gamma lam)."""
@@ -231,12 +204,7 @@ class DrsOperator(FixedPointOperator):
         s = v[n:] - 2.0 * gamma * lam
         for block, sl in zip(prob.cones, self._slices):
             s[sl] = project_cone(block, s[sl])
-        # The first KKT row: P x + q + A' lam = (v_x - x) / gamma, up to the
-        # residual of the reduced solve.
-        r_dual = _inf_norm(v[:n] - x) / gamma
-        if self._solve_err * _inf_norm(x) > IDENTITY_RTOL * max(1.0, r_dual):
-            r_dual = None
-        self.info = self.residuals(x, s, lam, ax, r_dual)
+        self.info = DrsStep(x, s, lam, ax)
         return np.concatenate([x, s + gamma * lam])
 
     # -- parameter adaptation -------------------------------------------------
@@ -244,21 +212,21 @@ class DrsOperator(FixedPointOperator):
     def adapt_gamma(self, step: DrsStep, tol: float = 1e-6) -> bool:
         """Rebalance gamma from the scaled primal/dual residual ratio of a step.
 
-        The dual scale's products P x and A'y are formed here, from the
-        step's own x and y; no evaluation keeps them.
+        The residual norms come from ``residuals`` and the dual scale's
+        products P x and A'y are formed here, from the step's own x and y.
 
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
         an already-converged step (both residuals <= tol) is left alone.
         Returns True when gamma changed (epoch bumped, KKT refactored).
         """
-        r_prim, r_dual = step.r_prim, step.r_dual
+        prob = self.problem
+        if prob.m == 0:
+            return False
+        r_prim, r_dual = self.residuals(step)
         if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
             return False
         if r_prim <= tol and r_dual <= tol:
-            return False
-        prob = self.problem
-        if prob.m == 0:
             return False
         prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
         dual_scale = max(
@@ -323,6 +291,11 @@ def _inf_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).max(initial=0.0))
 
 
+def _step_size(gamma) -> float:
+    """A requested step size, checked positive and finite, clipped to [GAMMA_MIN, GAMMA_MAX]."""
+    return float(np.clip(_driver.positive_finite("gamma", gamma), GAMMA_MIN, GAMMA_MAX))
+
+
 class ConicSolution:
     """Solve outcome: status, primal-dual point, and the full run record."""
 
@@ -357,31 +330,44 @@ def solve(
     Termination tests the absolute infinity-norm primal and dual residuals
     against ``eps`` every ``check_interval`` iterations.  An
     ``adapt_interval`` beyond ``max_iter`` freezes the step size ``gamma``.
+
+    Every decision reads the residuals formed from the data
+    (``DrsOperator.residuals``): the convergence test, step-size adaptation
+    and the returned ``r_prim`` and ``r_dual``.  The per-iteration trace
+    columns are read off the fixed-point residual r = v - F(v) that the
+    driver already holds: r_s = -(A x + s - b) up to rounding gives
+    ``r_prim = ||r_s||``, and the first KKT row, r_x = gamma (P x + q + A'y)
+    up to the KKT solve's residual, gives ``r_dual = ||r_x|| / gamma``.  This
+    second formula is kept for cost alone: the data's r_dual would put the
+    two mat-vecs P x and A'y back into every iteration.
     """
     _driver.positive_finite("eps_infeas", eps_infeas)
     cfg = _driver.DriverConfig(mode=mode, **settings)
     eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
+    n = problem.n
     hooks = _driver.Hooks(
-        converged=lambda state, _op: state.info.r_prim <= eps and state.info.r_dual <= eps,
+        converged=lambda state, operator: all(r <= eps for r in operator.residuals(state.info)),
         operator_update=lambda operator, state: operator.adapt_gamma(state.info, tol=eps),
         infeasibility=lambda operator, dv: operator.infeasibility_check(dv, eps_infeas),
-        metrics=lambda _op, state: (state.info.r_prim, state.info.r_dual),
+        metrics=lambda operator, state: (
+            _inf_norm(state.r[n:]), _inf_norm(state.r[:n]) / operator.gamma
+        ),
     )
 
     if v0 is None:
         v0 = np.zeros(op.dim)
     record = _driver.run(op, v0, cfg, hooks)
     step = record.final_state.info
+    r_prim, r_dual = op.residuals(step)
     return ConicSolution(
         status=record.status,
         x=step.x,
         s=step.s,
         y=step.y,
         objective=problem.objective(step.x),
-        r_prim=step.r_prim,
-        # The loop's r_dual may come from the KKT identity; report the data's.
-        r_dual=problem.dual_residual(step.x, step.y),
+        r_prim=r_prim,
+        r_dual=r_dual,
         record=record,
         certificate=record.certificate,
     )

@@ -630,16 +630,23 @@ def test_solve_identity_digest_sees_one_bit(monkeypatch):
     # tools/solve_identity.py fingerprints solves to show a change is
     # bit-identical; one flipped bit of x or one trace column must show.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
-    digest = importlib.import_module("solve_identity").solve_digest
+    tool = importlib.import_module("solve_identity")
+    digest, points = tool.solve_digest, tool.points_digest
     sol = solve(generate("RandomQP", n=6, m=12, seed=2), "safeguarded")
-    base = digest(sol)
+    base, base_points = digest(sol), points(sol)
     sol.record.total_seconds += 1.0  # timings are left out
     sol.record.entries[0].elapsed += 1.0
-    assert digest(sol) == base
+    assert digest(sol) == base and points(sol) == base_points
     sol.x.view(np.uint64)[0] ^= 1
-    assert digest(sol) != base
+    assert digest(sol) != base and points(sol) != base_points
     sol.x.view(np.uint64)[0] ^= 1
-    assert digest(sol) == base
+    assert digest(sol) == base and points(sol) == base_points
+    sol.record.final_state.v.view(np.uint64)[-1] ^= 1  # the final iterate is a point
+    assert points(sol) != base_points
+    sol.record.final_state.v.view(np.uint64)[-1] ^= 1
+    # a trace residual column moves the full digest, not the points digest
+    sol.record.entries[-1].r_dual = np.nextafter(sol.record.entries[-1].r_dual, np.inf)
+    assert digest(sol) != base and points(sol) == base_points
     sol.record.entries[-1].j += 1
     assert digest(sol) != base
 

@@ -46,7 +46,12 @@ def test_block_validation():
         ConeBlock(BOX, 2, l=[1.0, 0.0], u=[0.0, 1.0])
     with pytest.raises(ValueError):
         ConeBlock(NONNEG, 2, l=[0.0, 0.0])
+    for kind, dim in ((PSD_TRIANGLE, 3.0), (NONNEG, 2.5), (NONNEG, True), (NONNEG, "2"),
+                      (NONNEG, 0), (ZERO, -1), (NONNEG, None)):
+        with pytest.raises(ValueError, match="cone dimension must be an integer of at least 1"):
+            ConeBlock(kind, dim)
     assert ConeBlock(PSD_TRIANGLE, 6).side == 3
+    assert ConeBlock(NONNEG, np.int64(2)).dim == 2
 
 
 def test_svec_smat_round_trip():

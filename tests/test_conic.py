@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 from fpaccel.cones import BOX, NONNEG, ZERO, ConeBlock
-from fpaccel.conic import ConicProblem, DrsOperator, solve
+from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, solve
 from fpaccel.problems import generate
 
 
@@ -33,6 +31,12 @@ def test_problem_validation():
         ConicProblem(None, [0.0], [[1.0]], [1.0], [ConeBlock(NONNEG, 2)])  # dims
     with pytest.raises(ValueError):
         ConicProblem(None, [np.nan], None, [], [])
+    with pytest.raises(ValueError, match="q and b must be vectors"):
+        ConicProblem(None, [[1.0, 2.0]], None, [], [])  # a row matrix q
+    with pytest.raises(ValueError, match="q and b must be vectors"):
+        ConicProblem(None, [1.0], [[1.0]], [[1.0]], [ConeBlock(NONNEG, 1)])  # a matrix b
+    with pytest.raises(ValueError, match="q and b must be vectors"):
+        ConicProblem(None, 1.0, None, [], [])  # a scalar q
 
 
 def test_prox_identity_when_objective_vanishes():
@@ -136,19 +140,22 @@ def test_zero_cone_matches_equality_kkt_oracle():
 def test_residual_norms_trivial():
     prob = ConicProblem(None, np.zeros(2), np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]),
                         [ConeBlock(NONNEG, 3)])
-    step = DrsOperator(prob).residuals(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3))
-    assert step.r_prim == 0.0 and step.r_dual == 0.0
+    step = DrsStep(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3))
+    assert DrsOperator(prob).residuals(step) == (0.0, 0.0)
 
 
 def test_residual_norms_match_recomputation():
+    # residuals(step) is the data formula at the step's own point, bit for
+    # bit, with or without constraints.
     rng = np.random.default_rng(4)
-    prob = generate("RandomQP", n=10, m=15, seed=5)
-    x = rng.standard_normal(10)
-    s = rng.standard_normal(15)
-    y = rng.standard_normal(15)
-    step = DrsOperator(prob).residuals(x, s, y, prob.A @ x)
-    assert step.r_prim == pytest.approx(np.abs(prob.A @ x + s - prob.b).max())
-    assert step.r_dual == pytest.approx(np.abs(prob.P @ x + prob.q + prob.A.T @ y).max())
+    for prob in (generate("RandomQP", n=10, m=15, seed=5),
+                 ConicProblem(np.eye(3), [1.0, -2.0, 0.5], None, [], [])):
+        n, m = prob.n, prob.m
+        x, s, y = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)
+        r_prim, r_dual = DrsOperator(prob).residuals(DrsStep(x, s, y, prob.A @ x))
+        assert r_prim == np.abs(prob.A @ x + s - prob.b).max(initial=0.0)
+        assert r_dual == np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
+    assert r_prim == 0.0  # m = 0 has no primal residual
 
 
 def test_residuals_at_converged_point():
@@ -168,6 +175,14 @@ def test_gamma_update_refactors_and_bumps_epoch():
     assert op.epoch == 1  # unchanged parameters do not bump the epoch
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, "1"])
+def test_set_params_validates_like_the_constructor(gamma):
+    op = DrsOperator(tiny_qp(), gamma=0.5)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        op.set_params([gamma])
+    assert op.gamma == 0.5 and op.epoch == 0
+
+
 def test_adapt_gamma_deadband_and_clip():
     prob = generate("RandomQP", n=8, m=12, seed=6)
     op = DrsOperator(prob, gamma=1.0)
@@ -175,27 +190,27 @@ def test_adapt_gamma_deadband_and_clip():
     op.apply(v)
     step = op.info
     x, s, y = step.x, step.s, step.y
-    # the record's residuals are those of its own point, bit for bit
-    assert step.r_prim == np.abs(prob.A @ x + s - prob.b).max()
-    assert step.r_dual == np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
     prim_scale = max(np.abs(prob.A @ x).max(), np.abs(s).max(), np.abs(prob.b).max(), 1.0)
     dual_scale = max(
         np.abs(prob.P @ x).max(), np.abs(prob.q).max(), np.abs(prob.A.T @ y).max(), 1.0
     )
 
     # balanced residuals: factor 1 sits inside the deadband
-    assert not op.adapt_gamma(replace(step, r_prim=prim_scale, r_dual=dual_scale))
+    op.residuals = lambda _step: (prim_scale, dual_scale)
+    assert not op.adapt_gamma(step)
     assert op.epoch == 0
 
     # scaled ratio 100 -> clip(sqrt(100)) = 10 -> gamma divided by 10
-    assert op.adapt_gamma(replace(step, r_prim=100.0 * prim_scale, r_dual=dual_scale))
+    op.residuals = lambda _step: (100.0 * prim_scale, dual_scale)
+    assert op.adapt_gamma(step)
     assert op.epoch == 1
     assert op.gamma == pytest.approx(0.1)
 
     # converged state: no change regardless of the ratio
     op2 = DrsOperator(prob, gamma=1.0)
     op2.apply(v)
-    assert not op2.adapt_gamma(replace(op2.info, r_prim=1e-9, r_dual=1e-13), tol=1e-6)
+    op2.residuals = lambda _step: (1e-9, 1e-13)
+    assert not op2.adapt_gamma(op2.info, tol=1e-6)
     assert op2.epoch == 0
 
 
@@ -383,27 +398,65 @@ def _data_residuals(prob, x, s, y):
     return r_prim, np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
 
 
-def _identity_test_points(prob, gamma, rng):
-    """A solved, a perturbed and a random iterate of the operator at gamma."""
-    sol = solve(prob, "safeguarded", eps=1e-9)
-    solved = np.concatenate([sol.x, sol.s + gamma * sol.y])  # the fixed point at gamma
-    perturbed = solved + 1e-3 * (1.0 + np.abs(solved)) * rng.standard_normal(solved.size)
-    return solved, perturbed, 5.0 * rng.standard_normal(solved.size)
+GAMMAS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+# Trace columns may differ from the data residuals by rounding, relative to
+# the scale of the numbers they are formed from, and r_dual also by the
+# residual of the reduced KKT solve, at most a few eps ||M|| ||x||.
+TRACE_RTOL = 1e-12
+KKT_SLACK = 100.0
 
 
-@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("gamma", GAMMAS)
 def test_dual_residual_identity_matches_the_data(gamma):
-    # The operator reads r_dual off the first KKT row, (v_x - x) / gamma; it
-    # must be the data residual P x + q + A'y of its own point across gamma.
-    rng = np.random.default_rng(12)
+    # The trace reads r_prim = ||r_s|| and r_dual = ||r_x|| / gamma off the
+    # fixed-point residual r = v - F(v); both must be the data residuals of
+    # the iterate's point, within bounds fixed above.
+    frozen = {"adapt_interval": 10**6, "eps": 1e-9}
     for prob in (generate("RandomQP", n=20, m=40, seed=13), generate("RandomSDP", side=5, seed=14)):
-        op = DrsOperator(prob, gamma=gamma)
-        for v in _identity_test_points(prob, gamma, rng):
-            op.apply(v)
-            step = op.info
-            r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
-            assert step.r_prim == r_prim
-            assert abs(step.r_dual - r_dual) <= 1e-12 * max(1.0, r_dual)
+        reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / gamma
+        kkt_norm = np.abs(reduced).sum(axis=1).max()
+        for max_iter in (1, 30, 300):
+            sol = solve(prob, "safeguarded", gamma=gamma, max_iter=max_iter, **frozen)
+            last, v = sol.record.entries[-1], sol.record.final_state.v
+            scale = max(1.0, *(np.abs(a).max() for a in (v, prob.b, prob.A @ sol.x, sol.s)))
+            assert abs(last.r_prim - sol.r_prim) <= TRACE_RTOL * scale
+            kkt_err = KKT_SLACK * np.finfo(float).eps * kkt_norm * np.abs(sol.x).max()
+            assert abs(last.r_dual - sol.r_dual) <= TRACE_RTOL * max(1.0, sol.r_dual) + kkt_err
+
+
+@pytest.fixture(scope="module")
+def sweep_problems():
+    """(problem, eps, its accurate solution) for the step-size sweep.  The
+    RandomQP has A and b scaled by 30, which makes the reduced KKT matrix
+    large at small gamma."""
+    qp = generate("RandomQP", n=20, m=40, seed=13)
+    problems = (
+        (ConicProblem(qp.P, qp.q, 30.0 * qp.A, 30.0 * qp.b, qp.cones), 1e-6),
+        (generate("RandomSDP", side=5, seed=14), 1e-5),
+        (tiny_qp(), 1e-8),
+    )
+    return [(prob, eps, solve(prob, "safeguarded", eps=1e-10)) for prob, eps in problems]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_converged_means_data_residuals_within_eps(gamma, sweep_problems):
+    # With the step size frozen anywhere in its range, a converged status
+    # always certifies the data residuals of the returned point: from a cold
+    # start, and from at or near the solution, where at small gamma the KKT
+    # identity r_x / gamma is too coarse to decide convergence.
+    rng = np.random.default_rng(12)
+    frozen = {"adapt_interval": 10**6, "max_iter": 300, "check_interval": 5}
+    converged = 0
+    for prob, eps, ref in sweep_problems:
+        fixed = np.concatenate([ref.x, ref.s + gamma * ref.y])  # the fixed point at gamma
+        near = fixed + 1e-9 * (1.0 + np.abs(fixed)) * rng.standard_normal(fixed.size)
+        for v0 in (None, fixed, near):
+            for mode in ("vanilla", "safeguarded"):
+                sol = solve(prob, mode, gamma=gamma, eps=eps, v0=v0, **frozen)
+                if sol.status == "converged":
+                    converged += 1
+                    assert sol.r_prim <= eps and sol.r_dual <= eps
+    assert converged > 0
 
 
 def test_adapt_gamma_decides_from_the_data_products():
@@ -417,12 +470,13 @@ def test_adapt_gamma_decides_from_the_data_products():
             op = DrsOperator(prob, gamma=gamma)
             op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
             step = op.info
+            r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
             prim_scale = max(np.abs(step.ax).max(), np.abs(step.s).max(), np.abs(prob.b).max(), 1.0)
             dual_scale = max(
                 np.abs(prob.P @ step.x).max(), np.abs(prob.q).max(),
                 np.abs(prob.A.T @ step.y).max(), 1.0,
             )
-            ratio = (step.r_prim / prim_scale) / max(step.r_dual / dual_scale, 1e-300)
+            ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
             factor = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
             want = op.gamma if 0.2 <= factor <= 5.0 else float(np.clip(op.gamma / factor, 1e-6, 1e6))
             assert op.adapt_gamma(step) == (want != gamma)
@@ -447,24 +501,29 @@ def test_reported_residuals_are_the_data_residuals(prob, settings):
     assert sol.r_prim == r_prim and sol.r_dual == r_dual
 
 
-def test_evaluations_take_r_dual_from_the_kkt_solve(monkeypatch):
-    # At a moderate step size no evaluation forms P x or A'y.  At gamma =
-    # 1e-6 the identity is too coarse near the solution, and the data take
-    # over there.
-    from_data = []
+def test_evaluations_form_no_residual_norms(monkeypatch):
+    # Only the decisions call residuals(): each convergence check, each
+    # scheduled step-size update and solve's return, never an evaluation.
+    calls = []
     residuals = DrsOperator.residuals
 
-    def counted(op, x, s, y, ax, r_dual=None):
-        from_data.append(r_dual is None)
-        return residuals(op, x, s, y, ax, r_dual)
+    def counted(op, step):
+        calls.append(1)
+        return residuals(op, step)
 
     monkeypatch.setattr(DrsOperator, "residuals", counted)
     prob = generate("RandomQP", n=20, m=40, seed=9)
-    rec = solve(prob, "safeguarded", eps=1e-6).record
-    assert len(from_data) == rec.operator_evaluations + 1 and not any(from_data)
-    from_data.clear()
-    solve(prob, "vanilla", gamma=1e-6, eps=1e-6, adapt_interval=10**6, max_iter=200)
-    assert 1 < sum(from_data) < len(from_data)
+    op = DrsOperator(prob)
+    for _ in range(5):
+        op.apply(np.random.default_rng(0).standard_normal(op.dim))
+    assert not calls
+    for gamma in (1.0, 1e-3):
+        calls.clear()
+        rec = solve(prob, "safeguarded", gamma=gamma, eps=1e-6, adapt_interval=7).record
+        assert rec.status == "converged"
+        updates = (rec.iterations - 1) // 7
+        assert len(calls) == rec.convergence_checks + updates + 1
+        assert len(calls) < rec.operator_evaluations / 3
 
 
 @pytest.mark.parametrize("mode", ["unsafe", "safeguarded"])

@@ -5,7 +5,8 @@
 
 Runs from the root of a source checkout and imports ``fpaccel`` from its
 ``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
-solves two sets and prints one sha256 per solve, then two digests per set:
+solves two sets and prints the full and the points sha256 of each solve, then
+three combined digests per set:
 
 * ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
   and 1 and ``qp_large`` at seed 0, each case in the three configurations
@@ -16,9 +17,12 @@ solves two sets and prints one sha256 per solve, then two digests per set:
 Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
 ``y`` and the final iterate, the objective's bits and every trace column
 except the two timings.  Equal digests on two checkouts mean every iterate,
-decision and count is the same.  The *counts* digest covers only the status,
-the run counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch``
-and ``cum_evals``: equal counts digests mean every decision and count is the
+decision and count is the same.  The *points* digest covers the status, the
+run counters and the bytes of ``x``, ``s``, ``y`` and the final iterate but
+no trace column: equal points digests with unequal full digests mean only
+trace columns moved.  The *counts* digest covers only the status, the run
+counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
+``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
 Last come the summed iterations and operator evaluations of each set per
 ``workload@seed`` and mode, the counts a behaviour change moves.
@@ -53,12 +57,17 @@ def _status_and_counters(sol):
     return h
 
 
+def _points(sol):
+    h = _status_and_counters(sol)
+    for arr in (sol.x, sol.s, sol.y, sol.record.final_state.v):
+        h.update(struct.pack("<q", arr.size) + arr.astype("<f8").tobytes())
+    return h
+
+
 def solve_digest(sol) -> str:
     """sha256 over everything a solve decides, its timings excepted."""
     rec = sol.record
-    h = _status_and_counters(sol)
-    for arr in (sol.x, sol.s, sol.y, rec.final_state.v):
-        h.update(struct.pack("<q", arr.size) + arr.astype("<f8").tobytes())
+    h = _points(sol)
     h.update(struct.pack("<d", sol.objective))
     for e in rec.entries:
         h.update(struct.pack(
@@ -66,6 +75,11 @@ def solve_digest(sol) -> str:
             e.step_norm, e.r_prim, e.r_dual, e.infeas_checked,
         ))
     return h.hexdigest()
+
+
+def points_digest(sol) -> str:
+    """sha256 over a solve's status, counters and returned point and iterate."""
+    return _points(sol).hexdigest()
 
 
 def counts_digest(sol) -> str:
@@ -93,30 +107,31 @@ def main() -> int:
         iters[key] += sol.record.iterations
         evals[key] += sol.record.operator_evaluations
 
-    bench, bench_counts = [], []
+    digests = {"bench": ([], [], []), "strict": ([], [], [])}  # full, points, counts
+
+    def record(kind, sol):
+        for out, digest in zip(digests[kind], (solve_digest, points_digest, counts_digest)):
+            out.append(digest(sol))
+        return f"{digests[kind][0][-1]} {digests[kind][1][-1]}"
+
     for workload, seed in BENCH_SETS:
         for case in workloads.build(workload, seed):
             for mode in workloads.MODES:
                 sol = conic.solve(case.problem, mode, eps=case.eps, gamma=case.gamma)
-                bench.append(solve_digest(sol))
-                bench_counts.append(counts_digest(sol))
                 tally(("bench", f"{workload}@{seed}", mode), sol)
-                print(f"bench  {workload}@{seed} {case.name} {mode} {bench[-1]}")
+                print(f"bench  {workload}@{seed} {case.name} {mode} {record('bench', sol)}")
 
-    strict, strict_counts = [], []
     cases = [("qp_small", c) for c in workloads.build("qp_small")[:STRICT_QP_SMALL_CASES]]
     cases += [("adapt_infeas", c) for c in workloads.build("adapt_infeas")]
     for workload, case in cases:
         sol = conic.solve(case.problem, "strict", eps=case.eps, gamma=case.gamma, tau=STRICT_TAU)
-        strict.append(solve_digest(sol))
-        strict_counts.append(counts_digest(sol))
         tally(("strict", f"{workload}@0", "strict"), sol)
-        print(f"strict {case.name} {strict[-1]}")
+        print(f"strict {case.name} {record('strict', sol)}")
 
-    print(f"bench digest ({len(bench)} solves): {combined(bench)}")
-    print(f"bench counts digest ({len(bench)} solves): {combined(bench_counts)}")
-    print(f"strict digest ({len(strict)} solves): {combined(strict)}")
-    print(f"strict counts digest ({len(strict)} solves): {combined(strict_counts)}")
+    for kind, (full, points, counts) in digests.items():
+        print(f"{kind} digest ({len(full)} solves): {combined(full)}")
+        print(f"{kind} points digest ({len(points)} solves): {combined(points)}")
+        print(f"{kind} counts digest ({len(counts)} solves): {combined(counts)}")
     for key in iters:
         print("sums {} {} {} iterations={} evaluations={}".format(*key, iters[key], evals[key]))
     return 0
