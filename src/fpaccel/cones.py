@@ -6,6 +6,14 @@ one), second-order cone (leading entry is t), and PSD matrices stored as
 scaled lower-triangle vectors.  PSD blocks use the convention that
 off-diagonal entries are multiplied by sqrt(2), so the vector 2-norm
 matches the matrix Frobenius norm.
+
+``project_cone`` is the only code that knows each cone's geometry.  For a
+closed convex cone K the certificate tests read membership off it, as the
+infinity norm of a vector's offset from its projection: d - P_{-K}(d) =
+d + P_K(-d) for -K, and w - P_{K polar}(w) = P_K(w) for the polar cone by
+Moreau's decomposition.  A box is the exception, because it is not a cone:
+its recession cone and its support function depend on which bounds are
+finite, not on the projection at one point.
 """
 
 from __future__ import annotations
@@ -53,8 +61,12 @@ class ConeBlock:
             self.u = np.full(dim, np.inf) if u is None else np.asarray(u, dtype=float)
             if self.l.shape != (dim,) or self.u.shape != (dim,):
                 raise ValueError("box bounds must match the block dimension")
-            if np.any(self.l > self.u):
-                raise ValueError("box lower bounds exceed upper bounds")
+            # Comparisons with NaN are False, so a NaN bound fails too; l = inf
+            # or u = -inf admits no point.
+            if not (
+                np.all(self.l <= self.u) and np.all(self.l < np.inf) and np.all(self.u > -np.inf)
+            ):
+                raise ValueError("box bounds need l <= u, l < inf and u > -inf, and no NaN")
         elif l is not None or u is not None:
             raise ValueError(f"bounds only apply to box blocks, not {kind!r}")
         if kind == PSD_TRIANGLE:
@@ -136,13 +148,11 @@ def in_recession_of_negation(block: ConeBlock, d: np.ndarray, tol: float) -> boo
     """Whether d lies in the recession cone of -K, within absolute tol.
 
     This is the direction test for unboundedness certificates: moving the
-    slack along -d forever must stay inside the block.
+    slack along -d forever must stay inside the block.  For a cone the
+    recession cone of -K is -K itself, and since P_{-K}(d) = -P_K(-d) the
+    test is ||d + P_K(-d)||_inf <= tol.
     """
     d = np.asarray(d, dtype=float)
-    if block.kind == ZERO:
-        return bool(np.abs(d).max() <= tol)
-    if block.kind == NONNEG:
-        return bool(d.max() <= tol)
     if block.kind == BOX:
         lo_finite = np.isfinite(block.l)
         hi_finite = np.isfinite(block.u)
@@ -150,22 +160,18 @@ def in_recession_of_negation(block: ConeBlock, d: np.ndarray, tol: float) -> boo
         ok_pos = np.all(d[lo_finite] <= tol)
         ok_neg = np.all(d[hi_finite] >= -tol)
         return bool(ok_pos and ok_neg)
-    if block.kind == SECOND_ORDER:
-        return bool(np.linalg.norm(d[1:]) <= -d[0] + tol)
-    return bool(np.linalg.eigvalsh(smat(-d)).min() >= -tol)
+    return bool(np.abs(d + project_cone(block, -d)).max() <= tol)
 
 
 def cone_support(block: ConeBlock, w: np.ndarray, tol: float) -> float:
     """Support function sup_{s in K} <w, s>, with absolute tolerance.
 
     Returns 0.0 when the supremum vanishes (w in the polar cone, within
-    tol), a finite value for box blocks, and inf when unbounded.
+    tol), a finite value for box blocks, and inf when unbounded.  For a cone
+    w is polar exactly when P_K(w) = 0 (Moreau), so the test is
+    ||P_K(w)||_inf <= tol.
     """
     w = np.asarray(w, dtype=float)
-    if block.kind == ZERO:
-        return 0.0
-    if block.kind == NONNEG:
-        return 0.0 if w.max() <= tol else math.inf
     if block.kind == BOX:
         total = 0.0
         for wi, lo, hi in zip(w, block.l, block.u):
@@ -178,7 +184,4 @@ def cone_support(block: ConeBlock, w: np.ndarray, tol: float) -> float:
                     return math.inf
                 total += wi * lo
         return total
-    if block.kind == SECOND_ORDER:
-        # Self-dual: the support is zero iff w is in -K.
-        return 0.0 if np.linalg.norm(w[1:]) <= -w[0] + tol else math.inf
-    return 0.0 if np.linalg.eigvalsh(smat(w)).max() <= tol else math.inf
+    return 0.0 if np.abs(project_cone(block, w)).max() <= tol else math.inf

@@ -258,33 +258,26 @@ class DrsOperator(FixedPointOperator):
         dx_norm = _inf_norm(dx)
         if dx_norm > 1e-10:
             d = dx / dx_norm
-            if (
-                _inf_norm(prob.P @ d) <= eps_inf
-                and prob.q @ d < -eps_inf
-                and self._direction_in_neg_recession(prob.A @ d, eps_inf)
-            ):
-                return Certificate(DUAL_INFEASIBLE, d)
+            if _inf_norm(prob.P @ d) <= eps_inf and prob.q @ d < -eps_inf:
+                ad = prob.A @ d
+                if all(
+                    in_recession_of_negation(block, ad[sl], eps_inf)
+                    for block, sl in zip(prob.cones, self._slices)
+                ):
+                    return Certificate(DUAL_INFEASIBLE, d)
 
-        if prob.m > 0:
-            dy = dv[n:] / gamma
-            dy_norm = _inf_norm(dy)
-            if dy_norm > 1e-10:
-                w = dy / dy_norm
-                if _inf_norm(prob.A.T @ w) <= eps_inf:
-                    support = 0.0
-                    for block, sl in zip(prob.cones, self._slices):
-                        support += cone_support(block, -w[sl], eps_inf)
-                        if not np.isfinite(support):
-                            break
-                    if np.isfinite(support) and prob.b @ w + support < -eps_inf:
-                        return Certificate(PRIMAL_INFEASIBLE, w)
+        dy = dv[n:] / gamma
+        dy_norm = _inf_norm(dy)
+        if dy_norm > 1e-10:
+            w = dy / dy_norm
+            if _inf_norm(prob.A.T @ w) <= eps_inf:
+                support = sum(
+                    cone_support(block, -w[sl], eps_inf)
+                    for block, sl in zip(prob.cones, self._slices)
+                )
+                if prob.b @ w + support < -eps_inf:
+                    return Certificate(PRIMAL_INFEASIBLE, w)
         return None
-
-    def _direction_in_neg_recession(self, d: np.ndarray, tol: float) -> bool:
-        return all(
-            in_recession_of_negation(block, d[sl], tol)
-            for block, sl in zip(self.problem.cones, self._slices)
-        )
 
 
 def _inf_norm(arr: np.ndarray) -> float:

@@ -295,7 +295,6 @@ def load_problem(path) -> ConicProblem:
         kind = entry.get("kind")
         _require(kind in KINDS, f"{field}.kind must be one of {sorted(KINDS)}")
         dim = _integer(entry.get("dim"), f"{field}.dim")
-        _require(dim >= 1, f"{field}.dim must be positive")
         try:
             if kind == BOX:
                 block = ConeBlock(

@@ -251,6 +251,12 @@ def test_load_schema_errors(tmp_path):
         write_with_literal(box, where, literal)
         with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
             load_problem(path)
+    # ConeBlock owns the dimension rule; the loader names the entry.
+    for cone in ({"kind": "nonneg", "dim": 0}, {"kind": "nonneg", "dim": -1},
+                 {"kind": "box", "dim": 0, "l": [], "u": []}, {"kind": "psd", "dim": -1}):
+        path.write_text(json.dumps(dict(valid, cones=[cone])))
+        with pytest.raises(SchemaError, match=r"^cones\[0\]: cone dimension must be an integer"):
+            load_problem(path)
     # A cone kind must be one of the kind strings; a list or an object used
     # to escape as TypeError (unhashable) from a dict lookup.
     for kind in (["nonneg"], {"a": 1}, None, 2, "Nonneg"):

@@ -42,8 +42,13 @@ def test_block_validation():
         ConeBlock("simplex", 3)
     with pytest.raises(ValueError):
         ConeBlock(PSD_TRIANGLE, 4)  # not triangular
-    with pytest.raises(ValueError):
-        ConeBlock(BOX, 2, l=[1.0, 0.0], u=[0.0, 1.0])
+    # l > u, a NaN bound, l = inf and u = -inf: no point meets the bounds.
+    for l, u in (([1.0, 0.0], [0.0, 1.0]), ([0.0, np.nan], [1.0, 1.0]),
+                 ([np.nan, 0.0], [np.nan, 1.0]), ([np.inf, 0.0], [np.inf, 1.0]),
+                 ([0.0, -np.inf], [1.0, -np.inf])):
+        with pytest.raises(ValueError, match="box bounds need"):
+            ConeBlock(BOX, 2, l=l, u=u)
+    assert ConeBlock(BOX, 2, l=[-np.inf, 0.0], u=[np.inf, 0.0]).u[1] == 0.0
     with pytest.raises(ValueError):
         ConeBlock(NONNEG, 2, l=[0.0, 0.0])
     for kind, dim in ((PSD_TRIANGLE, 3.0), (NONNEG, 2.5), (NONNEG, True), (NONNEG, "2"),
@@ -171,3 +176,71 @@ def test_cone_support():
     psd = ConeBlock(PSD_TRIANGLE, 3)
     assert cone_support(psd, svec(-np.eye(2)), tol) == 0.0
     assert cone_support(psd, svec(np.diag([1.0, -3.0])), tol) == math.inf
+
+
+# The certificate predicates read cone membership off project_cone.  Their
+# properties are checked at the solver's default eps_infeas, on vectors whose
+# magnitudes run from rounding level to ten.
+CERT_TOL = 1e-6
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    d=st.lists(
+        st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(-3 * CERT_TOL, 3 * CERT_TOL),
+            st.sampled_from([CERT_TOL, -CERT_TOL, 0.0, -0.0]),
+        ),
+        min_size=1,
+        max_size=8,
+    ).map(np.array)
+)
+def test_polyhedral_certificate_predicates_match_closed_forms(d):
+    # Exact on every vector: x + (-x) is exactly 0 in floating point.
+    zero, nonneg = ConeBlock(ZERO, d.size), ConeBlock(NONNEG, d.size)
+    assert in_recession_of_negation(zero, d, CERT_TOL) == (np.abs(d).max() <= CERT_TOL)
+    assert in_recession_of_negation(nonneg, d, CERT_TOL) == (d.max() <= CERT_TOL)
+    assert cone_support(zero, d, CERT_TOL) == 0.0
+    assert cone_support(nonneg, d, CERT_TOL) == (0.0 if d.max() <= CERT_TOL else math.inf)
+
+
+def _closed_form_margin(block, v):
+    """||v[1:]|| + v[0] for a second-order cone, the largest eigenvalue for PSD.
+
+    v lies in -K within tol (the direction test) and in the polar cone within
+    tol (the support test) when this margin is at most tol.
+    """
+    if block.kind == SECOND_ORDER:
+        return float(np.linalg.norm(v[1:]) + v[0])
+    return float(np.linalg.eigvalsh(smat(v)).max())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    block=st.one_of(
+        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(2, 8)),
+        st.builds(ConeBlock, st.just(PSD_TRIANGLE), st.sampled_from([1, 3, 6, 10, 15])),
+    ),
+    scale=st.floats(-8.0, 1.0),
+    margin=st.one_of(st.none(), st.floats(-20.0, 20.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conic_certificate_predicates_match_closed_forms(block, scale, margin, seed):
+    # The infinity norm the predicates test lies in [margin/2, margin] (soc)
+    # or [margin/side, margin] (psd) for a positive closed-form margin and is
+    # 0 otherwise, so old and new decisions must agree, up to rounding, when
+    # the margin is at most tol/2 or above dim * tol.  `margin` (in units of tol)
+    # moves v onto a chosen margin, so that both sides of tol are drawn.
+    v = 10.0**scale * np.random.default_rng(seed).standard_normal(block.dim)
+    if margin is not None:
+        if block.kind == SECOND_ORDER:
+            v[0] = margin * CERT_TOL - np.linalg.norm(v[1:])
+        else:
+            v -= (_closed_form_margin(block, v) - margin * CERT_TOL) * svec(np.eye(block.side))
+    closed = _closed_form_margin(block, v)
+    support = cone_support(block, v, CERT_TOL)
+    assert support in (0.0, math.inf)
+    if closed <= CERT_TOL / 2 or closed > block.dim * CERT_TOL:
+        assert in_recession_of_negation(block, v, CERT_TOL) == (closed <= CERT_TOL)
+        assert (support == 0.0) == (closed <= CERT_TOL)

@@ -5,14 +5,18 @@
 
 Runs from the root of a source checkout and imports ``fpaccel`` from its
 ``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
-solves two sets and prints the full and the points sha256 of each solve, then
+solves three sets and prints the full and the points sha256 of each solve, then
 three combined digests per set:
 
 * ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
   and 1 and ``qp_large`` at seed 0, each case in the three configurations
   (267 solves);
 * ``strict``: strict mode with ``tau = 0.9`` on the first 10 ``qp_small``
-  cases and the 20 ``adapt_infeas`` cases at seed 0 (30 solves).
+  cases and the 20 ``adapt_infeas`` cases at seed 0 (30 solves);
+* ``certs``: ``InfeasibleLP`` and ``UnboundedLP`` at generator seeds 1 to 8,
+  each in the three configurations with ``eps = 1e-6`` (48 solves), so that a
+  change to a certificate decision shows beyond the six infeasible LPs of
+  ``adapt_infeas``.
 
 Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
 ``y`` and the final iterate, the objective's bits and every trace column
@@ -25,7 +29,8 @@ counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
 ``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
 Last come the summed iterations and operator evaluations of each set per
-``workload@seed`` and mode, the counts a behaviour change moves.
+``workload@seed`` (per generator kind for ``certs``) and mode, the counts a
+behaviour change moves.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ BENCH_SETS = (
 )
 STRICT_TAU = 0.9
 STRICT_QP_SMALL_CASES = 10
+CERT_KINDS = ("InfeasibleLP", "UnboundedLP")
+CERT_SEEDS = range(1, 9)
 
 
 def _status_and_counters(sol):
@@ -99,15 +106,17 @@ def main() -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from fpaccel import conic
+    from fpaccel.problems import generate
     import workloads
 
-    iters, evals = Counter(), Counter()  # keyed by (set, workload@seed, mode)
+    iters, evals = Counter(), Counter()  # keyed by (set, workload@seed or kind, mode)
 
     def tally(key, sol):
         iters[key] += sol.record.iterations
         evals[key] += sol.record.operator_evaluations
 
-    digests = {"bench": ([], [], []), "strict": ([], [], [])}  # full, points, counts
+    # full, points and counts digests per set
+    digests = {kind: ([], [], []) for kind in ("bench", "strict", "certs")}
 
     def record(kind, sol):
         for out, digest in zip(digests[kind], (solve_digest, points_digest, counts_digest)):
@@ -127,6 +136,13 @@ def main() -> int:
         sol = conic.solve(case.problem, "strict", eps=case.eps, gamma=case.gamma, tau=STRICT_TAU)
         tally(("strict", f"{workload}@0", "strict"), sol)
         print(f"strict {case.name} {record('strict', sol)}")
+
+    for generator in CERT_KINDS:
+        for seed in CERT_SEEDS:
+            for mode in workloads.MODES:
+                sol = conic.solve(generate(generator, seed=seed), mode, eps=1e-6)
+                tally(("certs", generator, mode), sol)
+                print(f"certs  {generator}@{seed} {mode} {record('certs', sol)}")
 
     for kind, (full, points, counts) in digests.items():
         print(f"{kind} digest ({len(full)} solves): {combined(full)}")
