@@ -284,8 +284,11 @@ class Driver:
         st.r_prev_norm = st.r_norm
         st.v, st.f, st.r, st.r_norm, st.info = new
         st.k += 1
-        step = st.v - old_v
-        self._last_step_norm = math.sqrt(step @ step)
+        if accepted:
+            step = st.v - old_v
+            self._last_step_norm = math.sqrt(step @ step)
+        else:  # a plain step moves by f - v = -r exactly, so by the previous r_norm
+            self._last_step_norm = st.r_prev_norm
 
         infeas_checked = False
         # A checkpoint needs a pure step under one operator: no parameter
@@ -293,7 +296,7 @@ class Driver:
         if self._pending_infeas and op.epoch == epoch0 and (mem is None or mem.j == 2):
             self._pending_infeas = False
             infeas_checked = True
-            cert = self.hooks.infeasibility(op, step)
+            cert = self.hooks.infeasibility(op, st.v - old_v)
             if cert is not None:
                 rec.certificate = cert
 

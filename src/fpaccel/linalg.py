@@ -5,11 +5,12 @@ orthogonalizes the new column by classical Gram-Schmidt applied twice
 (CGS2), two pairs of BLAS matrix-vector products, O(n*j) per append.
 Least-squares solves back-substitute on the triangular factor.
 
-The per-iteration solves call ``scipy.linalg.lapack`` directly: ``dtrtrs``
-here, ``dpotrs`` in the KKT solve (conic.py).  These are the routines and
-arguments the scipy.linalg helpers use, so results are bit for bit theirs,
-without the helpers' per-call validation, which costs more than these small
-solves; the checks they made (finite input, LAPACK ``info``) are kept.
+The per-iteration triangular solves, here and in the KKT solve (conic.py),
+call BLAS-2 ``scipy.linalg.blas.dtrsv`` directly, without the scipy.linalg
+helpers' per-call validation, which costs more than these small solves.
+Here the result is bit for bit that of ``solve_triangular``; its finite-input
+check is kept, and the zero pivot that LAPACK ``trtrs`` would report is
+tested on the diagonal.
 
 Vector norms are ``math.sqrt(x @ x)``: the dot product and square root that
 ``np.linalg.norm`` computes for a 1-D float array, so the same bits, without
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtrsv
 
 
 class ColumnRankDeficient(Exception):
@@ -106,8 +107,8 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
     """Least-squares solve min ||rhs - M eta|| for the factored matrix M.
 
     Back-substitution on r applied to q' rhs.  Raises SingularTriangular
-    when the smallest |r_ii| is not above ``pivot_tol`` times the largest,
-    and ValueError when r or q' rhs is not finite.
+    when the smallest |r_ii| is zero or not above ``pivot_tol`` times the
+    largest, and ValueError when r or q' rhs is not finite.
     """
     k = state.ncols
     if k == 0:
@@ -129,11 +130,9 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
         np.isfinite(r).all() and np.isfinite(qtr).all()
     ):
         raise ValueError("least-squares data must be finite")
+    if lo == 0.0:  # dtrsv reports no zero pivot; the ratio test misses one if pivot_tol < 0
+        raise SingularTriangular(f"diagonal {diag.index(0.0)} of the triangular factor is zero")
     # r.T is the lower factor in Fortran order; solving r.T' eta = qtr is the
-    # branch scipy.linalg.solve_triangular takes for the C-ordered r.
-    eta, info = dtrtrs(r.T, qtr, lower=1, trans=1, overwrite_b=1)
-    if info > 0:
-        raise SingularTriangular(f"diagonal {info - 1} of the triangular factor is zero")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
-    return eta
+    # branch scipy.linalg.solve_triangular takes for the C-ordered r.  The
+    # f2py arguments are positional: (incx, offx, lower, trans, diag, overwrite_x).
+    return dtrsv(r.T, qtr, 1, 0, 1, 1, 0, 1)

@@ -666,5 +666,6 @@ def test_accel_share_summary_on_a_small_problem(monkeypatch):
     records = [solve(problem, "safeguarded").record for _ in range(2)]
     stats = summary(records)
     assert 0.0 < stats["share_median"] <= stats["share_p95"] <= stats["share_max"] < 1.0
+    assert 0 <= stats["share_over_gate"] <= len(records)
     assert 0.0 < stats["accel_p50_s"] <= stats["accel_p99_s"] <= stats["accel_max_s"]
     assert 0.0 <= stats["stall_s"] <= sum(rec.accel_seconds for rec in records)

@@ -92,18 +92,25 @@ def test_prox_kkt_residual_small(gamma):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, m", [(30, 60), (420, 620)])
 @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-def test_solve_kkt_bit_identical_to_cho_solve(gamma):
-    # solve_kkt calls LAPACK potrs on the factor itself; it must give the
-    # bits of scipy's cho_solve with the same factor and right-hand side.
+def test_solve_kkt_matches_cho_solve_and_is_backward_stable(gamma, n, m):
+    # solve_kkt runs its two triangular solves as BLAS-2 dtrsv calls on the
+    # Cholesky factor of the reduced matrix K; x must agree with scipy's
+    # cho_solve to rounding and have a backward error at rounding level.
     rng = np.random.default_rng(3)
-    prob = generate("RandomQP", n=30, m=60, seed=4)
+    prob = generate("RandomQP", n=n, m=m, seed=4)
     op = DrsOperator(prob, gamma=gamma)
-    factor = cho_factor(prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / gamma)
+    reduced = prob.P + (np.eye(n) + prob.A.T @ prob.A) / gamma
+    factor = cho_factor(reduced)
+    reduced_norm = np.linalg.norm(reduced, 2)
     for _ in range(3):
-        r1, r2 = rng.standard_normal(prob.n), rng.standard_normal(prob.m)
-        want = cho_solve(factor, r1 + prob.A.T @ r2 / gamma)
-        assert op.solve_kkt(r1, r2)[0].tobytes() == want.tobytes()
+        r1, r2 = rng.standard_normal(n), rng.standard_normal(m)
+        rhs = r1 + prob.A.T @ r2 / gamma
+        x = op.solve_kkt(r1, r2)[0]
+        x_norm = np.linalg.norm(x)
+        assert np.linalg.norm(x - cho_solve(factor, rhs)) <= 1e-13 * x_norm
+        assert np.linalg.norm(reduced @ x - rhs) <= 1e-14 * reduced_norm * x_norm
 
 
 def test_drs_fixed_point_is_fixed():

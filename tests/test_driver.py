@@ -634,3 +634,21 @@ def test_trace_entry_bookkeeping():
     assert rec.entries[-1].cum_evals == rec.operator_evaluations
     assert rec.accel_seconds <= rec.total_seconds
     assert rec.final_state.k == rec.iterations
+
+
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
+                                       ("safeguarded", 2.0), ("strict", 0.9)])
+def test_trace_step_norm_is_the_norm_of_the_step(mode, tau):
+    # A plain step's norm is taken from the previous residual norm rather
+    # than formed; it must equal the formed norm bit for bit.
+    a, b, rng = contraction(16, 8, radius=0.99)
+    driver = Driver(AffineTestOperator(a, b), rng.standard_normal(8),
+                    DriverConfig(mode=mode, tau=tau, max_iter=60))
+    accepted = set()
+    for _ in range(60):
+        old_v = driver.state.v
+        entry = driver.step()
+        step = driver.state.v - old_v
+        assert entry.step_norm == math.sqrt(step @ step)
+        accepted.add(entry.accepted)
+    assert accepted == ({False} if mode == "vanilla" else {False, True})

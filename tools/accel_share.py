@@ -10,7 +10,8 @@ default, and prints:
 
 * the median, p95 and max of ``RunRecord.accel_fraction``, the share of the
   solve spent proposing accelerated points, which criterion 9 keeps below
-  0.30;
+  0.30, and ``share_over_gate``, the number of solves whose share is at or
+  above that gate;
 * the p50, p99 and max of the per-iteration ``TraceEntry.accel_seconds``
   over all N solves;
 * the seconds spent in iterations whose acceleration took over 1 ms, the
@@ -31,9 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = 20
 STALL_SECONDS = 1e-3
+SHARE_GATE = 0.30  # criterion 9's bound on the acceleration share
 
 
-def summary(records) -> dict[str, float]:
+def summary(records) -> dict[str, float | int]:
     """Share and per-iteration acceleration statistics of solve records."""
     shares = [rec.accel_fraction for rec in records]
     calls = np.array([e.accel_seconds for rec in records for e in rec.entries])
@@ -41,6 +43,7 @@ def summary(records) -> dict[str, float]:
         "share_median": float(np.median(shares)),
         "share_p95": float(np.percentile(shares, 95)),
         "share_max": max(shares),
+        "share_over_gate": sum(share >= SHARE_GATE for share in shares),
         "accel_p50_s": float(np.percentile(calls, 50)),
         "accel_p99_s": float(np.percentile(calls, 99)),
         "accel_max_s": float(calls.max()),
