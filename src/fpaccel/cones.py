@@ -14,6 +14,15 @@ d + P_K(-d) for -K, and w - P_{K polar}(w) = P_K(w) for the polar cone by
 Moreau's decomposition.  A box is the exception, because it is not a cone:
 its recession cone and its support function depend on which bounds are
 finite, not on the projection at one point.
+
+A PSD block is projected by clamping the negative eigenvalues of its matrix.
+The eigendecomposition is one direct LAPACK ``dsyevd`` call on a
+column-major buffer in which only the lower triangle is filled, which skips
+the per-call wrapping of ``np.linalg.eigh``.  That function calls the same
+routine on the same triangle (``UPLO='L'``).  The reconstruction runs on a
+row-major copy of the eigenvectors, the layout ``eigh`` returns, because
+OpenBLAS's small-matrix products can sum in a layout-dependent order.  So the
+projection is bit for bit the one ``eigh`` gives.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .driver import is_integer_at_least
 
@@ -99,6 +109,17 @@ def _triangle_index(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return col, row, scale
 
 
+@functools.lru_cache(maxsize=64)
+def _triangle_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets of each svec entry in a side-by-side buffer, in svec
+    order: (column-major, row-major)."""
+    col, row, _ = _triangle_index(side)
+    offsets = (col * side + row, row * side + col)
+    for arr in offsets:
+        arr.flags.writeable = False
+    return offsets
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Scaled lower-triangle vector of a symmetric matrix (column-major)."""
     col, row, scale = _triangle_index(S.shape[0])
@@ -138,10 +159,22 @@ def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
         out[0] = scale * xn
         out[1:] = scale * x
         return out
-    # PSD: clamp negative eigenvalues.
-    vals, vecs = np.linalg.eigh(smat(v))
-    clipped = np.maximum(vals, 0.0)
-    return svec((vecs * clipped) @ vecs.T)
+    # PSD: clamp negative eigenvalues.  dsyevd reads only the lower triangle.
+    side = block.side
+    scale = _triangle_index(side)[2]
+    fill, read = _triangle_offsets(side)
+    lower = np.empty(side * side)
+    lower[fill] = v / scale
+    # Positional f2py arguments (compute_v, lower): keywords cost parsing time.
+    vals, vecs, info = dsyevd(lower.reshape(side, side).T, 1, 1)
+    if info > 0:
+        # No convergence, which a non-finite v causes: a non-finite block
+        # makes the operator report divergence.
+        return np.full(block.dim, np.nan)
+    if info < 0:
+        raise ValueError(f"dsyevd rejected argument {-info}")
+    vecs = np.ascontiguousarray(vecs)
+    return ((vecs * np.maximum(vals, 0.0)) @ vecs.T).ravel()[read] * scale
 
 
 def in_recession_of_negation(block: ConeBlock, d: np.ndarray, tol: float) -> bool:

@@ -289,6 +289,16 @@ def _inf_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).max(initial=0.0))
 
 
+def _trace_norms(op: DrsOperator, state) -> tuple[float, float]:
+    """The trace columns (||r_s||_inf, ||r_x||_inf / gamma) of the fixed-point
+    residual r, from one pass over |r|."""
+    n = op.problem.n
+    if op.problem.m == 0:
+        return 0.0, _inf_norm(state.r) / op.gamma
+    r_x, r_s = np.maximum.reduceat(np.abs(state.r), (0, n)).tolist()
+    return r_s, r_x / op.gamma
+
+
 def _step_size(gamma) -> float:
     """A requested step size, checked positive and finite, clipped to [GAMMA_MIN, GAMMA_MAX]."""
     return float(np.clip(_driver.positive_finite("gamma", gamma), GAMMA_MIN, GAMMA_MAX))
@@ -343,14 +353,11 @@ def solve(
     cfg = _driver.DriverConfig(mode=mode, **settings)
     eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
-    n = problem.n
     hooks = _driver.Hooks(
         converged=lambda state, operator: all(r <= eps for r in operator.residuals(state.info)),
         operator_update=lambda operator, state: operator.adapt_gamma(state.info, tol=eps),
         infeasibility=lambda operator, dv: operator.infeasibility_check(dv, eps_infeas),
-        metrics=lambda operator, state: (
-            _inf_norm(state.r[n:]), _inf_norm(state.r[:n]) / operator.gamma
-        ),
+        metrics=_trace_norms,
     )
 
     if v0 is None:

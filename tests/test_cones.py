@@ -3,12 +3,13 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel.cones import (
     BOX,
+    KINDS,
     NONNEG,
     PSD_TRIANGLE,
     SECOND_ORDER,
@@ -134,6 +135,56 @@ def test_self_dual_projection_identities(block, scale, seed):
     assert np.linalg.norm(project_cone(block, pos) - pos) <= PROJECTION_RTOL * norm
     assert np.linalg.norm(v - (pos - neg)) <= PROJECTION_RTOL * norm
     assert abs(pos @ neg) <= PROJECTION_RTOL * norm**2
+
+
+# The projection calls LAPACK dsyevd through scipy and the reference calls it
+# through numpy's eigh; numpy and scipy may ship different OpenBLAS builds, so
+# agreement is required up to rounding, relative to 1 + ||v||.
+PSD_REFERENCE_RTOL = 1e-14
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(side=st.integers(1, 30), scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+@example(side=26, scale=8.0, seed=0)
+@example(side=30, scale=-8.0, seed=1)
+def test_psd_projection_matches_the_eigh_reference(side, scale, seed):
+    block = ConeBlock(PSD_TRIANGLE, side * (side + 1) // 2)
+    v = 10.0**scale * np.random.default_rng(seed).standard_normal(block.dim)
+    vals, vecs = np.linalg.eigh(smat(v))
+    reference = svec((vecs * np.maximum(vals, 0.0)) @ vecs.T)
+    err = np.abs(project_cone(block, v) - reference).max()
+    assert err <= PSD_REFERENCE_RTOL * (1.0 + np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_projection_leaves_its_input_unchanged(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    blocks = [random_block(kind, rng)]
+    if kind == PSD_TRIANGLE:
+        blocks.append(ConeBlock(PSD_TRIANGLE, 78))  # 12x12 matrices
+    for block in blocks:
+        v = 3.0 * rng.standard_normal(block.dim)
+        before = v.copy()
+        v.flags.writeable = False  # an in-place write raises
+        project_cone(block, v)
+        assert np.array_equal(v, before)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [1, 2, 3, 10])
+def test_psd_projection_of_a_non_finite_block_is_non_finite(side, bad):
+    # Where the eigensolver does not converge the block comes back as NaN, so
+    # the operator reports divergence instead of raising from LAPACK.
+    block = ConeBlock(PSD_TRIANGLE, side * (side + 1) // 2)
+    one_bad = np.ones(block.dim)
+    one_bad[block.dim // 2] = bad
+    for v in (np.full(block.dim, bad), one_bad):
+        if side == 1 and bad == -np.inf:
+            # A 1x1 block is the nonneg ray, onto which -inf projects to 0.
+            assert np.array_equal(project_cone(block, v), [0.0])
+        else:
+            assert not np.isfinite(project_cone(block, v)).all()
 
 
 def test_recession_of_negation():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 from fpaccel.cones import NONNEG, ZERO, ConeBlock
-from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, solve
+from fpaccel import conic
+from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, _inf_norm, solve
 from fpaccel.problems import generate
 
 
@@ -365,6 +368,47 @@ def test_non_finite_first_evaluation_ends_diverged():
     for mode in ("vanilla", "unsafe", "safeguarded"):
         sol = solve(tiny_qp(), mode, v0=np.array([np.nan, 0.0]))
         assert sol.status == "diverged" and sol.record.iterations == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+def test_non_finite_start_at_a_psd_block_ends_diverged(mode, bad):
+    # The eigensolver of the PSD projection does not converge on a non-finite
+    # matrix; the projection returns a non-finite block, so the first operator
+    # value is non-finite and the solve ends as diverged, as a QP does.
+    prob = generate("RandomSDP", side=3)
+    for index in (0, prob.n):  # one entry in the x-part, one in the s-part
+        v0 = np.zeros(prob.n + prob.m)
+        v0[index] = bad
+        sol = solve(prob, mode, v0=v0, tau=0.9 if mode == "strict" else 2.0)
+        assert sol.status == "diverged" and sol.record.iterations == 0
+
+
+def test_trace_columns_are_the_fixed_point_residual_norms(monkeypatch):
+    # Bit for bit ||r_s||_inf and ||r_x||_inf / gamma, including a problem
+    # with no constraints (m == 0), where r_s is empty.
+    calls = []
+    hook = conic._trace_norms
+
+    def bits(pair):
+        return struct.pack("<2d", *pair)
+
+    def spy(op, state):
+        out = hook(op, state)
+        calls.append((state.r.copy(), op.problem.n, op.gamma, out))
+        return out
+
+    monkeypatch.setattr(conic, "_trace_norms", spy)
+    unconstrained = ConicProblem([[2.0, 0.0], [0.0, 1.0]], [-2.0, 1.0], None, [], [])
+    assert unconstrained.m == 0
+    for prob in (generate("RandomQP", n=20, m=40, seed=3), generate("RandomSDP", side=4, seed=2),
+                 unconstrained):
+        calls.clear()
+        sol = solve(prob, "safeguarded", gamma=0.3, max_iter=60)
+        assert len(calls) == len(sol.record.entries) > 0
+        for (r, n, gamma, out), entry in zip(calls, sol.record.entries):
+            expected = bits((_inf_norm(r[n:]), _inf_norm(r[:n]) / gamma))
+            assert bits(out) == expected == bits((entry.r_prim, entry.r_dual))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -5.0, np.nan, np.inf, -np.inf, "2", True, None])

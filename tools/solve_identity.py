@@ -5,7 +5,7 @@
 
 Runs from the root of a source checkout and imports ``fpaccel`` from its
 ``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
-solves three sets and prints the full and the points sha256 of each solve, then
+solves four sets and prints the full and the points sha256 of each solve, then
 three combined digests per set:
 
 * ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
@@ -16,7 +16,10 @@ three combined digests per set:
 * ``certs``: ``InfeasibleLP`` and ``UnboundedLP`` at generator seeds 1 to 8,
   each in the three configurations with ``eps = 1e-6`` (48 solves), so that a
   change to a certificate decision shows beyond the six infeasible LPs of
-  ``adapt_infeas``.
+  ``adapt_infeas``;
+* ``psd``: ``RandomSDP`` at sides 3, 15 and 30 and generator seeds 1 to 4,
+  each in the three configurations with ``eps = 1e-5`` (36 solves), so that a
+  change to the PSD projection shows beyond the side-10 blocks of ``sdp``.
 
 Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
 ``y`` and the final iterate, the objective's bits and every trace column
@@ -29,8 +32,8 @@ counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
 ``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
 Last come the summed iterations and operator evaluations of each set per
-``workload@seed`` (per generator kind for ``certs``) and mode, the counts a
-behaviour change moves.
+``workload@seed`` (per generator kind for ``certs``, per side for ``psd``)
+and mode, the counts a behaviour change moves.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ STRICT_TAU = 0.9
 STRICT_QP_SMALL_CASES = 10
 CERT_KINDS = ("InfeasibleLP", "UnboundedLP")
 CERT_SEEDS = range(1, 9)
+PSD_SIDES = (3, 15, 30)
+PSD_SEEDS = range(1, 5)
+PSD_EPS = 1e-5
 
 
 def _status_and_counters(sol):
@@ -116,7 +122,7 @@ def main() -> int:
         evals[key] += sol.record.operator_evaluations
 
     # full, points and counts digests per set
-    digests = {kind: ([], [], []) for kind in ("bench", "strict", "certs")}
+    digests = {kind: ([], [], []) for kind in ("bench", "strict", "certs", "psd")}
 
     def record(kind, sol):
         for out, digest in zip(digests[kind], (solve_digest, points_digest, counts_digest)):
@@ -143,6 +149,14 @@ def main() -> int:
                 sol = conic.solve(generate(generator, seed=seed), mode, eps=1e-6)
                 tally(("certs", generator, mode), sol)
                 print(f"certs  {generator}@{seed} {mode} {record('certs', sol)}")
+
+    for side in PSD_SIDES:
+        for seed in PSD_SEEDS:
+            problem = generate("RandomSDP", seed=seed, side=side)
+            for mode in workloads.MODES:
+                sol = conic.solve(problem, mode, eps=PSD_EPS)
+                tally(("psd", f"RandomSDP:side={side}", mode), sol)
+                print(f"psd    RandomSDP:side={side}@{seed} {mode} {record('psd', sol)}")
 
     for kind, (full, points, counts) in digests.items():
         print(f"{kind} digest ({len(full)} solves): {combined(full)}")
