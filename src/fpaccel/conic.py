@@ -147,7 +147,7 @@ class DrsOperator(FixedPointOperator):
         self.problem = problem
         self._slices = problem.cone_slices()
         self.gamma = _step_size(gamma)
-        self._refactor()
+        self._factor = self._cholesky(self.gamma)
 
     # -- parameter handling --------------------------------------------
 
@@ -162,12 +162,14 @@ class DrsOperator(FixedPointOperator):
         gamma = _step_size(rho[0])
         if gamma == self.gamma:
             return
-        self.gamma = gamma
-        self._refactor()
+        # Factor first: a failed factorization leaves gamma, the factor and
+        # the epoch as they were.
+        factor = self._cholesky(gamma)
+        self.gamma, self._factor = gamma, factor
         self.epoch += 1
 
-    def _refactor(self) -> None:
-        """Cholesky-factor the reduced matrix P + (I + A'A) / gamma.
+    def _cholesky(self, gamma: float) -> np.ndarray:
+        """Cholesky factor of the reduced matrix P + (I + A'A) / gamma.
 
         Raises scipy's LinAlgError when it is not positive definite, which
         can happen only when P is not positive semidefinite.  LAPACK
@@ -178,10 +180,11 @@ class DrsOperator(FixedPointOperator):
         is left uncleaned.
         """
         prob = self.problem
-        reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / self.gamma
-        self._factor, info = dpotrf(reduced, lower=0, clean=0)
+        reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / gamma
+        factor, info = dpotrf(reduced, lower=0, clean=0)
         if info != 0:
             raise LinAlgError(f"KKT reduced matrix not positive definite (potrf info {info})")
+        return factor
 
     # -- the operator -------------------------------------------------------
 

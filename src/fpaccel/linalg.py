@@ -8,9 +8,25 @@ Least-squares solves back-substitute on the triangular factor.
 The per-iteration triangular solves, here and in the KKT solve (conic.py),
 call BLAS-2 ``scipy.linalg.blas.dtrsv`` directly, without the scipy.linalg
 helpers' per-call validation, which costs more than these small solves.
-Here the result is bit for bit that of ``solve_triangular``; its finite-input
-check is kept, and the zero pivot that LAPACK ``trtrs`` would report is
-tested on the diagonal.
+Here the result is bit for bit that of ``solve_triangular``.
+
+Validation: ``qr_append_column`` checks the capacity and the column's shape;
+``qr_solve_ls`` checks the pivots and the finiteness of its data, with the
+outcomes a full scan of the factors would give, at a fraction of its cost:
+
+* The pivot test reads the bounds of |r_ii| that each append records on the
+  ``QrState`` (``pivot_min``, ``pivot_max``), not the diagonal itself.  A
+  NaN pivot makes both bounds NaN, so the ratio test passes and the finite
+  test rejects the factor.
+* The finite test is a screen on eta_0 after the solve.  With a finite,
+  nonzero diagonal, back-substitution forms eta_0 from every other eta_i,
+  and each eta_i from the entries of row i above the diagonal and of q'rhs,
+  through products and differences that keep a NaN or an infinity
+  non-finite (inf * 0 is NaN).  So a finite eta_0 proves every entry above
+  the diagonal and of q'rhs finite; the strict lower triangle, which appends
+  never write, stays zero.  Only a non-finite eta_0, or a zero, infinite or
+  NaN pivot bound, runs the entrywise test, which then decides as before.
+  Code that writes ``_r`` directly must keep the bounds in step.
 
 Vector norms are ``math.sqrt(x @ x)``: the dot product and square root that
 ``np.linalg.norm`` computes for a 1-D float array, so the same bits, without
@@ -40,7 +56,9 @@ class QrState:
 
     ``q`` is n-by-j with orthonormal columns and ``r`` is j-by-j upper
     triangular with a positive diagonal.  Buffers are preallocated for
-    ``capacity`` columns so appends never reallocate.
+    ``capacity`` columns so appends never reallocate.  ``pivot_min`` and
+    ``pivot_max`` bound |r_ii| over the stored columns; both are NaN once a
+    NaN pivot is stored.
     """
 
     def __init__(self, dim: int, capacity: int):
@@ -48,9 +66,9 @@ class QrState:
             raise ValueError("dim and capacity must be positive")
         self.dim = dim
         self.capacity = capacity
-        self.ncols = 0
         self._q = np.zeros((dim, capacity))
         self._r = np.zeros((capacity, capacity))
+        self.reset()
 
     @property
     def q(self) -> np.ndarray:
@@ -64,6 +82,8 @@ class QrState:
         # Appends overwrite every entry that q and r expose, and nothing
         # writes below the diagonal of r, so the buffers need no clearing.
         self.ncols = 0
+        self.pivot_min = math.inf
+        self.pivot_max = 0.0
 
 
 def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -> QrState:
@@ -86,9 +106,10 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     col_norm = math.sqrt(col @ col)
 
     q = state._q[:, :k]
-    c = q.T @ col
+    qt = q.T
+    c = qt @ col
     w = col - q @ c
-    c2 = q.T @ w
+    c2 = qt @ w
     w -= q @ c2
     w_norm = math.sqrt(w @ w)
     if w_norm <= rank_tol * col_norm:
@@ -100,6 +121,12 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     np.add(c, c2, out=state._r[:k, k])
     state._r[k, k] = w_norm
     state.ncols = k + 1
+    if w_norm != w_norm:  # NaN: the bounds stay NaN until a reset
+        state.pivot_min = state.pivot_max = w_norm
+    elif w_norm < state.pivot_min:
+        state.pivot_min = w_norm
+    if w_norm > state.pivot_max:
+        state.pivot_max = w_norm
     return state
 
 
@@ -113,26 +140,27 @@ def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np
     k = state.ncols
     if k == 0:
         raise ValueError("factorization holds no columns")
-    rhs = np.asarray(rhs, dtype=float)
-    # Python's min and max skip a NaN that numpy's would return, and numpy's
-    # NaN fails the ratio test; so a NaN diagonal passes it here too.
-    diag = state._r.diagonal()[:k].tolist()
-    lo, hi = min(map(abs, diag)), max(map(abs, diag))
-    if lo <= pivot_tol * hi and not any(map(math.isnan, diag)):
+    lo, hi = state.pivot_min, state.pivot_max
+    if lo <= pivot_tol * hi:  # False for NaN bounds, which the finite test rejects
         raise SingularTriangular(
             f"smallest diagonal {lo:.3e} not above {pivot_tol:.0e} times the largest {hi:.3e}"
         )
     r = state._r[:k, :k]
-    qtr = state._q[:, :k].T @ rhs
-    # A finite sum proves every entry finite; finite entries can also
-    # overflow the sum, so only then is the entrywise test needed.
-    if not math.isfinite(r.sum() + qtr.sum()) and not (
-        np.isfinite(r).all() and np.isfinite(qtr).all()
-    ):
+    qtr = state._q[:, :k].T @ np.asarray(rhs, dtype=float)
+    if not 0.0 < lo <= hi < math.inf:
+        # A zero, infinite or NaN pivot: the screen below needs a finite,
+        # nonzero diagonal, so test the entries here.  dtrsv reports no zero
+        # pivot; the ratio test misses one if pivot_tol < 0.
+        if lo == 0.0 and np.isfinite(r).all() and np.isfinite(qtr).all():
+            raise SingularTriangular("the triangular factor has a zero diagonal")
         raise ValueError("least-squares data must be finite")
-    if lo == 0.0:  # dtrsv reports no zero pivot; the ratio test misses one if pivot_tol < 0
-        raise SingularTriangular(f"diagonal {diag.index(0.0)} of the triangular factor is zero")
     # r.T is the lower factor in Fortran order; solving r.T' eta = qtr is the
     # branch scipy.linalg.solve_triangular takes for the C-ordered r.  The
     # f2py arguments are positional: (incx, offx, lower, trans, diag, overwrite_x).
-    return dtrsv(r.T, qtr, 1, 0, 1, 1, 0, 1)
+    eta = dtrsv(r.T, qtr, 1, 0, 1, 1, 0, 0)
+    # A finite eta_0 proves r and qtr finite (see the module docstring); a
+    # non-finite one can also come from overflow, so only then is the
+    # entrywise test needed.
+    if not math.isfinite(eta[0]) and not (np.isfinite(r).all() and np.isfinite(qtr).all()):
+        raise ValueError("least-squares data must be finite")
+    return eta

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel.accel import AccelMemory, eta_guard
@@ -264,6 +268,142 @@ def test_propose_equals_the_manual_sequence(eta_max):
             assert a.tobytes() == b.tobytes()
         assert got.f_diffs.tobytes() == want.f_diffs.tobytes()
     assert 0 < proposed < len(steps)
+
+
+STEP_KINDS = ("fresh", "fresh", "repeat", "scaled", "near_singular", "nan", "inf", "epoch",
+              "long_v", "long_r")
+
+
+@st.composite
+def step_sequences(draw):
+    """Iterate sequences that reach every branch of the accelerated step.
+
+    Residual differences that repeat or scale the last one (rank-deficient
+    pushes), that differ from it by 1e-13 of its norm (near-singular pivots),
+    NaN or inf residual entries, an iterate or a residual one entry too long,
+    epoch changes, and full memories (m_max of 2 to 5 over up to 24 steps).
+    Each step's ``eta_max`` is 1e4, a small value, or the boundary: the
+    coefficient norm the step will form, or the next float below it.
+    Returns (n, m_max, [(v, r, f, epoch, guard), ...]).
+    """
+    n = draw(st.integers(2, 6))
+    m_max = draw(st.integers(2, 5))
+    kinds = draw(st.lists(st.sampled_from(STEP_KINDS), min_size=3, max_size=24))
+    guards = draw(st.lists(st.sampled_from(("wide", "tight", "at", "below")),
+                           min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    epoch, prev, dr = 0, None, rng.standard_normal(n)
+    steps = []
+    with np.errstate(invalid="ignore"):  # inf - inf in a difference
+        for kind, guard in zip(kinds, guards):
+            v = rng.standard_normal(n)
+            r = rng.standard_normal(n)
+            if prev is not None and kind in ("repeat", "scaled", "near_singular"):
+                step = {"repeat": dr, "scaled": rng.uniform(-3.0, 3.0) * dr}.get(kind)
+                if step is None:
+                    step = dr + 1e-13 * np.linalg.norm(dr) * rng.standard_normal(n)
+                r = prev + step
+            elif kind in ("nan", "inf"):
+                r[rng.integers(n)] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+            elif kind.startswith("long"):  # refused; the sequence goes on from prev
+                bad = rng.standard_normal(n + 1)
+                bad_step = (bad, r, r) if kind == "long_v" else (v, bad, v)
+                steps.append((*bad_step, epoch, guard))
+                continue
+            epoch += kind == "epoch"
+            if prev is not None:
+                dr = r - prev
+            prev = r
+            steps.append((v, r, v - r, epoch, guard))
+    return n, m_max, steps
+
+
+def eta_max_for(mem, v, r, epoch, guard):
+    """eta_max for one step: 1e4, 1e-3, or at or just below the coefficient
+    norm the step forms (1.0 when it forms none)."""
+    if guard in ("wide", "tight"):
+        return 1e4 if guard == "wide" else 1e-3
+    probe = copy.deepcopy(mem)
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            probe.observe(v, r, epoch)
+            norm = float(np.linalg.norm(probe.compute_eta(r))) if probe.j > 2 else 1.0
+        except (SingularTriangular, ValueError):
+            norm = 1.0
+    if not 0.0 < norm < np.inf:
+        return 1.0
+    return norm if guard == "at" else np.nextafter(norm, 0.0)
+
+
+def state_bytes(mem):
+    anchor = () if mem._anchor is None else tuple(a.tobytes() for a in mem._anchor)
+    pivots = np.array([mem.qr.pivot_min, mem.qr.pivot_max]).tobytes()
+    return (mem.ncols, mem.j, mem.epoch, mem.qr.q.tobytes(), mem.qr.r.tobytes(),
+            mem.f_diffs.tobytes(), pivots, anchor)
+
+
+def outcome(step, *args):
+    """("value", bytes or None) of one step, or ("raises", exception type)."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = step(*args)
+    except ValueError:
+        return "raises", ValueError
+    return "value", None if out is None else out.tobytes()
+
+
+def step_reasons(mem, v, r, f, epoch, eta_max):
+    """The step by step sequence, naming its restart and its decision."""
+    reasons = set()
+    if epoch != mem.epoch:
+        reasons.add("epoch")
+    elif mem.ncols == mem.m_max:
+        reasons.add("full")
+    elif mem._anchor is not None:
+        reasons.add("push")
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            mem.observe(v, r, epoch)
+        except ValueError:
+            return reasons | {"shape"}
+        if "push" in reasons and mem._anchor is None:
+            reasons.add("rank")
+        if mem.j <= 2:
+            return reasons | {"short"}
+        try:
+            eta = mem.compute_eta(r)
+        except SingularTriangular:
+            return reasons | {"singular"}
+        except ValueError:
+            return reasons | {"non-finite"}
+    if not eta_guard(eta, eta_max):
+        return reasons | {"guard"}
+    return reasons | {"candidate"}
+
+
+def test_propose_equals_the_manual_sequence_on_generated_steps():
+    # The fused step against observe, compute_eta, eta_guard and candidate:
+    # the same output bytes, the same state after every call, and a
+    # non-finite residual or a wrong shape raises ValueError from both at the
+    # same call.  A third memory names the branches the sequences reach.
+    seen = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(step_sequences())
+    def check(case):
+        n, m_max, steps = case
+        got, want, probe = (AccelMemory(n, m_max) for _ in range(3))
+        for v, r, f, epoch, guard in steps:
+            eta_max = eta_max_for(want, v, r, epoch, guard)
+            a = outcome(got.propose, v, r, f, epoch, eta_max)
+            b = outcome(manual_step, want, v, r, f, epoch, eta_max)
+            assert a == b
+            assert state_bytes(got) == state_bytes(want)
+            seen.update(step_reasons(probe, v, r, f, epoch, eta_max))
+
+    check()
+    assert seen == {"epoch", "full", "push", "rank", "shape", "short", "singular", "non-finite",
+                    "guard", "candidate"}
 
 
 def test_variant_argument_is_gone():

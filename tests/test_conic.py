@@ -193,6 +193,23 @@ def test_set_params_validates_like_the_constructor(gamma):
     assert op.gamma == 0.5 and op.epoch == 0
 
 
+def test_failed_refactor_leaves_the_operator_unchanged():
+    # P = -1e-3 I passes the in-memory checks; (I + A'A)/gamma keeps the
+    # reduced matrix definite at gamma = 1 but not at 1e4 (A'A has rank 3).
+    rng = np.random.default_rng(0)
+    prob = ConicProblem(
+        -1e-3 * np.eye(6), rng.standard_normal(6), rng.standard_normal((3, 6)),
+        rng.standard_normal(3), [ConeBlock(NONNEG, 3)],
+    )
+    op = DrsOperator(prob, gamma=1.0)
+    v = rng.standard_normal(op.dim)
+    before = op.apply(v).tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        op.set_params([1e4])
+    assert op.gamma == 1.0 and op.epoch == 0
+    assert op.apply(v).tobytes() == before
+
+
 def test_adapt_gamma_deadband_and_clip():
     prob = generate("RandomQP", n=8, m=12, seed=6)
     op = DrsOperator(prob, gamma=1.0)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel import accel
+from fpaccel.conic import solve
 from fpaccel.driver import (
     Driver,
     DriverConfig,
@@ -16,6 +19,7 @@ from fpaccel.driver import (
 )
 from fpaccel.linalg import ColumnRankDeficient
 from fpaccel.operators import AffineTestOperator, FixedPointOperator
+from fpaccel.problems import generate
 
 
 class QueueOperator(FixedPointOperator):
@@ -378,6 +382,66 @@ def test_residual_never_worse_than_safeguard_bound():
     for k in range(2, len(norms)):
         bound = max(norms[k - 1], cfg.tau * norms[k - 2])
         assert norms[k] <= bound + 1e-10
+
+
+@st.composite
+def driver_runs(draw, modes=("unsafe", "safeguarded", "strict")):
+    """A run record from generated settings on a small RandomQP or an affine
+    contraction, possibly non-normal, whose offset scale a scheduled update
+    changes."""
+    mode = draw(st.sampled_from(modes))
+    tau = draw(st.floats(0.05, 0.99) if mode == "strict" else st.floats(0.05, 2.0))
+    settings_ = dict(
+        mode=mode,
+        tau=tau,
+        m_max=draw(st.integers(2, 8)),
+        eta_max=draw(st.sampled_from((1e-2, 1.0, 1e2, 1e4, 1e8))),
+        adapt_interval=draw(st.integers(1, 60)),
+        check_interval=draw(st.integers(1, 25)),
+    )
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        problem = generate("RandomQP", n=draw(st.integers(2, 8)), m=draw(st.integers(2, 12)),
+                           seed=seed)
+        rec = solve(problem, eps=1e-6, max_iter=300, **settings_).record
+    else:
+        a, b, rng = contraction(seed, draw(st.integers(2, 12)), draw(st.floats(0.5, 0.99)))
+        # A similarity keeps the spectrum and makes the map non-normal, so that
+        # residuals can grow from one step to the next.
+        s = np.eye(len(b)) + draw(st.floats(0.0, 1.0)) * rng.standard_normal(a.shape)
+        op = BetaOperator(s @ a @ np.linalg.inv(s), b)
+        cfg = DriverConfig(eps=1e-10, max_iter=300, **settings_)
+        update = Hooks(
+            converged=residual_hook(1e-10).converged,
+            operator_update=lambda op_, _st: op_.set_params(op_.params * 1.01),
+        )
+        rec = run(op, rng.standard_normal(op.dim), cfg, update)
+    return settings_, rec
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(driver_runs(modes=("safeguarded",)))
+def test_every_accepted_safeguarded_step_meets_the_bound(case):
+    # ||r_acc|| <= tau ||r_prev||, where r_prev is the residual of the
+    # iterate before the current one (k - 2 in the trace's numbering).
+    cfg, rec = case
+    norms = {e.k: e.r_norm for e in rec.entries}
+    for e in rec.entries:
+        if e.accepted:
+            assert e.k >= 3 and e.r_norm <= cfg["tau"] * norms[e.k - 2]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(driver_runs())
+def test_evaluations_are_iterations_rejections_and_strict_checks(case):
+    cfg, rec = case
+    assert rec.operator_evaluations == (
+        rec.iterations + rec.rejected_candidates + rec.strict_checks
+    )
+    if cfg["mode"] != "strict":
+        assert rec.strict_checks == 0
+    if cfg["mode"] == "unsafe":
+        assert rec.rejected_candidates == 0
 
 
 def plain_steps_from(entries, i):

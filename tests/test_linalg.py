@@ -208,11 +208,64 @@ def test_solve_ls_rejects_non_finite(bad):
         qr_solve_ls(state, rng.standard_normal(6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_ls_screen_sees_every_entry_of_the_triangle(bad):
+    # The finite test screens eta_0; a non-finite entry anywhere above the
+    # diagonal or in q'rhs must reach it, even where it multiplies an exact zero.
+    def identity_state():
+        state = QrState(4, 4)
+        for col in np.eye(4):
+            qr_append_column(state, col)
+        return state
+
+    for i in range(4):
+        rhs = np.zeros(4)
+        rhs[i] = bad
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            qr_solve_ls(identity_state(), rhs)  # q'rhs forms inf * 0
+        for j in range(i + 1, 4):
+            state = identity_state()
+            state._r[i, j] = bad
+            for rhs in (np.zeros(4), np.eye(4)[j]):
+                with pytest.raises(ValueError, match="finite"):
+                    qr_solve_ls(state, rhs)
+
+
+def test_solve_ls_overflowing_eta_is_returned():
+    # Finite data whose solution overflows passes the finite test, as the
+    # entrywise test decides once the screen trips.
+    state = QrState(2, 2)
+    qr_append_column(state, np.array([1.0, 0.0]))
+    qr_append_column(state, np.array([1.0, 1e-10]))
+    with np.errstate(over="ignore"):
+        eta = qr_solve_ls(state, np.array([0.0, 1e300]), pivot_tol=0.0)
+    assert not np.isfinite(eta).all()
+
+
+def test_reset_clears_the_pivot_bounds():
+    # A negligible or a NaN pivot decides the solve only until a reset.
+    state = QrState(3, 3)
+    qr_append_column(state, np.array([1.0, 0.0, 0.0]))
+    qr_append_column(state, np.array([1.0, 1e-13, 0.0]))
+    with pytest.raises(SingularTriangular):
+        qr_solve_ls(state, np.ones(3))
+    with np.errstate(invalid="ignore"):
+        qr_append_column(state, np.array([np.nan, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        qr_solve_ls(state, np.ones(3))
+    state.reset()
+    qr_append_column(state, np.array([0.0, 2.0, 0.0]))
+    qr_append_column(state, np.array([0.0, 0.0, 4.0]))
+    assert (state.pivot_min, state.pivot_max) == (2.0, 4.0)
+    assert_allclose(qr_solve_ls(state, np.array([1.0, 2.0, 3.0])), [1.0, 0.75])
+
+
 @pytest.mark.parametrize("nan_at", [0, 2])
 def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
     # A NaN anywhere on the diagonal passes the ratio test, as it does with
     # numpy's NaN-propagating min and max, even beside a negligible pivot;
-    # the finite check then raises.
+    # the finite check then raises.  The append records NaN pivot bounds,
+    # so where the NaN sits on the diagonal does not matter.
     state = QrState(4, 3)
     qr_append_column(state, np.array([1.0, 0.0, 0.0, 0.0]))
     qr_append_column(state, np.array([1.0, 1e-15, 0.0, 0.0]), rank_tol=0.0)
@@ -220,7 +273,7 @@ def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
         qr_solve_ls(state, np.ones(4))
     with np.errstate(invalid="ignore"):
         qr_append_column(state, np.array([0.0, 0.0, np.nan, 1.0]))
-    if nan_at == 0:  # Python's min and max keep a NaN met first
+    if nan_at == 0:
         state._r[0, 0], state._r[2, 2] = state._r[2, 2], state._r[0, 0]
     assert np.isnan(state._r[nan_at, nan_at])
     with pytest.raises(ValueError, match="finite"):
@@ -229,11 +282,13 @@ def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
 
 @pytest.mark.parametrize("pivot_tol", [1e-12, 0.0, -1.0])
 def test_solve_ls_exact_zero_diagonal(pivot_tol):
-    # pivot_tol = -1 turns the ratio test off, so LAPACK's own report of the
-    # zero pivot is what raises.
+    # pivot_tol = -1 turns the ratio test off, so the explicit zero-pivot
+    # test is what raises.  Writing the diagonal by hand means writing the
+    # pivot bound an append of that column would have recorded.
     state = QrState(3, 3)
     qr_append_column(state, np.array([1.0, 0.0, 0.0]))
     qr_append_column(state, np.array([1.0, 1.0, 0.0]))
     state._r[1, 1] = 0.0
+    state.pivot_min = 0.0
     with pytest.raises(SingularTriangular):
         qr_solve_ls(state, np.array([1.0, 1.0, 0.0]), pivot_tol=pivot_tol)
