@@ -11,16 +11,6 @@ The memory also decides whether to extrapolate at all: ``propose`` returns
 no candidate while the history is too short, when the least-squares solve
 is singular, or when the coefficients fail the norm guard.
 
-``propose`` is the per-iteration path: one pass of ``observe`` (with
-``push_pair``), ``compute_eta``, ``eta_guard`` and ``candidate``, which stay
-as the step by step API and give the same bits and the same state.  It
-checks each argument once, where the step first uses it: dv's shape before
-the push, dr's shape and the capacity in ``qr_append_column``, the pivots
-and the finiteness of r and q'r in ``qr_solve_ls`` (screened, see
-``linalg``), ``eta_max`` at the guard and f in ``candidate``.  So a bad
-argument raises the same exception at the same call as the step by step
-sequence.
-
 Column-pointer convention: ``j`` counts 1 + stored columns, read off the QR
 factors.  A fresh or restarted memory has j = 1; the first push moves it to
 2; extrapolation is only attempted once j > 2, i.e. with at least two
@@ -68,35 +58,11 @@ class AccelMemory:
         """``observe`` iterate v (residual r, operator value f), then return its
         accelerated point, or None: with fewer than two stored pairs (j <= 2),
         a singular least-squares solve, or ||eta|| above ``eta_max``.
-
-        ``observe`` and ``compute_eta`` inlined, with the same arithmetic in
-        the same order, so the same bits and the same state as calling them.
         """
-        if epoch != self.epoch:
-            self.restart(epoch)
-            return None
-        qr = self.qr
-        k = qr.ncols
-        if k == self.m_max:
-            self.restart()
-            k = 0
-        elif self._anchor is not None:
-            v0, r0 = self._anchor
-            dv, dr = v - v0, r - r0
-            if dv.shape != (self.dim,):  # checked first: F is written after the QR commit
-                raise ValueError(f"dv has shape {dv.shape}, expected ({self.dim},)")
-            try:
-                qr_append_column(qr, dr)
-            except ColumnRankDeficient:
-                self.restart()
-                return None
-            np.subtract(dv, dr, out=self._f[:, k])
-            k += 1
-        self._anchor = (v, r)
-        if k < 2:
+        if self.observe(v, r, epoch).qr.ncols < 2:
             return None
         try:
-            eta = qr_solve_ls(qr, r)
+            eta = self.compute_eta(r)
         except SingularTriangular:
             return None
         if not eta_guard(eta, eta_max):

@@ -226,7 +226,9 @@ class DrsOperator(FixedPointOperator):
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
         an already-converged step (both residuals <= tol) is left alone.
-        Returns True when gamma changed (epoch bumped, KKT refactored).
+        Returns True when gamma changed (epoch bumped, KKT refactored).  When
+        the reduced matrix fails to factor at the new gamma, the old gamma
+        stays (``set_params`` commits nothing then) and it returns False.
         """
         prob = self.problem
         if prob.m == 0:
@@ -245,7 +247,10 @@ class DrsOperator(FixedPointOperator):
         if 0.2 <= factor <= 5.0:
             return False
         old_epoch = self.epoch
-        self.set_params([self.gamma / factor])
+        try:
+            self.set_params([self.gamma / factor])
+        except LinAlgError:
+            return False
         return self.epoch != old_epoch
 
     # -- infeasibility detection ------------------------------------------------

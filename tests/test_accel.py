@@ -254,7 +254,8 @@ def test_propose_none_when_guard_trips():
 @pytest.mark.parametrize("eta_max", [1e4, 3.0])
 def test_propose_equals_the_manual_sequence(eta_max):
     # Full memories (m_max = 3), an epoch change and, at eta_max = 3, guard
-    # trips: propose gives the bytes and the state of the step by step call.
+    # trips: propose gives the bytes and the state of the step by step calls
+    # it is composed of, so a second, forked copy of the step cannot drift.
     steps = iterates(14, 8, 40)
     got, want = AccelMemory(8, 3), AccelMemory(8, 3)
     proposed = 0
@@ -382,7 +383,8 @@ def step_reasons(mem, v, r, f, epoch, eta_max):
 
 
 def test_propose_equals_the_manual_sequence_on_generated_steps():
-    # The fused step against observe, compute_eta, eta_guard and candidate:
+    # propose against the calls it is composed of (observe, compute_eta,
+    # eta_guard and candidate), so that a forked copy of the step must match:
     # the same output bytes, the same state after every call, and a
     # non-finite residual or a wrong shape raises ValueError from both at the
     # same call.  A third memory names the branches the sequences reach.

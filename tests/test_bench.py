@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +631,23 @@ def test_benchmark_spans_cover_every_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     assert tracing.Tracer().absent == []
+
+
+def test_accelerated_step_spans_are_live(monkeypatch):
+    # The spans of the accelerated step time calls that propose makes; a
+    # copy of the step inlined into propose would leave them reading 0.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    problem = generate("RandomQP", n=50, m=100, seed=1)
+    tracer.install()
+    try:
+        solve(problem, "safeguarded")
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[0] for span in tracer.spans)
+    names = ("accel.push", "accel.eta", "accel.candidate", "accel.restart",
+             "linalg.qr_append", "linalg.qr_solve")
+    assert all(calls[name] for name in names), calls
 
 
 def test_solve_identity_digest_sees_one_bit(monkeypatch):

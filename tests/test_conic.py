@@ -10,7 +10,8 @@ from scipy.linalg import cho_factor, cho_solve
 from fpaccel.cones import NONNEG, ZERO, ConeBlock
 from fpaccel import conic
 from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, _inf_norm, solve
-from fpaccel.problems import generate
+from fpaccel.driver import CONVERGED, DIVERGED, MAX_ITER
+from fpaccel.problems import generate, load_problem, save_problem
 
 
 def tiny_qp():
@@ -208,6 +209,43 @@ def test_failed_refactor_leaves_the_operator_unchanged():
         op.set_params([1e4])
     assert op.gamma == 1.0 and op.epoch == 0
     assert op.apply(v).tobytes() == before
+
+
+def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
+    # The reduced matrix -1e-3 I + (I + A'A)/gamma is definite at gamma = 500
+    # and not at the 5000 the clipped update asks for (A'A has rank 3 of 6).
+    rng = np.random.default_rng(0)
+    prob = ConicProblem(
+        -1e-3 * np.eye(6), rng.standard_normal(6), rng.standard_normal((3, 6)),
+        rng.standard_normal(3), [ConeBlock(NONNEG, 3)],
+    )
+    op = DrsOperator(prob, gamma=500.0)
+    v = rng.standard_normal(op.dim)
+    before, factor = op.apply(v).tobytes(), op._factor.copy()
+    op.residuals = lambda _step: (0.0, 1.0)  # ratio 0: the factor clips to 0.1
+    assert not op.adapt_gamma(op.info)
+    assert op.gamma == 500.0 and op.epoch == 0
+    assert np.array_equal(op._factor, factor)
+    assert op.apply(v).tobytes() == before
+
+
+def test_solve_survives_a_refactor_failure_mid_run(tmp_path):
+    # Rounding leaves the rank-5 P = 1e10 BB' eigenvalues down to -6e-5,
+    # inside the loader's tolerance, so it loads from a file and factors at
+    # the starting gamma; the step-size updates then reach a gamma where the
+    # reduced matrix is not definite.
+    rng = np.random.default_rng(116)
+    B = rng.standard_normal((30, 5))
+    A = rng.standard_normal((40, 30))
+    b = rng.standard_normal(40) + 2.0
+    q = rng.standard_normal(30)
+    save_problem(ConicProblem(1e10 * B @ B.T, q, A, b, [ConeBlock(NONNEG, 40)]),
+                 tmp_path / "p.json")
+    prob = load_problem(tmp_path / "p.json")
+    for mode in ("vanilla", "unsafe", "safeguarded"):
+        sol = solve(prob, mode, max_iter=1000)
+        assert sol.status in (CONVERGED, MAX_ITER, DIVERGED, conic.PRIMAL_INFEASIBLE,
+                              conic.DUAL_INFEASIBLE)
 
 
 def test_adapt_gamma_deadband_and_clip():
