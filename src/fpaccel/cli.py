@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--eta-max", dest="eta_max", type=float, default=cfg.eta_max)
     run_p.add_argument("--mmax", type=int, default=cfg.m_max)
     run_p.add_argument(
-        "--check-interval", dest="check_interval", type=int, default=cfg.check_interval
+        "--check-interval", dest="check_interval", type=int, default=cfg.check_interval,
+        help="longest gap, in iterations, between convergence tests; an iteration whose "
+        "trace residuals are within eps is tested too",
     )
     run_p.add_argument("--max-iter", dest="max_iter", type=int, default=cfg.max_iter)
     run_p.add_argument(

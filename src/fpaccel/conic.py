@@ -35,8 +35,11 @@ s = project(v_s - 2 gamma lam), y = lam and keeps it, with the product A x
 the KKT solve already formed, as one immutable ``DrsStep`` record; it forms
 no residual norm.  ``DrsOperator.residuals`` forms the primal and dual
 residual norms of a step from the data, and only the decisions that read
-them call it: the convergence test every ``check_interval`` steps,
-step-size adaptation every ``adapt_interval`` steps and ``solve``'s return.
+them call it: the convergence test, step-size adaptation every
+``adapt_interval`` steps and ``solve``'s return.  The convergence test runs
+every ``check_interval`` steps and at every step whose trace columns, which
+are read off the fixed-point residual at no extra product, are both within
+``eps``.
 The driver carries the record of the iterate it holds in
 ``FixedPointState.info``, so no operator evaluation happens outside the
 counted ones.  The step size gamma is the single operator parameter;
@@ -201,9 +204,13 @@ class DrsOperator(FixedPointOperator):
     def residuals(self, step: DrsStep) -> tuple[float, float]:
         """(r_prim, r_dual): the infinity norms of A x + s - b and P x + q + A'y
         at a step's point, formed from the data."""
+        return self._residual_terms(step)[:2]
+
+    def _residual_terms(self, step: DrsStep):
+        """(r_prim, r_dual, P x, A'y): ``residuals`` with the two products it formed."""
         prob = self.problem
-        r_prim = _inf_norm(step.ax + step.s - prob.b)
-        return r_prim, _inf_norm(prob.P @ step.x + prob.q + prob.A.T @ step.y)
+        px, aty = prob.P @ step.x, prob.A.T @ step.y
+        return _inf_norm(step.ax + step.s - prob.b), _inf_norm(px + prob.q + aty), px, aty
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """The DRS step in reduced form, v+ = (x, project(v_s - 2 gamma lam) + gamma lam)."""
@@ -220,8 +227,8 @@ class DrsOperator(FixedPointOperator):
     def adapt_gamma(self, step: DrsStep, tol: float = 1e-6) -> bool:
         """Rebalance gamma from the scaled primal/dual residual ratio of a step.
 
-        The residual norms come from ``residuals`` and the dual scale's
-        products P x and A'y are formed here, from the step's own x and y.
+        The residual norms and the dual scale's products P x and A'y come
+        from one ``_residual_terms`` call, so each product is formed once.
 
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
@@ -233,15 +240,13 @@ class DrsOperator(FixedPointOperator):
         prob = self.problem
         if prob.m == 0:
             return False
-        r_prim, r_dual = self.residuals(step)
+        r_prim, r_dual, px, aty = self._residual_terms(step)
         if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
             return False
         if r_prim <= tol and r_dual <= tol:
             return False
         prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
-        dual_scale = max(
-            _inf_norm(prob.P @ step.x), _inf_norm(prob.q), _inf_norm(prob.A.T @ step.y), 1.0
-        )
+        dual_scale = max(_inf_norm(px), _inf_norm(prob.q), _inf_norm(aty), 1.0)
         ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
         factor = float(np.clip(math.sqrt(ratio), 0.1, 10.0))
         if 0.2 <= factor <= 5.0:
@@ -344,7 +349,9 @@ def solve(
     ``DriverConfig`` fields by name, and ``DriverConfig`` rejects an unknown
     mode.
     Termination tests the absolute infinity-norm primal and dual residuals
-    against ``eps`` every ``check_interval`` iterations.  An
+    against ``eps`` every ``check_interval`` iterations and at every
+    iteration whose trace columns (below) are both within ``eps``, so a
+    solve stops at the first tested iteration that passes.  An
     ``adapt_interval`` beyond ``max_iter`` freezes the step size ``gamma``.
 
     Every decision reads the residuals formed from the data
@@ -355,7 +362,8 @@ def solve(
     ``r_prim = ||r_s||``, and the first KKT row, r_x = gamma (P x + q + A'y)
     up to the KKT solve's residual, gives ``r_dual = ||r_x|| / gamma``.  This
     second formula is kept for cost alone: the data's r_dual would put the
-    two mat-vecs P x and A'y back into every iteration.
+    two mat-vecs P x and A'y back into every iteration.  The columns only
+    choose when to test; the data's residuals decide.
     """
     _driver.positive_finite("eps_infeas", eps_infeas)
     cfg = _driver.DriverConfig(mode=mode, **settings)

@@ -28,6 +28,14 @@ restart is followed by at least two plain iterations (see
 ``AccelMemory.observe``), so the infeasibility hook always sees a difference
 of consecutive pure operator steps.
 
+The convergence test (``Hooks.converged``) runs at the start, after every
+step whose ``k`` is a multiple of ``check_interval`` and after every step
+whose trace columns ``r_prim`` and ``r_dual`` are both within ``eps``, so
+``check_interval`` is the longest gap between tests.  The columns only pick
+extra steps to test; the test alone decides, and a run stops at the first
+tested step that passes.  Without a metrics hook the columns are NaN and
+only the cadence remains.
+
 Infeasibility checks are latched on the ``check_interval`` cadence and
 consumed at the next checkpoint.
 
@@ -148,7 +156,9 @@ class Hooks:
     ``adapt_interval``, accelerated or not; a change must bump ``op.epoch``.
     infeasibility(op, dv) -> certificate-or-None inspects a pure-step
     difference; a returned object must expose ``kind`` (used as status).
-    metrics(op, state) -> (r_prim, r_dual) fills the trace columns.
+    metrics(op, state) -> (r_prim, r_dual) fills the trace columns; the
+    columns estimate what ``converged`` tests, and a step with both within
+    ``eps`` is tested for convergence off the ``check_interval`` cadence.
     """
 
     converged: object = None
@@ -336,14 +346,16 @@ class Driver:
                 status = MAX_ITER
                 break
             try:
-                self.step()
+                entry = self.step()
             except NonFiniteOutput:
                 status = DIVERGED
                 break
             if rec.certificate is not None:
                 status = rec.certificate.kind
                 break
-            if self.state.k % cfg.check_interval == 0 and self._converged():
+            # NaN columns (no metrics hook) compare False, leaving the cadence alone.
+            near = entry.r_prim <= cfg.eps and entry.r_dual <= cfg.eps
+            if (near or self.state.k % cfg.check_interval == 0) and self._converged():
                 status = CONVERGED
                 break
             if cfg.time_cap is not None and time.perf_counter() - self._start > cfg.time_cap:

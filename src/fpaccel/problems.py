@@ -12,9 +12,10 @@ import json
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .cones import BOX, KINDS, NONNEG, PSD_TRIANGLE, ZERO, ConeBlock, svec
-from .conic import ConicProblem
+from .conic import GAMMA_MAX, ConicProblem
 
 
 class InvalidParams(Exception):
@@ -314,12 +315,11 @@ def load_problem(path) -> ConicProblem:
         problem = ConicProblem(P, q, A, b, cones)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    # Same relative tolerance as ConicProblem's symmetry test; the induced
-    # infinity norm bounds the spectral radius, so eigvalsh rounding fits.
-    min_eig = float(np.linalg.eigvalsh(problem.P).min())
-    scale = max(1.0, float(np.abs(problem.P).sum(axis=1).max()))
+    # The solver's rule: every reduced matrix P + (I + A'A)/gamma with gamma
+    # <= GAMMA_MAX dominates P + I/GAMMA_MAX, so P is accepted when that factors.
+    info = dpotrf(problem.P + np.eye(n) / GAMMA_MAX, lower=0, clean=0)[1]
     _require(
-        min_eig >= -1e-12 * scale,
-        f"P must be positive semidefinite (smallest eigenvalue {min_eig:.3e})",
+        info == 0,
+        f"P must be positive semidefinite (P + I/{GAMMA_MAX:g} does not factor, potrf info {info})",
     )
     return problem

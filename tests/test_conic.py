@@ -11,7 +11,7 @@ from fpaccel.cones import NONNEG, ZERO, ConeBlock
 from fpaccel import conic
 from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, _inf_norm, solve
 from fpaccel.driver import CONVERGED, DIVERGED, MAX_ITER
-from fpaccel.problems import generate, load_problem, save_problem
+from fpaccel.problems import SchemaError, generate, load_problem, save_problem
 
 
 def tiny_qp():
@@ -211,6 +211,12 @@ def test_failed_refactor_leaves_the_operator_unchanged():
     assert op.apply(v).tobytes() == before
 
 
+def fake_residuals(op, r_prim, r_dual):
+    """Make op's decisions read (r_prim, r_dual), with the step's own products P x and A'y."""
+    terms = op._residual_terms
+    op._residual_terms = lambda step: (r_prim, r_dual, *terms(step)[2:])
+
+
 def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
     # The reduced matrix -1e-3 I + (I + A'A)/gamma is definite at gamma = 500
     # and not at the 5000 the clipped update asks for (A'A has rank 3 of 6).
@@ -222,30 +228,69 @@ def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
     op = DrsOperator(prob, gamma=500.0)
     v = rng.standard_normal(op.dim)
     before, factor = op.apply(v).tobytes(), op._factor.copy()
-    op.residuals = lambda _step: (0.0, 1.0)  # ratio 0: the factor clips to 0.1
+    fake_residuals(op, 0.0, 1.0)  # ratio 0: the factor clips to 0.1
     assert not op.adapt_gamma(op.info)
     assert op.gamma == 500.0 and op.epoch == 0
     assert np.array_equal(op._factor, factor)
     assert op.apply(v).tobytes() == before
 
 
-def test_solve_survives_a_refactor_failure_mid_run(tmp_path):
-    # Rounding leaves the rank-5 P = 1e10 BB' eigenvalues down to -6e-5,
-    # inside the loader's tolerance, so it loads from a file and factors at
-    # the starting gamma; the step-size updates then reach a gamma where the
-    # reduced matrix is not definite.
-    rng = np.random.default_rng(116)
+def rank5_cost_problem(seed):
+    """P = 1e10 BB' of rank 5, whose rounding leaves eigenvalues down to about -6e-5."""
+    rng = np.random.default_rng(seed)
     B = rng.standard_normal((30, 5))
     A = rng.standard_normal((40, 30))
     b = rng.standard_normal(40) + 2.0
     q = rng.standard_normal(30)
-    save_problem(ConicProblem(1e10 * B @ B.T, q, A, b, [ConeBlock(NONNEG, 40)]),
-                 tmp_path / "p.json")
-    prob = load_problem(tmp_path / "p.json")
+    return ConicProblem(1e10 * B @ B.T, q, A, b, [ConeBlock(NONNEG, 40)])
+
+
+def test_solve_survives_a_refactor_failure_mid_run():
+    # In memory (the loader refuses this P): it factors at the starting
+    # gamma, and the safeguarded run's step-size updates then reach gammas
+    # near GAMMA_MAX where the reduced matrix is not definite.
+    prob = rank5_cost_problem(116)
     for mode in ("vanilla", "unsafe", "safeguarded"):
         sol = solve(prob, mode, max_iter=1000)
         assert sol.status in (CONVERGED, MAX_ITER, DIVERGED, conic.PRIMAL_INFEASIBLE,
                               conic.DUAL_INFEASIBLE)
+
+
+def test_rank5_cost_file_is_refused_or_solved_at_every_gamma(tmp_path):
+    # The loader's rule is the factorization's: a file either fails to load
+    # or its solve ends in a status from every starting gamma in range.
+    save_problem(rank5_cost_problem(5), tmp_path / "p.json")
+    try:
+        prob = load_problem(tmp_path / "p.json")
+    except SchemaError:
+        return
+    for gamma in 10.0 ** np.arange(-6, 7):
+        for mode in ("vanilla", "unsafe", "safeguarded"):
+            sol = solve(prob, mode, gamma=gamma, max_iter=500)
+            assert sol.status in (CONVERGED, MAX_ITER, DIVERGED, conic.PRIMAL_INFEASIBLE,
+                                  conic.DUAL_INFEASIBLE)
+
+
+class CountedMatrix(np.ndarray):
+    """A matrix that logs the shape of each matrix-vector product it takes part in."""
+
+    products = []
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            CountedMatrix.products.append(self.shape)
+        return np.asarray(self) @ other
+
+
+def test_adapt_gamma_forms_each_product_once():
+    # The residual norms and the dual scale share one P x and one A'y.
+    prob = generate("RandomQP", n=8, m=12, seed=6)
+    op = DrsOperator(prob, gamma=1.0)
+    op.apply(np.ones(op.dim))
+    prob.P, prob.A = prob.P.view(CountedMatrix), prob.A.view(CountedMatrix)
+    CountedMatrix.products.clear()
+    op.adapt_gamma(op.info)
+    assert sorted(CountedMatrix.products) == [(8, 8), (8, 12)]
 
 
 def test_adapt_gamma_deadband_and_clip():
@@ -261,12 +306,12 @@ def test_adapt_gamma_deadband_and_clip():
     )
 
     # balanced residuals: factor 1 sits inside the deadband
-    op.residuals = lambda _step: (prim_scale, dual_scale)
+    fake_residuals(op, prim_scale, dual_scale)
     assert not op.adapt_gamma(step)
     assert op.epoch == 0
 
     # scaled ratio 100 -> clip(sqrt(100)) = 10 -> gamma divided by 10
-    op.residuals = lambda _step: (100.0 * prim_scale, dual_scale)
+    fake_residuals(op, 100.0 * prim_scale, dual_scale)
     assert op.adapt_gamma(step)
     assert op.epoch == 1
     assert op.gamma == pytest.approx(0.1)
@@ -274,7 +319,7 @@ def test_adapt_gamma_deadband_and_clip():
     # converged state: no change regardless of the ratio
     op2 = DrsOperator(prob, gamma=1.0)
     op2.apply(v)
-    op2.residuals = lambda _step: (1e-9, 1e-13)
+    fake_residuals(op2, 1e-9, 1e-13)
     assert not op2.adapt_gamma(op2.info, tol=1e-6)
     assert op2.epoch == 0
 
@@ -614,16 +659,16 @@ def test_reported_residuals_are_the_data_residuals(prob, settings):
 
 
 def test_evaluations_form_no_residual_norms(monkeypatch):
-    # Only the decisions call residuals(): each convergence check, each
+    # Only the decisions form residuals: each convergence check, each
     # scheduled step-size update and solve's return, never an evaluation.
     calls = []
-    residuals = DrsOperator.residuals
+    terms = DrsOperator._residual_terms
 
     def counted(op, step):
         calls.append(1)
-        return residuals(op, step)
+        return terms(op, step)
 
-    monkeypatch.setattr(DrsOperator, "residuals", counted)
+    monkeypatch.setattr(DrsOperator, "_residual_terms", counted)
     prob = generate("RandomQP", n=20, m=40, seed=9)
     op = DrsOperator(prob)
     for _ in range(5):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel import accel
-from fpaccel.conic import solve
+from fpaccel.conic import DrsOperator, _trace_norms, solve
 from fpaccel.driver import (
     Driver,
     DriverConfig,
@@ -716,3 +717,53 @@ def test_trace_step_norm_is_the_norm_of_the_step(mode, tau):
         assert entry.step_norm == math.sqrt(step @ step)
         accepted.add(entry.accepted)
     assert accepted == ({False} if mode == "vanilla" else {False, True})
+
+
+def conic_driver(prob, cfg):
+    """A Driver over the splitting operator, with the hooks ``solve`` plugs in."""
+    op = DrsOperator(prob)
+    hooks = Hooks(
+        converged=lambda state, operator: all(r <= cfg.eps for r in operator.residuals(state.info)),
+        operator_update=lambda operator, state: operator.adapt_gamma(state.info, tol=cfg.eps),
+        infeasibility=lambda operator, dv: operator.infeasibility_check(dv),
+        metrics=_trace_norms,
+    )
+    return Driver(op, np.zeros(op.dim), cfg, hooks)
+
+
+def untimed(entry):
+    return replace(entry, elapsed=0.0, accel_seconds=0.0)
+
+
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
+                                       ("safeguarded", 2.0), ("strict", 0.9)])
+@pytest.mark.parametrize("prob", [generate("RandomQP", n=20, m=40, seed=3),
+                                  generate("RandomSDP", side=4, seed=2)], ids=["qp", "sdp"])
+def test_run_stops_at_the_first_tested_step_that_passes(prob, mode, tau):
+    # The exact test runs at every multiple of check_interval and wherever
+    # both trace columns are within eps; the run stops at the first of those
+    # steps where it passes, never later than the cadence alone would.
+    cfg = DriverConfig(mode=mode, tau=tau)
+    rec = conic_driver(prob, cfg).run()
+    assert rec.status == "converged"
+    assert rec.iterations == solve(prob, mode, tau=tau).record.iterations
+
+    hand = conic_driver(prob, cfg)
+    exact = hand.hooks.converged
+    assert not exact(hand.state, hand.op)
+    cadence_stop = None
+    while cadence_stop is None:
+        entry = hand.step()
+        k = entry.k
+        passes = exact(hand.state, hand.op)
+        if k == rec.iterations:
+            assert passes
+        near = entry.r_prim <= cfg.eps and entry.r_dual <= cfg.eps
+        if k < rec.iterations and (near or k % cfg.check_interval == 0):
+            assert not passes, k
+        if passes and k % cfg.check_interval == 0:
+            cadence_stop = k
+    assert rec.iterations <= cadence_stop
+    assert [untimed(e) for e in rec.entries] == [
+        untimed(e) for e in hand.record.entries[: rec.iterations]
+    ]

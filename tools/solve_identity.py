@@ -5,8 +5,8 @@
 
 Runs from the root of a source checkout and imports ``fpaccel`` from its
 ``src/`` and the workload definitions from ``perfbench/workloads.py``.  It
-solves four sets and prints the full and the points sha256 of each solve, then
-three combined digests per set:
+solves four sets and prints one line per solve (its status, its iteration
+count and its full and points sha256), then three combined digests per set:
 
 * ``bench``: ``qp_small``, ``sdp`` and ``adapt_infeas`` at workload seeds 0
   and 1 and ``qp_large`` at seed 0, each case in the three configurations
@@ -31,9 +31,15 @@ trace columns moved.  The *counts* digest covers only the status, the run
 counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
 ``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
-Last come the summed iterations and operator evaluations of each set per
-``workload@seed`` (per generator kind for ``certs``, per side for ``psd``)
-and mode, the counts a behaviour change moves.
+Last come the summed iterations, operator evaluations and convergence checks
+of each set per ``workload@seed`` (per generator kind for ``certs``, per side
+for ``psd``) and mode, the counts a behaviour change moves.
+
+Run it on two checkouts and diff the outputs.  A change that only stops
+earlier, on the same trajectory, shows as equal statuses on every per-solve
+line, a lower iteration count and new digests on the lines whose stop moved
+(their trace is a prefix of the old one), byte-equal lines elsewhere, and
+sums that fall or stay.
 """
 
 from __future__ import annotations
@@ -115,11 +121,13 @@ def main() -> int:
     from fpaccel.problems import generate
     import workloads
 
-    iters, evals = Counter(), Counter()  # keyed by (set, workload@seed or kind, mode)
+    # keyed by (set, workload@seed or kind, mode)
+    iters, evals, checks = Counter(), Counter(), Counter()
 
     def tally(key, sol):
         iters[key] += sol.record.iterations
         evals[key] += sol.record.operator_evaluations
+        checks[key] += sol.record.convergence_checks
 
     # full, points and counts digests per set
     digests = {kind: ([], [], []) for kind in ("bench", "strict", "certs", "psd")}
@@ -127,7 +135,8 @@ def main() -> int:
     def record(kind, sol):
         for out, digest in zip(digests[kind], (solve_digest, points_digest, counts_digest)):
             out.append(digest(sol))
-        return f"{digests[kind][0][-1]} {digests[kind][1][-1]}"
+        return (f"{sol.status} {sol.record.iterations} "
+                f"{digests[kind][0][-1]} {digests[kind][1][-1]}")
 
     for workload, seed in BENCH_SETS:
         for case in workloads.build(workload, seed):
@@ -163,7 +172,8 @@ def main() -> int:
         print(f"{kind} points digest ({len(points)} solves): {combined(points)}")
         print(f"{kind} counts digest ({len(counts)} solves): {combined(counts)}")
     for key in iters:
-        print("sums {} {} {} iterations={} evaluations={}".format(*key, iters[key], evals[key]))
+        print("sums {} {} {} iterations={} evaluations={} convergence_checks={}".format(
+            *key, iters[key], evals[key], checks[key]))
     return 0
 
 
