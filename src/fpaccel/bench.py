@@ -181,12 +181,9 @@ def run_benchmark(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_task, tasks))
+            rows = list(pool.map(_solve_task, tasks))
     else:
-        results = [_solve_task(t) for t in tasks]
-
-    by_key = {(r.problem, r.config): r for r in results}
-    rows = [by_key[(name, config)] for name, _ in problems for config in configs]
+        rows = [_solve_task(t) for t in tasks]
 
     solved = {
         config: {r.problem for r in rows if r.config == config and r.status == "converged"}

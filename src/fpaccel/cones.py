@@ -16,18 +16,19 @@ its recession cone and its support function depend on which bounds are
 finite, not on the projection at one point.
 
 A PSD block is projected by clamping the negative eigenvalues of its matrix.
-The eigendecomposition is one direct LAPACK ``dsyevd`` call on a
-column-major buffer in which only the lower triangle is filled, which skips
-the per-call wrapping of ``np.linalg.eigh``.  That function calls the same
-routine on the same triangle (``UPLO='L'``).  The reconstruction runs on a
-row-major copy of the eigenvectors, the layout ``eigh`` returns, because
-OpenBLAS's small-matrix products can sum in a layout-dependent order.  So the
+The block holds its svec layout, computed once when it is built: each
+entry's scale and its flat offsets in a side-by-side buffer.  The
+eigendecomposition is one direct LAPACK ``dsyevd`` call on a column-major
+buffer in which only the lower triangle is filled, which skips the per-call
+wrapping of ``np.linalg.eigh``.  That function calls the same routine on the
+same triangle (``UPLO='L'``).  The reconstruction runs on a row-major copy of
+the eigenvectors, the layout ``eigh`` returns, because OpenBLAS's
+small-matrix products can sum in a layout-dependent order.  So the
 projection is bit for bit the one ``eigh`` gives.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -80,7 +81,12 @@ class ConeBlock:
         elif l is not None or u is not None:
             raise ValueError(f"bounds only apply to box blocks, not {kind!r}")
         if kind == PSD_TRIANGLE:
+            # The svec layout project_cone reads: each entry's scale and its
+            # column-major (fill) and row-major (read) flat offsets.
             self.side = triangle_side(dim)
+            col, row, self.scale = _triangle_index(self.side)
+            self.fill = col * self.side + row
+            self.read = row * self.side + col
 
     def __repr__(self) -> str:
         return f"ConeBlock({self.kind!r}, dim={self.dim})"
@@ -95,7 +101,6 @@ class ConeBlock:
         return True
 
 
-@functools.lru_cache(maxsize=64)
 def _triangle_index(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(col, row, scale) of each svec entry, in svec order.
 
@@ -103,21 +108,7 @@ def _triangle_index(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so ``np.triu_indices`` yields the columns and rows directly.
     """
     col, row = np.triu_indices(side)
-    scale = np.where(row == col, 1.0, _SQRT2)
-    for arr in (col, row, scale):
-        arr.flags.writeable = False
-    return col, row, scale
-
-
-@functools.lru_cache(maxsize=64)
-def _triangle_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat offsets of each svec entry in a side-by-side buffer, in svec
-    order: (column-major, row-major)."""
-    col, row, _ = _triangle_index(side)
-    offsets = (col * side + row, row * side + col)
-    for arr in offsets:
-        arr.flags.writeable = False
-    return offsets
+    return col, row, np.where(row == col, 1.0, _SQRT2)
 
 
 def svec(S: np.ndarray) -> np.ndarray:
@@ -149,7 +140,7 @@ def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
         return np.clip(v, block.l, block.u)
     if block.kind == SECOND_ORDER:
         t, x = v[0], v[1:]
-        xn = float(np.linalg.norm(x))
+        xn = math.sqrt(x @ x)
         if xn <= t:
             return v.copy()
         if xn <= -t:
@@ -160,11 +151,9 @@ def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
         out[1:] = scale * x
         return out
     # PSD: clamp negative eigenvalues.  dsyevd reads only the lower triangle.
-    side = block.side
-    scale = _triangle_index(side)[2]
-    fill, read = _triangle_offsets(side)
+    side, scale = block.side, block.scale
     lower = np.empty(side * side)
-    lower[fill] = v / scale
+    lower[block.fill] = v / scale
     # Positional f2py arguments (compute_v, lower): keywords cost parsing time.
     vals, vecs, info = dsyevd(lower.reshape(side, side).T, 1, 1)
     if info > 0:
@@ -174,7 +163,7 @@ def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"dsyevd rejected argument {-info}")
     vecs = np.ascontiguousarray(vecs)
-    return ((vecs * np.maximum(vals, 0.0)) @ vecs.T).ravel()[read] * scale
+    return ((vecs * np.maximum(vals, 0.0)) @ vecs.T).ravel()[block.read] * scale
 
 
 def in_recession_of_negation(block: ConeBlock, d: np.ndarray, tol: float) -> bool:

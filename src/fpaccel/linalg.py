@@ -15,18 +15,19 @@ Validation: ``qr_append_column`` checks the capacity and the column's shape;
 outcomes a full scan of the factors would give, at a fraction of its cost:
 
 * The pivot test reads the bounds of |r_ii| that each append records on the
-  ``QrState`` (``pivot_min``, ``pivot_max``), not the diagonal itself.  A
-  NaN pivot makes both bounds NaN, so the ratio test passes and the finite
-  test rejects the factor.
-* The finite test is a screen on eta_0 after the solve.  With a finite,
-  nonzero diagonal, back-substitution forms eta_0 from every other eta_i,
-  and each eta_i from the entries of row i above the diagonal and of q'rhs,
-  through products and differences that keep a NaN or an infinity
-  non-finite (inf * 0 is NaN).  So a finite eta_0 proves every entry above
-  the diagonal and of q'rhs finite; the strict lower triangle, which appends
-  never write, stays zero.  Only a non-finite eta_0, or a zero, infinite or
-  NaN pivot bound, runs the entrywise test, which then decides as before.
-  Code that writes ``_r`` directly must keep the bounds in step.
+  ``QrState`` (``pivot_min``, ``pivot_max``), not the diagonal itself.  The
+  ratio test with the fixed ``PIVOT_TOL`` catches a zero and an infinite
+  pivot too.  A NaN pivot makes both bounds NaN, so the ratio test passes
+  and the finite test rejects the factor.
+* The finite test is a screen on eta_0 after the solve.  Past the ratio
+  test every pivot is finite and nonzero, or NaN.  Back-substitution forms
+  eta_0 from every other eta_i, and each eta_i from its pivot, the entries
+  of row i above the diagonal and q'rhs, through products, differences and
+  quotients that keep a NaN or an infinity non-finite (inf * 0 and x / NaN
+  are NaN).  So a finite eta_0 proves r and q'rhs finite; the strict lower
+  triangle, which appends never write, stays zero.  Only a non-finite
+  eta_0 runs the entrywise test, which tells bad data from a solution that
+  overflows.  Code that writes ``_r`` directly must keep the bounds in step.
 
 Vector norms are ``math.sqrt(x @ x)``: the dot product and square root that
 ``np.linalg.norm`` computes for a 1-D float array, so the same bits, without
@@ -41,6 +42,11 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dtrsv
+
+# The fixed tolerances of the rank test (qr_append_column) and the pivot
+# test (qr_solve_ls).
+RANK_TOL = 1e-14
+PIVOT_TOL = 1e-12
 
 
 class ColumnRankDeficient(Exception):
@@ -86,7 +92,7 @@ class QrState:
         self.pivot_max = 0.0
 
 
-def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -> QrState:
+def qr_append_column(state: QrState, col: np.ndarray) -> QrState:
     """Append one column to the factorization in place.
 
     Orthogonalizes ``col`` against the current basis by classical
@@ -94,7 +100,7 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     near machine precision.
 
     Raises ColumnRankDeficient when the orthogonal remainder is below
-    ``rank_tol`` times the column norm; the caller must discard the
+    ``RANK_TOL`` times the column norm; the caller must discard the
     factorization (the history is no longer informative).
     """
     k = state.ncols
@@ -112,7 +118,7 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     c2 = qt @ w
     w -= q @ c2
     w_norm = math.sqrt(w @ w)
-    if w_norm <= rank_tol * col_norm:
+    if w_norm <= RANK_TOL * col_norm:
         raise ColumnRankDeficient(
             f"column {k} is collinear with the current basis "
             f"(remainder {w_norm:.3e} vs norm {col_norm:.3e})"
@@ -130,30 +136,23 @@ def qr_append_column(state: QrState, col: np.ndarray, rank_tol: float = 1e-14) -
     return state
 
 
-def qr_solve_ls(state: QrState, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
+def qr_solve_ls(state: QrState, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve min ||rhs - M eta|| for the factored matrix M.
 
     Back-substitution on r applied to q' rhs.  Raises SingularTriangular
-    when the smallest |r_ii| is zero or not above ``pivot_tol`` times the
-    largest, and ValueError when r or q' rhs is not finite.
+    when the smallest |r_ii| is not above ``PIVOT_TOL`` times the largest,
+    and ValueError when r or q' rhs is not finite.
     """
     k = state.ncols
     if k == 0:
         raise ValueError("factorization holds no columns")
     lo, hi = state.pivot_min, state.pivot_max
-    if lo <= pivot_tol * hi:  # False for NaN bounds, which the finite test rejects
+    if lo <= PIVOT_TOL * hi:  # False for NaN bounds, which the finite test rejects
         raise SingularTriangular(
-            f"smallest diagonal {lo:.3e} not above {pivot_tol:.0e} times the largest {hi:.3e}"
+            f"smallest diagonal {lo:.3e} not above {PIVOT_TOL:.0e} times the largest {hi:.3e}"
         )
     r = state._r[:k, :k]
     qtr = state._q[:, :k].T @ np.asarray(rhs, dtype=float)
-    if not 0.0 < lo <= hi < math.inf:
-        # A zero, infinite or NaN pivot: the screen below needs a finite,
-        # nonzero diagonal, so test the entries here.  dtrsv reports no zero
-        # pivot; the ratio test misses one if pivot_tol < 0.
-        if lo == 0.0 and np.isfinite(r).all() and np.isfinite(qtr).all():
-            raise SingularTriangular("the triangular factor has a zero diagonal")
-        raise ValueError("least-squares data must be finite")
     # r.T is the lower factor in Fortran order; solving r.T' eta = qtr is the
     # branch scipy.linalg.solve_triangular takes for the C-ordered r.  The
     # f2py arguments are positional: (incx, offx, lower, trans, diag, overwrite_x).

@@ -289,6 +289,7 @@ def load_problem(path) -> ConicProblem:
     A = _dense_from_triplets(doc["A"], m, n, "A", symmetric=False)
 
     cones = []
+    total = 0
     _require(isinstance(doc["cones"], list), "cones must be a list")
     for idx, entry in enumerate(doc["cones"]):
         field = f"cones[{idx}]"
@@ -296,6 +297,8 @@ def load_problem(path) -> ConicProblem:
         kind = entry.get("kind")
         _require(kind in KINDS, f"{field}.kind must be one of {sorted(KINDS)}")
         dim = _integer(entry.get("dim"), f"{field}.dim")
+        # Before the block is built: a PSD block lays out its dim entries.
+        _require(total + dim <= m, f"cone dims exceed m = {m} at {field}")
         try:
             if kind == BOX:
                 block = ConeBlock(
@@ -309,7 +312,7 @@ def load_problem(path) -> ConicProblem:
         except ValueError as exc:
             raise SchemaError(f"{field}: {exc}") from exc
         cones.append(block)
-    total = sum(c.dim for c in cones)
+        total += dim
     _require(total == m, f"cone dims sum to {total}, expected m = {m}")
     try:
         problem = ConicProblem(P, q, A, b, cones)

@@ -269,6 +269,25 @@ def test_load_schema_errors(tmp_path):
         load_problem(path)
 
 
+def test_load_refuses_cone_dims_beyond_m_before_building_a_block(tmp_path):
+    # A PSD block lays out its dim entries when built, so a file's dims are
+    # checked against m first: a side-2000 block in a two-row file is
+    # refused without a two-million-entry layout.
+    doc = {
+        "n": 1,
+        "m": 2,
+        "P": [],
+        "q": [0.0],
+        "A": [],
+        "b": [0.0, 0.0],
+        "cones": [{"kind": "nonneg", "dim": 1}, {"kind": "psd", "dim": 2000 * 2001 // 2}],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^cone dims exceed m = 2 at cones\[1\]"):
+        load_problem(path)
+
+
 def test_load_rejects_non_finite_literals(tmp_path):
     # Python's json reads NaN and Infinity, which are not JSON; a NaN box
     # bound used to load and fail later inside the solve.
@@ -687,3 +706,37 @@ def test_accel_share_summary_on_a_small_problem(monkeypatch):
     assert 0 <= stats["share_over_gate"] <= len(records)
     assert 0.0 < stats["accel_p50_s"] <= stats["accel_p99_s"] <= stats["accel_max_s"]
     assert 0.0 <= stats["stall_s"] <= sum(rec.accel_seconds for rec in records)
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(monkeypatch, tmp_path,
+                                                                     capsys):
+    # tools/src_lines.py reports the net src/ line delta; a docstring, a
+    # comment or a blank line is not code, a multi-line string or call is.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    tool = importlib.import_module("src_lines")
+    source = '''"""Module
+docstring."""
+
+import math  # a trailing comment
+
+
+# a comment line
+class Box:
+    """Class docstring."""
+
+    def area(self, side):
+        """Function
+        docstring."""
+        text = """not a
+docstring"""
+        return math.prod(
+            (side, side)
+        )
+'''
+    assert tool.count_lines(source) == (18, 8)  # code: lines 4, 8, 11 and 14-18
+    package = tmp_path / "src" / "fpaccel"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(source)
+    (package / "b.py").write_text("x = 1\n\n")
+    assert tool.main(["src_lines.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total lines=20 code=9"

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
-from fpaccel.cones import NONNEG, ZERO, ConeBlock
+from fpaccel.cones import BOX, KINDS, NONNEG, SECOND_ORDER, ZERO, ConeBlock
 from fpaccel import conic
 from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, _inf_norm, solve
 from fpaccel.driver import CONVERGED, DIVERGED, MAX_ITER
-from fpaccel.problems import SchemaError, generate, load_problem, save_problem
+from fpaccel.problems import ParseError, SchemaError, generate, load_problem, save_problem
 
 
 def tiny_qp():
@@ -269,6 +270,97 @@ def test_rank5_cost_file_is_refused_or_solved_at_every_gamma(tmp_path):
             sol = solve(prob, mode, gamma=gamma, max_iter=500)
             assert sol.status in (CONVERGED, MAX_ITER, DIVERGED, conic.PRIMAL_INFEASIBLE,
                                   conic.DUAL_INFEASIBLE)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Valid problem files, the rank-5 recipe's among them, and a path to
+    write mutated ones to."""
+    box_soc = ConicProblem(
+        [[2.0, 0.5], [0.5, 1.0]], [1.0, -1.0], np.vstack([np.eye(2), np.eye(2)]),
+        [1.0, 0.0, 2.0, 0.5],
+        [ConeBlock(BOX, 2, l=[-np.inf, -1.0], u=[1.0, np.inf]), ConeBlock(SECOND_ORDER, 2)],
+    )
+    problems = [
+        generate("RandomQP", n=4, m=6, seed=1),
+        generate("RandomSDP", side=3, seed=1),
+        generate("InfeasibleLP", seed=1),
+        box_soc,
+        rank5_cost_problem(5),
+    ]
+    path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    bases = []
+    for prob in problems:
+        save_problem(prob, path)
+        bases.append(path.read_text())
+    return bases, path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from(KINDS) | st.text(max_size=4)
+    | st.integers(-3, 60) | st.sampled_from((2**31, 2**63, 10**20, -(10**20)))
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(("row", "col", "value", "kind", "dim", "l", "u", "n")), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def places(node):
+    """(container, key) of each entry of a JSON object, with at most the first
+    two and the last entry of each list, so that a short field is as likely
+    a target as a long one."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = sorted({0, 1, len(node) - 1} & set(range(len(node))))
+    else:
+        return []
+    out = [(node, key) for key in keys]
+    for key in keys:
+        out += places(node[key])
+    return out
+
+
+def mutate(data, doc):
+    """Replace or delete one entry of the JSON object, or append to a list."""
+    # A uniform pick: hypothesis's own integers favour the first places.
+    node, key = data.draw(st.randoms(use_true_random=False)).choice(places(doc))
+    action = data.draw(st.sampled_from(("replace", "delete", "append")))
+    if action == "replace":
+        node[key] = data.draw(JSON_VALUES)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node[key], list):
+        node[key].append(data.draw(JSON_VALUES))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_load_problem_raises_only_parse_or_schema_errors(fuzz_bases, data):
+    # Mutated valid documents, and their bytes edited: the loader returns a
+    # problem or raises one of its two errors, never another exception.
+    bases, path = fuzz_bases
+    doc = json.loads(data.draw(st.sampled_from(bases)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate(data, doc)
+    raw = bytearray(json.dumps(doc).encode())
+    for _ in range(max(0, data.draw(st.integers(0, 9)) - 7)):  # byte edits, at most 2
+        at = data.draw(st.integers(0, len(raw)))
+        edit = data.draw(st.sampled_from(("set", "insert", "delete")))
+        byte = data.draw(st.integers(0, 255) | st.sampled_from(b'{}[]",:0-.eE'))
+        if edit == "insert":
+            raw.insert(at, byte)
+        elif at < len(raw):
+            if edit == "set":
+                raw[at] = byte
+            else:
+                del raw[at]
+    path.write_bytes(bytes(raw))
+    try:
+        assert isinstance(load_problem(path), ConicProblem)
+    except (ParseError, SchemaError):
+        pass
 
 
 class CountedMatrix(np.ndarray):

@@ -445,6 +445,44 @@ def test_evaluations_are_iterations_rejections_and_strict_checks(case):
         assert rec.rejected_candidates == 0
 
 
+@st.composite
+def rotation_maps(draw):
+    """F(v) = A v + b with A = (1 - alpha) I + alpha R for a rotation R
+    (Zhang, O'Donoghue & Boyd 2020): an averaged rotation for alpha < 1, a
+    nonexpansive map that is not a contraction where R fixes a direction,
+    and for alpha = 1 a pure rotation, which vanilla does not solve.
+    b = (I - A) w, so a fixed point exists."""
+    n, fixed = draw(st.integers(2, 10)), draw(st.integers(0, 2))
+    alpha = draw(st.one_of(st.floats(0.05, 1.0), st.just(1.0)))
+    min_angle = draw(st.sampled_from((0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    r = np.eye(n)
+    for i in range(fixed, n - 1, 2):
+        t = rng.choice((-1.0, 1.0)) * rng.uniform(min_angle, math.pi)
+        r[i:i + 2, i:i + 2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    a = (1.0 - alpha) * np.eye(n) + alpha * (q @ r @ q.T)
+    w = rng.standard_normal(n)
+    return a, w - a @ w, rng.standard_normal(n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rotation_maps())
+def test_safeguarded_and_strict_converge_wherever_vanilla_does(case):
+    a, b, v0 = case
+    tol = 1e-6 * np.linalg.norm(a @ v0 + b - v0)
+    status = {}
+    for mode, tau in (("vanilla", 2.0), ("safeguarded", 2.0), ("strict", 0.9)):
+        cfg = DriverConfig(eps=1e-6, mode=mode, tau=tau, max_iter=2000)
+        rec = run(AffineTestOperator(a, b), v0.copy(), cfg, residual_hook(tol))
+        assert rec.operator_evaluations == (
+            rec.iterations + rec.rejected_candidates + rec.strict_checks
+        )
+        status[mode] = rec.status
+    if status["vanilla"] == "converged":
+        assert status["safeguarded"] == status["strict"] == "converged"
+
+
 def plain_steps_from(entries, i):
     """Entries from index i up to the next one that extrapolates with j == 3.
 

@@ -165,7 +165,7 @@ def test_solve_ls_matches_normal_equations():
 def test_solve_ls_singular_triangular():
     state = QrState(3, 3)
     qr_append_column(state, np.array([1.0, 0.0, 0.0]))
-    qr_append_column(state, np.array([1.0, 1e-15, 0.0]), rank_tol=0.0)
+    qr_append_column(state, np.array([1.0, 1e-13, 0.0]))
     with pytest.raises(SingularTriangular):
         qr_solve_ls(state, np.array([1.0, 1.0, 0.0]))
 
@@ -238,7 +238,7 @@ def test_solve_ls_overflowing_eta_is_returned():
     qr_append_column(state, np.array([1.0, 0.0]))
     qr_append_column(state, np.array([1.0, 1e-10]))
     with np.errstate(over="ignore"):
-        eta = qr_solve_ls(state, np.array([0.0, 1e300]), pivot_tol=0.0)
+        eta = qr_solve_ls(state, np.array([0.0, 1e300]))
     assert not np.isfinite(eta).all()
 
 
@@ -268,7 +268,7 @@ def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
     # so where the NaN sits on the diagonal does not matter.
     state = QrState(4, 3)
     qr_append_column(state, np.array([1.0, 0.0, 0.0, 0.0]))
-    qr_append_column(state, np.array([1.0, 1e-15, 0.0, 0.0]), rank_tol=0.0)
+    qr_append_column(state, np.array([1.0, 1e-13, 0.0, 0.0]))
     with pytest.raises(SingularTriangular):
         qr_solve_ls(state, np.ones(4))
     with np.errstate(invalid="ignore"):
@@ -280,15 +280,31 @@ def test_solve_ls_nan_pivot_passes_ratio_test(nan_at):
         qr_solve_ls(state, np.ones(4))
 
 
-@pytest.mark.parametrize("pivot_tol", [1e-12, 0.0, -1.0])
-def test_solve_ls_exact_zero_diagonal(pivot_tol):
-    # pivot_tol = -1 turns the ratio test off, so the explicit zero-pivot
-    # test is what raises.  Writing the diagonal by hand means writing the
-    # pivot bound an append of that column would have recorded.
+def test_solve_ls_exact_zero_diagonal():
+    # The ratio test raises on a zero pivot.  Writing the diagonal by hand
+    # means writing the pivot bound an append of that column would have
+    # recorded.
     state = QrState(3, 3)
     qr_append_column(state, np.array([1.0, 0.0, 0.0]))
     qr_append_column(state, np.array([1.0, 1.0, 0.0]))
     state._r[1, 1] = 0.0
     state.pivot_min = 0.0
     with pytest.raises(SingularTriangular):
-        qr_solve_ls(state, np.array([1.0, 1.0, 0.0]), pivot_tol=pivot_tol)
+        qr_solve_ls(state, np.array([1.0, 1.0, 0.0]))
+
+
+def test_solve_ls_nan_diagonal_is_caught_by_the_eta0_screen():
+    # NaN pivot bounds pass the ratio test, so the screen on eta_0 alone must
+    # reject a NaN at any diagonal position, for every stored column count,
+    # a zero rhs included.
+    rng = np.random.default_rng(6)
+    for k in range(1, 16):
+        for i in range(k):
+            for rhs in (rng.standard_normal(20), np.zeros(20)):
+                state = QrState(20, 15)
+                for _ in range(k):
+                    qr_append_column(state, rng.standard_normal(20))
+                state._r[i, i] = np.nan
+                state.pivot_min = state.pivot_max = np.nan
+                with pytest.raises(ValueError, match="finite"):
+                    qr_solve_ls(state, rhs)
