@@ -5,7 +5,7 @@ benchmark harness comparing vanilla, unsafe, and safeguarded runs."""
 from .accel import AccelMemory, eta_guard
 from .bench import BenchSummary, run_benchmark, shifted_gmean
 from .cones import ConeBlock, project_cone, smat, svec
-from .conic import Certificate, ConicProblem, ConicSolution, DrsOperator, solve
+from .conic import Certificate, ConicProblem, ConicSolution, DrsOperator, solve, solve_config
 from .driver import (
     Driver,
     DriverConfig,
@@ -48,6 +48,7 @@ __all__ = [
     "shifted_gmean",
     "smat",
     "solve",
+    "solve_config",
     "svec",
     "update_params",
 ]

@@ -1,5 +1,6 @@
-"""Benchmark harness: run problems through the three driver configurations
-and aggregate iteration counts, timings, and the shifted geometric mean.
+"""Benchmark harness: run problems through driver configurations (by default
+vanilla, unsafe and safeguarded; any driver mode runs) and aggregate
+iteration counts, timings, and the shifted geometric mean.
 
 Each (problem, config) solve yields a ``RunResult`` holding the solve's
 ``RunRecord``, from which every count and timing is read; a solve that
@@ -14,40 +15,45 @@ to every solve as its ``time_cap`` setting.
 from __future__ import annotations
 
 import csv
-import inspect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import conic
-from .driver import SAFEGUARDED, UNSAFE, VANILLA, DriverConfig, RunRecord
+from .driver import SAFEGUARDED, UNSAFE, VANILLA, RunRecord
 from .driver import is_integer_at_least, positive_finite
 
-CONFIGS = (VANILLA, UNSAFE, SAFEGUARDED)
+CONFIGS = (VANILLA, UNSAFE, SAFEGUARDED)  # the default; any driver mode runs
 
+SHIFT_SECONDS = 10.0  # the shifted geometric mean's shift
+
+# (CSV column, field) tables: a trace row is one TraceEntry, a summary row one
+# RunResult, whose record fields are read through ``record.``.
 TRACE_COLUMNS = (
-    "iter",
-    "r_fixed_point",
-    "r_prim",
-    "r_dual",
-    "accepted",
-    "j",
-    "epoch",
-    "cum_operator_evals",
+    ("iter", "k"),
+    ("r_fixed_point", "r_norm"),
+    ("r_prim", "r_prim"),
+    ("r_dual", "r_dual"),
+    ("accepted", "accepted"),
+    ("j", "j"),
+    ("epoch", "epoch"),
+    ("cum_operator_evals", "cum_evals"),
 )
 
 SUMMARY_COLUMNS = (
-    "problem",
-    "config",
-    "status",
-    "iterations",
-    "solve_seconds",
-    "accel_seconds",
-    "operator_evals",
-    "rejected_candidates",
+    ("problem", "problem"),
+    ("config", "config"),
+    ("status", "status"),
+    ("iterations", "record.iterations"),
+    ("solve_seconds", "record.total_seconds"),
+    ("accel_seconds", "record.accel_seconds"),
+    ("operator_evals", "record.operator_evaluations"),
+    ("rejected_candidates", "record.rejected_candidates"),
+    ("strict_checks", "record.strict_checks"),
 )
 
 
@@ -55,7 +61,7 @@ class EmptyInput(Exception):
     """Empty list where at least one value is required."""
 
 
-def shifted_gmean(times, sh: float = 10.0) -> float:
+def shifted_gmean(times, sh: float = SHIFT_SECONDS) -> float:
     """Shifted geometric mean: (prod(t + sh))^(1/n) - sh.
 
     Computed through logs so long lists of large times cannot overflow.
@@ -115,23 +121,13 @@ def _solve_task(task):
         return RunResult(name, config, f"error: {type(exc).__name__}: {exc}", math.nan)
 
 
-def _write_trace(path, record) -> None:
+def _write_csv(path, columns, items) -> None:
+    """One header row of ``columns``' names, then one row per item read off their fields."""
+    getters = [attrgetter(f) for _, f in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for e in record.entries:
-            writer.writerow(
-                [
-                    e.k,
-                    _fmt(e.r_norm),
-                    _fmt(e.r_prim),
-                    _fmt(e.r_dual),
-                    _fmt(e.accepted),
-                    e.j,
-                    e.epoch,
-                    e.cum_evals,
-                ]
-            )
+        writer.writerow([name for name, _ in columns])
+        writer.writerows([_fmt(get(item)) for get in getters] for item in items)
 
 
 def run_benchmark(
@@ -139,7 +135,6 @@ def run_benchmark(
     configs=CONFIGS,
     *,
     time_cap: float = 300.0,
-    sh: float = 10.0,
     out_dir=None,
     workers: int = 1,
     **settings,
@@ -147,32 +142,26 @@ def run_benchmark(
     """Execute every (problem, config) pair and aggregate the results.
 
     ``problems`` is a list of (name, ConicProblem) pairs with distinct
-    names; ``settings`` go to ``conic.solve`` by name.  Mean and median
-    statistics use only the problems solved by every configuration; the
-    shifted geometric mean covers all problems with unsolved ones entered
+    names and ``configs`` a list of distinct driver modes; ``settings`` go
+    to ``conic.solve`` by name.  Mean and median statistics use only the
+    problems solved by every configuration; the shifted geometric mean
+    (shift ``SHIFT_SECONDS``) covers all problems with unsolved ones entered
     at ``time_cap`` seconds.
     """
     problems = list(problems)
     configs = list(configs)
     if not problems or not configs:
         raise EmptyInput("need at least one problem and one configuration")
-    for config in configs:
-        if config not in CONFIGS:
-            raise ValueError(f"unknown configuration {config!r}")
     names = [name for name, _ in problems]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"duplicate problem name {name!r}")
+    for what, values in (("problem name", names), ("configuration", configs)):
+        for value in values:
+            if values.count(value) > 1:
+                raise ValueError(f"duplicate {what} {value!r}")
     if not is_integer_at_least(workers, 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    kwargs = dict(settings, time_cap=time_cap)
-    # A bad setting raises here once instead of failing every run.
-    solve_args = inspect.signature(conic.solve).parameters
-    DriverConfig(**{k: v for k, v in kwargs.items() if k not in solve_args})
-    for name in ("gamma", "eps_infeas", "time_cap"):
-        if name in kwargs:
-            positive_finite(name, kwargs[name])
-    shifted_gmean([time_cap], sh)  # a bad shift, too, before any run
+    kwargs = dict(settings, time_cap=positive_finite("time_cap", time_cap))
+    for config in configs:  # a bad mode or setting raises here once, not in every run
+        conic.solve_config(config, **kwargs)
 
     tasks = [
         (name, problem, config, kwargs)
@@ -207,7 +196,7 @@ def run_benchmark(
             median_iterations=float(np.median(iters)) if iters else math.nan,
             mean_seconds=float(np.mean(secs)) if secs else math.nan,
             median_seconds=float(np.median(secs)) if secs else math.nan,
-            shifted_gmean_seconds=shifted_gmean(all_times, sh),
+            shifted_gmean_seconds=shifted_gmean(all_times),
         )
 
     if out_dir is not None:
@@ -215,24 +204,11 @@ def run_benchmark(
         os.makedirs(trace_dir, exist_ok=True)
         for r in rows:
             if r.record is not None:
-                _write_trace(os.path.join(trace_dir, f"{r.problem}__{r.config}.csv"), r.record)
-        with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_COLUMNS)
-            for r in rows:
-                rec = r.record or RunRecord()  # a failed run reports zero counts
-                writer.writerow(
-                    [
-                        r.problem,
-                        r.config,
-                        r.status,
-                        rec.iterations,
-                        _fmt(rec.total_seconds),
-                        _fmt(rec.accel_seconds),
-                        rec.operator_evaluations,
-                        rec.rejected_candidates,
-                    ]
-                )
+                path = os.path.join(trace_dir, f"{r.problem}__{r.config}.csv")
+                _write_csv(path, TRACE_COLUMNS, r.record.entries)
+        # A failed run reports the zero counts of an empty record.
+        reported = [replace(r, record=r.record or RunRecord()) for r in rows]
+        _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, reported)
 
     return BenchSummary(rows=rows, aggregates=aggregates, common_subset=common)
 

@@ -3,7 +3,7 @@
 Two subcommands:
 
 * ``bench run`` executes a batch of problems (from files or generators)
-  under the selected driver configurations and writes trace/summary CSVs;
+  under the selected driver modes and writes trace/summary CSVs;
 * ``bench gen`` writes one generated problem to a JSON file.
 
 Generator specs have the form ``kind:params:seed`` with semicolon-separated
@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import bench, problems
-from .driver import DriverConfig
+from .driver import MODES, DriverConfig
 
 
 def _parse_params(text: str) -> dict:
@@ -141,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a benchmark batch")
     run_p.add_argument("--problems", help="directory or glob of problem JSON files")
     run_p.add_argument("--generate", help="generator specs kind:params:seed[,...]")
-    run_p.add_argument("--configs", default=",".join(bench.CONFIGS))
+    run_p.add_argument(
+        "--configs", default=",".join(bench.CONFIGS),
+        help=f"comma-separated driver modes, any of {','.join(MODES)}; strict needs --tau < 1",
+    )
     run_p.add_argument("--eps", type=float, default=cfg.eps)
     run_p.add_argument("--tau", type=float, default=cfg.tau)
     run_p.add_argument("--eta-max", dest="eta_max", type=float, default=cfg.eta_max)

@@ -317,6 +317,19 @@ def _step_size(gamma) -> float:
     return float(np.clip(_driver.positive_finite("gamma", gamma), GAMMA_MIN, GAMMA_MAX))
 
 
+def solve_config(
+    mode: str = _driver.SAFEGUARDED, *, gamma: float = 1.0, eps_infeas: float = 1e-6, **settings
+) -> _driver.DriverConfig:
+    """Check a solve's settings and return its ``DriverConfig``, before any work.
+
+    ``gamma`` and ``eps_infeas`` must be positive and finite; ``DriverConfig``
+    checks the mode and the ``settings``, and refuses an unknown name.
+    """
+    _driver.positive_finite("gamma", gamma)  # the check of _step_size, without its clip
+    _driver.positive_finite("eps_infeas", eps_infeas)
+    return _driver.DriverConfig(mode=mode, **settings)
+
+
 class ConicSolution:
     """Solve outcome: status, primal-dual point, and the full run record."""
 
@@ -346,8 +359,7 @@ def solve(
     ``mode`` selects vanilla (plain splitting iterations), unsafe
     (acceleration without the residual safeguard), safeguarded acceleration
     or strict safeguarding (which needs ``tau < 1``); ``settings`` are
-    ``DriverConfig`` fields by name, and ``DriverConfig`` rejects an unknown
-    mode.
+    ``DriverConfig`` fields by name.  ``solve_config`` checks them all.
     Termination tests the absolute infinity-norm primal and dual residuals
     against ``eps`` every ``check_interval`` iterations and at every
     iteration whose trace columns (below) are both within ``eps``, so a
@@ -365,8 +377,7 @@ def solve(
     two mat-vecs P x and A'y back into every iteration.  The columns only
     choose when to test; the data's residuals decide.
     """
-    _driver.positive_finite("eps_infeas", eps_infeas)
-    cfg = _driver.DriverConfig(mode=mode, **settings)
+    cfg = solve_config(mode, gamma=gamma, eps_infeas=eps_infeas, **settings)
     eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
     hooks = _driver.Hooks(

@@ -142,20 +142,23 @@ def generate_unbounded_lp(seed: int = 0) -> ConicProblem:
 
 
 _GENERATORS = {
-    "randomqp": generate_random_qp,
-    "portfolio": generate_portfolio,
-    "lasso": generate_lasso,
-    "randomsdp": generate_random_sdp,
-    "infeasiblelp": generate_infeasible_lp,
-    "unboundedlp": generate_unbounded_lp,
+    "RandomQP": generate_random_qp,
+    "Portfolio": generate_portfolio,
+    "Lasso": generate_lasso,
+    "RandomSDP": generate_random_sdp,
+    "InfeasibleLP": generate_infeasible_lp,
+    "UnboundedLP": generate_unbounded_lp,
 }
 
-GENERATOR_KINDS = ("RandomQP", "Portfolio", "Lasso", "RandomSDP", "InfeasibleLP", "UnboundedLP")
+GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, seed: int = 0, **params) -> ConicProblem:
-    """Build a seeded problem; identical arguments give bit-identical data."""
-    gen = _GENERATORS.get(kind.lower())
+    """Build a seeded problem; identical arguments give bit-identical data.
+
+    ``kind`` is one of ``GENERATOR_KINDS`` in any letter case.
+    """
+    gen = {k.lower(): g for k, g in _GENERATORS.items()}.get(kind.lower())
     if gen is None:
         raise InvalidParams(f"unknown problem kind {kind!r}; choose from {GENERATOR_KINDS}")
     try:
@@ -248,14 +251,15 @@ def _vector(entries, size, field) -> np.ndarray:
     return np.array([_number(x, f"{field}[{i}]") for i, x in enumerate(entries)])
 
 
-def _bounds(entries, size, field) -> np.ndarray | None:
+def _bounds(entries, size, field, absent: float) -> np.ndarray | None:
+    """A box bound list; ``null`` entries become ``absent`` (-inf or +inf)."""
     if entries is None:
         return None
     _require(isinstance(entries, list) and len(entries) == size, f"{field} must have {size} entries")
     out = np.empty(size)
     for i, x in enumerate(entries):
         if x is None:
-            out[i] = -np.inf if field.endswith(".l") else np.inf
+            out[i] = absent
         else:
             out[i] = _number(x, f"{field}[{i}]", "a number or null")
     return out
@@ -304,8 +308,8 @@ def load_problem(path) -> ConicProblem:
                 block = ConeBlock(
                     kind,
                     dim,
-                    l=_bounds(entry.get("l"), dim, f"{field}.l"),
-                    u=_bounds(entry.get("u"), dim, f"{field}.u"),
+                    l=_bounds(entry.get("l"), dim, f"{field}.l", -np.inf),
+                    u=_bounds(entry.get("u"), dim, f"{field}.u", np.inf),
                 )
             else:
                 block = ConeBlock(kind, dim)

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import inspect
 import json
 import math
 import re
@@ -12,9 +13,10 @@ import pytest
 from fpaccel import cli
 from fpaccel.bench import EmptyInput, CONFIGS, run_benchmark, shifted_gmean
 from fpaccel.cones import BOX, NONNEG, PSD_TRIANGLE, ConeBlock
-from fpaccel.conic import ConicProblem, solve
+from fpaccel.conic import ConicProblem, solve, solve_config
 from fpaccel.driver import DriverConfig
 from fpaccel.problems import (
+    GENERATOR_KINDS,
     InvalidParams,
     ParseError,
     SchemaError,
@@ -106,6 +108,13 @@ def test_generate_rejects_unknown():
         generate("Knapsack", seed=0)
     with pytest.raises(InvalidParams):
         generate("RandomQP", seed=0, banana=3)
+
+
+def test_every_generator_kind_builds_in_any_letter_case():
+    for kind in GENERATOR_KINDS:
+        built = [generate(name, seed=2) for name in (kind, kind.lower(), kind.upper())]
+        for prob in built[1:]:
+            assert np.array_equal(prob.A, built[0].A) and np.array_equal(prob.b, built[0].b)
 
 
 # -- problem files ----------------------------------------------------------------
@@ -404,7 +413,7 @@ def test_run_benchmark_common_subset_rule(tmp_path):
         lines = fh.read().splitlines()
     assert len(lines) == 9
     for line, row in zip(lines[-2:], summary.rows[-2:]):
-        assert line == f"nonconvex,{row.config},{row.status},0,0,0,0,0"
+        assert line == f"nonconvex,{row.config},{row.status},0,0,0,0,0,0"
 
 
 def test_run_benchmark_deterministic_iterations():
@@ -485,23 +494,55 @@ def test_bad_worker_count_fails_before_any_solve(monkeypatch, workers):
     assert calls == []
 
 
-def test_bad_shift_fails_before_any_solve(monkeypatch):
-    calls = []
-    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
-    with pytest.raises(ValueError, match="shift must be positive and finite"):
-        run_benchmark(small_suite(1), ["vanilla"], sh=math.nan)
-    assert calls == []
-
-
 @pytest.mark.parametrize("sh", ["10", True, None])
-def test_non_numeric_shift_is_rejected_before_any_solve(monkeypatch, sh):
+def test_non_numeric_shift_is_rejected_before_any_solve(sh):
+    with pytest.raises(ValueError, match="shift must be positive and finite"):
+        shifted_gmean([1.0], sh=sh)
+
+
+@pytest.mark.parametrize("name, value", [("mode", "vanilla"), ("v0", np.zeros(2))], ids=["mode", "v0"])
+def test_solve_arguments_that_are_not_settings_fail_before_any_solve(monkeypatch, name, value):
+    # run_benchmark sets each solve's mode and start itself.
     calls = []
     monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
-    for call in (lambda: shifted_gmean([1.0], sh=sh),
-                 lambda: run_benchmark(small_suite(1), ["vanilla"], sh=sh)):
-        with pytest.raises(ValueError, match="shift must be positive and finite"):
-            call()
+    with pytest.raises(TypeError, match=name):
+        run_benchmark(small_suite(1), ["vanilla"], **{name: value})
     assert calls == []
+
+
+def test_strict_at_the_default_tau_fails_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    with pytest.raises(ValueError, match="strict safeguarding needs tau"):
+        run_benchmark(small_suite(1), ["safeguarded", "strict"])
+    assert calls == []
+
+
+def test_run_benchmark_rejects_a_repeated_configuration(monkeypatch):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    with pytest.raises(ValueError, match="duplicate configuration 'vanilla'"):
+        run_benchmark(small_suite(1), ["vanilla", "safeguarded", "vanilla"])
+    assert calls == []
+
+
+def test_run_benchmark_runs_strict_below_tau_one():
+    summary = run_benchmark(small_suite(2), ["safeguarded", "strict"], tau=0.9)
+    assert [r.config for r in summary.rows] == ["safeguarded", "strict"] * 2
+    assert all(r.status == "converged" for r in summary.rows)
+    for r in summary.rows:
+        assert (r.record.strict_checks > 0) == (r.config == "strict")
+
+
+def test_solve_config_has_the_defaults_of_solve():
+    solve_params = inspect.signature(solve).parameters
+    for name, param in inspect.signature(solve_config).parameters.items():
+        if param.kind is not param.VAR_KEYWORD:
+            assert param.default == solve_params[name].default, name
+    assert solve_config() == DriverConfig()
+    assert solve_config("strict", tau=0.5, eps=1e-8) == DriverConfig(
+        mode="strict", tau=0.5, eps=1e-8
+    )
 
 
 @pytest.mark.parametrize(
@@ -622,6 +663,23 @@ def test_cli_no_adapt_freezes_the_step_size(tmp_path):
     assert max(epochs()) > 0  # the step size adapts from this start
     frozen = epochs("--no-adapt")
     assert frozen and set(frozen) == {0}
+
+
+def test_cli_runs_strict_and_reconciles_its_evaluations(tmp_path):
+    out_dir = tmp_path / "results"
+    argv = ["run", "--generate", "RandomQP:n=10;m=20:1-2", "--configs", "safeguarded,strict",
+            "--tau", "0.9", "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    with open(out_dir / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["config"] for r in rows] == ["safeguarded", "strict"] * 2
+    for r in rows:
+        counts = {k: int(r[k]) for k in ("iterations", "operator_evals",
+                                          "rejected_candidates", "strict_checks")}
+        assert counts["operator_evals"] == (
+            counts["iterations"] + counts["rejected_candidates"] + counts["strict_checks"]
+        )
+        assert (counts["strict_checks"] > 0) == (r["config"] == "strict")
 
 
 def test_cli_generate_spec_parsing():
