@@ -17,7 +17,7 @@ from .driver import (
     run_vanilla,
     safeguard,
 )
-from .operators import AffineTestOperator, FixedPointOperator, update_params
+from .operators import AffineTestOperator, FixedPointOperator
 from .problems import generate, load_problem, save_problem
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "solve",
     "solve_config",
     "svec",
-    "update_params",
 ]

@@ -142,11 +142,11 @@ def run_benchmark(
     """Execute every (problem, config) pair and aggregate the results.
 
     ``problems`` is a list of (name, ConicProblem) pairs with distinct
-    names and ``configs`` a list of distinct driver modes; ``settings`` go
-    to ``conic.solve`` by name.  Mean and median statistics use only the
-    problems solved by every configuration; the shifted geometric mean
-    (shift ``SHIFT_SECONDS``) covers all problems with unsolved ones entered
-    at ``time_cap`` seconds.
+    names, none holding a path separator, and ``configs`` a list of distinct
+    driver modes; ``settings`` go to ``conic.solve`` by name.  Mean and
+    median statistics use only the problems solved by every configuration;
+    the shifted geometric mean (shift ``SHIFT_SECONDS``) covers all problems
+    with unsolved ones entered at ``time_cap`` seconds.
     """
     problems = list(problems)
     configs = list(configs)
@@ -157,6 +157,9 @@ def run_benchmark(
         for value in values:
             if values.count(value) > 1:
                 raise ValueError(f"duplicate {what} {value!r}")
+    for name in names:  # each names a trace file
+        if any(sep in str(name) for sep in (os.sep, os.altsep) if sep):
+            raise ValueError(f"problem name {name!r} holds a path separator")
     if not is_integer_at_least(workers, 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     kwargs = dict(settings, time_cap=positive_finite("time_cap", time_cap))

@@ -8,7 +8,9 @@ fresh evaluation at the current point).  ``run`` is the single entry point.
 Each iteration, in order:
 
 1. run the scheduled operator update (``Hooks.operator_update``) when
-   ``k`` is a positive multiple of ``adapt_interval``;
+   ``k`` is a positive multiple of ``adapt_interval``; an update that
+   changes the operator may hand over the point this step's plain step
+   starts from, in place of ``f``;
 2. ask the memory for a candidate (``AccelMemory.propose``): it takes in
    the current iterate, pushing the (delta v, delta r) pair formed against
    the previous one or restarting, and returns the accelerated point when
@@ -23,10 +25,17 @@ Each iteration, in order:
 A scheduled update is an ordinary epoch change: when it moves the operator
 epoch, ``AccelMemory.observe`` restarts the memory, exactly as for a
 ``set_params`` made between steps; an update that changes nothing leaves
-the history alone.  The driver never restarts the memory itself.  Every
+the history alone.  The driver never restarts the memory itself.  An
+operator whose fixed point moves with its parameters returns, from the
+update, the current point mapped into the new operator's coordinates; the
+driver installs it: the step is a plain one (the memory has just restarted)
+and evaluates that start instead of ``f``, at no extra evaluation.  A start
+returned without an epoch change is refused with ValueError, since the
+memory would keep its history and the start could go unused.  Every
 restart is followed by at least two plain iterations (see
 ``AccelMemory.observe``), so the infeasibility hook always sees a difference
-of consecutive pure operator steps.
+of consecutive pure operator steps; the step that moves to a start changes
+the epoch, so it is never a checkpoint.
 
 The convergence test (``Hooks.converged``) runs at the start, after every
 step whose ``k`` is a multiple of ``check_interval`` and after every step
@@ -151,9 +160,12 @@ class Hooks:
     """Optional solve-specific behavior plugged into the loop.
 
     converged(state, op) -> bool replaces the default step-norm test.
-    operator_update(op, state) runs the scheduled parameter update at the
-    start of every step whose ``state.k`` is a positive multiple of
-    ``adapt_interval``, accelerated or not; a change must bump ``op.epoch``.
+    operator_update(op, state) -> start-or-None runs the scheduled parameter
+    update at the start of every step whose ``state.k`` is a positive
+    multiple of ``adapt_interval``, accelerated or not; a change must bump
+    ``op.epoch``.  It returns None, or, with a change, the point the step's
+    plain step starts from in place of ``state.f``, a new array the driver
+    takes over; hooks never write ``state`` themselves.
     infeasibility(op, dv) -> certificate-or-None inspects a pure-step
     difference; a returned object must expose ``kind`` (used as status).
     metrics(op, state) -> (r_prim, r_dual) fills the trace columns; the
@@ -260,8 +272,15 @@ class Driver:
     def step(self) -> TraceEntry:
         cfg, op, st, rec, mem = self.cfg, self.op, self.state, self.record, self.mem
         epoch0 = op.epoch
+        start = None  # the point an operator update hands over for this step's plain step
         if self.hooks.operator_update is not None and st.k > 0 and st.k % cfg.adapt_interval == 0:
-            self.hooks.operator_update(op, st)
+            start = self.hooks.operator_update(op, st)
+            if start is not None:
+                if op.epoch == epoch0:
+                    # The memory would keep its history and could propose a
+                    # candidate, so the start would silently go unused.
+                    raise ValueError("an update returned a start without changing the epoch")
+                start = np.asarray(start, dtype=float)
         accel_t = 0.0
         accepted = False
         new = None
@@ -288,16 +307,16 @@ class Driver:
                     rec.rejected_candidates += 1
 
         if new is None:  # no candidate, or it was rejected: a plain step
-            new = self._evaluate(st.f.copy())
+            new = self._evaluate(st.f.copy() if start is None else start)
 
         old_v = st.v
         st.r_prev_norm = st.r_norm
         st.v, st.f, st.r, st.r_norm, st.info = new
         st.k += 1
-        if accepted:
+        if accepted or start is not None:
             step = st.v - old_v
             self._last_step_norm = math.sqrt(step @ step)
-        else:  # a plain step moves by f - v = -r exactly, so by the previous r_norm
+        else:  # a plain step from f moves by f - v = -r exactly, so by the previous r_norm
             self._last_step_norm = st.r_prev_norm
 
         infeas_checked = False

@@ -80,19 +80,3 @@ class AffineTestOperator(FixedPointOperator):
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return self.a @ v + self.b
 
-
-def update_params(op: FixedPointOperator, rule, state) -> int:
-    """Run an update rule rho* = u(F, v, f, r, rho) and apply the result.
-
-    The operator's epoch increments only when the returned parameters
-    differ from the current ones (the rule may legally return rho
-    unchanged).  Returns the epoch after the update.
-    """
-    rho = np.asarray(op.params, dtype=float)
-    rho_new = np.asarray(rule(op, state.v, state.f, state.r, rho), dtype=float)
-    if not np.all(np.isfinite(rho_new)):
-        raise ValueError("update rule returned non-finite parameters")
-    if rho_new.shape == rho.shape and np.array_equal(rho_new, rho):
-        return op.epoch
-    op.set_params(rho_new)
-    return op.epoch

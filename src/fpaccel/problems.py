@@ -141,6 +141,48 @@ def generate_unbounded_lp(seed: int = 0) -> ConicProblem:
     return ConicProblem(None, np.array([-c]), A, b, [ConeBlock(NONNEG, 1)])
 
 
+def generate_infeasible_qp(n: int = 30, m: int = 40, seed: int = 0) -> ConicProblem:
+    """Primal infeasible by construction: a QP whose last two rows ask a'x <= -1 and -a'x <= -1.
+
+    Draws, in order: B (n x n), P = B B' / n, A (m x n), b = N + 2, a (n),
+    then q (n); the rows a' and -a' are appended to A and -1, -1 to b.
+    """
+    if n < 1 or m < 1:
+        raise InvalidParams("InfeasibleQP needs n >= 1 and m >= 1")
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    P = B @ B.T / n
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m) + 2.0
+    a = rng.standard_normal(n)
+    q = rng.standard_normal(n)
+    A = np.vstack([A, a, -a])
+    b = np.concatenate([b, [-1.0, -1.0]])
+    return ConicProblem(P, q, A, b, [ConeBlock(NONNEG, m + 2)])
+
+
+def generate_unbounded_qp(n: int = 30, m: int = 40, rank: int = 5, scale: float = 1.0,
+                          seed: int = 0) -> ConicProblem:
+    """A QP whose cost has a large null space, dual infeasible for most seeds.
+
+    Draws, in order: B (n x rank), P = (scale B) B', A (m x n), b = N + 2
+    and q (n).  It is unbounded when some d with B'd = 0 and A d <= 0 has
+    q'd < 0; with n - rank well above m / 2 such a d is likely, not certain.
+    A large ``scale`` makes the certificate hard to read off the iterates.
+    """
+    if n < 1 or m < 1 or not 1 <= rank <= n:
+        raise InvalidParams("UnboundedQP needs n >= 1, m >= 1 and 1 <= rank <= n")
+    if not 0.0 <= scale < math.inf:
+        raise InvalidParams("UnboundedQP needs a finite scale >= 0")
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, rank))
+    P = scale * B @ B.T
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m) + 2.0
+    q = rng.standard_normal(n)
+    return ConicProblem(P, q, A, b, [ConeBlock(NONNEG, m)])
+
+
 _GENERATORS = {
     "RandomQP": generate_random_qp,
     "Portfolio": generate_portfolio,
@@ -148,6 +190,8 @@ _GENERATORS = {
     "RandomSDP": generate_random_sdp,
     "InfeasibleLP": generate_infeasible_lp,
     "UnboundedLP": generate_unbounded_lp,
+    "InfeasibleQP": generate_infeasible_qp,
+    "UnboundedQP": generate_unbounded_qp,
 }
 
 GENERATOR_KINDS = tuple(_GENERATORS)

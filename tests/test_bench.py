@@ -108,6 +108,25 @@ def test_generate_rejects_unknown():
         generate("Knapsack", seed=0)
     with pytest.raises(InvalidParams):
         generate("RandomQP", seed=0, banana=3)
+    for params in (dict(rank=0), dict(rank=31), dict(scale=-1.0), dict(scale=math.inf)):
+        with pytest.raises(InvalidParams):
+            generate("UnboundedQP", seed=0, **params)
+
+
+@pytest.mark.parametrize("kind, params, status", [
+    ("InfeasibleQP", {}, "primal_infeasible"),
+    ("UnboundedQP", {}, "dual_infeasible"),
+    ("UnboundedQP", {"scale": 1e8}, "dual_infeasible"),
+])
+def test_infeasible_and_unbounded_qp_families(kind, params, status):
+    # Identical arguments give identical data, and plain iterations reach the
+    # family's certificate.
+    for seed in (1, 2, 3):
+        prob = generate(kind, seed=seed, **params)
+        again = generate(kind, seed=seed, **params)
+        for name in ("P", "q", "A", "b"):
+            assert np.array_equal(getattr(prob, name), getattr(again, name))
+        assert solve(prob, "vanilla", max_iter=20000).status == status
 
 
 def test_every_generator_kind_builds_in_any_letter_case():
@@ -586,6 +605,15 @@ def test_run_benchmark_rejects_duplicate_names(tmp_path, capsys):
     assert rc == 1
     assert "duplicate problem name 'qp'" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_run_benchmark_refuses_a_problem_name_with_a_path_separator(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
+    (_, problem), = small_suite(1)
+    with pytest.raises(ValueError, match="problem name 'a/b' holds a path separator"):
+        run_benchmark([("a/b", problem)], ["vanilla"], out_dir=tmp_path)
+    assert calls == [] and not any(tmp_path.iterdir())
 
 
 # -- CLI ----------------------------------------------------------------------------

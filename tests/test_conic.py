@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -732,6 +733,50 @@ def test_adapt_gamma_decides_from_the_data_products():
             assert op.gamma == want
             changed += want != gamma
     assert 0 < changed < 30  # both decisions were exercised
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_scalar_clip_is_np_clip_bit_for_bit(x):
+    # Both clips on the step-size path: adapt_gamma's factor, whose ratio can
+    # be infinite, and _step_size's range.
+    for lo, hi in ((0.1, 10.0), (conic.GAMMA_MIN, conic.GAMMA_MAX)):
+        for value in (x, lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
+                      0.0, math.inf, -math.inf):
+            got = conic._clip(value, lo, hi)
+            assert struct.pack("<d", got) == struct.pack("<d", float(np.clip(value, lo, hi)))
+    if 0.0 < x < math.inf:
+        want = float(np.clip(x, conic.GAMMA_MIN, conic.GAMMA_MAX))
+        assert struct.pack("<d", conic._step_size(x)) == struct.pack("<d", want)
+
+
+def test_update_gamma_carries_a_fixed_point_to_the_new_one(monkeypatch):
+    # At an accurate fixed point of the operator at gamma0 = 1, the start
+    # update_gamma returns is a fixed point at gamma1 up to rounding, across
+    # the step-size range; the kept iterate f is far from it.
+    prob = generate("RandomQP", n=30, m=60, seed=3)
+    sol = solve(prob, eps=1e-12, adapt_interval=10**5)  # gamma stays 1
+    assert sol.status == "converged"
+    v = sol.record.final_state.v
+    op = DrsOperator(prob, gamma=1.0)
+    f = op.apply(v)
+    assert np.linalg.norm(f - v) <= 1e-11
+    assert op.update_gamma(op.info, f) is None and op.epoch == 0  # converged: gamma stays
+
+    for gamma1 in (1e-3, 0.1, 0.5, 2.0, 10.0, 1e3):
+        op = DrsOperator(prob, gamma=1.0)
+        f = op.apply(v)
+
+        def move(step, tol, op=op, gamma1=gamma1):
+            op.set_params([gamma1])
+            return True
+
+        monkeypatch.setattr(op, "adapt_gamma", move)
+        start = op.update_gamma(op.info, f)
+        assert op.gamma == gamma1 and op.epoch == 1
+        assert start[: prob.n].tobytes() == f[: prob.n].tobytes()
+        assert np.linalg.norm(op.apply(start) - start) <= 1e-10 * max(1.0, gamma1)
+        assert np.linalg.norm(op.apply(f) - f) > 1.0
 
 
 @pytest.mark.parametrize(

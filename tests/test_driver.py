@@ -637,6 +637,73 @@ def test_scheduled_change_equals_the_same_change_made_between_steps():
     assert scheduled.state.v.tobytes() == by_hand.state.v.tobytes()
 
 
+class LoggingBetaOperator(BetaOperator):
+    """Beta operator that keeps a copy of every point it evaluates."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.points = []
+
+    def _apply(self, v):
+        self.points.append(v.copy())
+        return super()._apply(v)
+
+
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
+                                       ("safeguarded", 2.0), ("strict", 0.9)])
+def test_an_update_start_is_what_the_next_plain_step_evaluates(mode, tau):
+    a, b, rng = contraction(19, 10, radius=0.97)
+    op = LoggingBetaOperator(a, b)
+    starts = {}
+
+    def update(op_, state):
+        if state.k in (10, 30):  # two changes, each handing over a new point
+            op_.set_params(op_.params * 1.5)
+            starts[state.k] = state.f + 0.25
+            return starts[state.k]
+        return None
+
+    cfg = DriverConfig(eps=1e-13, mode=mode, tau=tau, check_interval=2, adapt_interval=10)
+    hooks = Hooks(converged=residual_hook(1e-13).converged, operator_update=update,
+                  infeasibility=lambda op_, dv: None)
+    driver = Driver(op, rng.standard_normal(10), cfg, hooks)
+    entries = []
+    for _ in range(50):
+        evals0, old_v = len(op.points), driver.state.v
+        entries.append(driver.step())
+        step = driver.state.v - old_v
+        assert entries[-1].step_norm == math.sqrt(step @ step)
+        if len(entries) - 1 in starts:  # the step taken from iterate 10 or 30
+            assert len(op.points) == evals0 + 1  # the plain step alone
+            assert op.points[-1].tobytes() == driver.state.v.tobytes()
+            assert driver.state.v.tobytes() == starts[len(entries) - 1].tobytes()
+    rec = driver.record
+    assert entries[-1].cum_evals == len(entries) + rec.rejected_candidates + rec.strict_checks
+    assert op.epoch == 2
+    for k in starts:
+        # entries[k] took the step from iterate k: the epoch moved there, the
+        # memory restarted, and no checkpoint reads its difference
+        remapped, after = entries[k], entries[k + 1]
+        assert remapped.epoch == entries[k - 1].epoch + 1
+        assert remapped.j == after.j == 1 and not remapped.accepted
+        assert not remapped.infeas_checked
+        assert any(e.infeas_checked for e in entries[k + 1 : k + 10])
+    if mode != "vanilla":
+        assert any(e.accepted for e in entries)
+
+
+def test_a_start_without_an_epoch_change_is_refused():
+    a, b, rng = contraction(20, 6)
+    hooks = residual_hook(1e-12)
+    hooks.operator_update = lambda op_, state: state.f.copy()  # no parameter change
+    driver = Driver(BetaOperator(a, b), rng.standard_normal(6),
+                    DriverConfig(adapt_interval=3), hooks)
+    for _ in range(3):
+        driver.step()
+    with pytest.raises(ValueError, match="without changing the epoch"):
+        driver.step()
+
+
 def test_infeasibility_hook_fires_only_at_j2():
     a, b, rng = contraction(11, 10, radius=0.98)
     op = AffineTestOperator(a, b)
@@ -762,7 +829,8 @@ def conic_driver(prob, cfg):
     op = DrsOperator(prob)
     hooks = Hooks(
         converged=lambda state, operator: all(r <= cfg.eps for r in operator.residuals(state.info)),
-        operator_update=lambda operator, state: operator.adapt_gamma(state.info, tol=cfg.eps),
+        operator_update=lambda operator, state: operator.update_gamma(
+            state.info, state.f, tol=cfg.eps),
         infeasibility=lambda operator, dv: operator.infeasibility_check(dv),
         metrics=_trace_norms,
     )

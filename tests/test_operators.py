@@ -2,41 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpaccel.driver import FixedPointState
 from fpaccel.operators import (
     AffineTestOperator,
     FixedPointOperator,
     NonFiniteOutput,
-    update_params,
 )
-
-
-class ScaledOffsetOperator(FixedPointOperator):
-    """F(v) = A v + beta * b with beta as a tunable parameter."""
-
-    def __init__(self, a, b, beta=1.0):
-        super().__init__(len(b))
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.beta = float(beta)
-
-    @property
-    def params(self):
-        return np.array([self.beta])
-
-    def set_params(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if rho[0] != self.beta:
-            self.beta = float(rho[0])
-            self.epoch += 1
-
-    def _apply(self, v):
-        return self.a @ v + self.beta * self.b
-
-
-def _state(op, v):
-    f = op.apply(v)
-    return FixedPointState(v=v, f=f, r=v - f)
 
 
 def test_identity_apply():
@@ -119,24 +89,3 @@ def test_picard_linear_convergence_rate():
         if k > 10:
             assert np.linalg.norm(a @ r) <= rate * np.linalg.norm(r) + 1e-12
         v = f
-
-
-def test_update_params_identity_rule_keeps_epoch():
-    op = ScaledOffsetOperator(0.5 * np.eye(2), np.ones(2))
-    state = _state(op, np.zeros(2))
-    epoch = update_params(op, lambda o, v, f, r, rho: rho, state)
-    assert epoch == 0 and op.epoch == 0
-
-
-def test_update_params_change_bumps_epoch():
-    op = ScaledOffsetOperator(0.5 * np.eye(2), np.ones(2))
-    state = _state(op, np.zeros(2))
-    epoch = update_params(op, lambda o, v, f, r, rho: rho * 2.0, state)
-    assert epoch == 1 and op.beta == 2.0
-
-
-def test_update_params_rejects_nonfinite():
-    op = ScaledOffsetOperator(0.5 * np.eye(2), np.ones(2))
-    state = _state(op, np.zeros(2))
-    with pytest.raises(ValueError):
-        update_params(op, lambda o, v, f, r, rho: rho * np.nan, state)
