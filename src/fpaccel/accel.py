@@ -11,6 +11,12 @@ The memory also decides whether to extrapolate at all: ``propose`` returns
 no candidate while the history is too short, when the least-squares solve
 is singular, or when the coefficients fail the norm guard.
 
+The per-iteration products call BLAS directly, as in linalg.py: F is stored
+column-major, so its leading block is the Fortran-contiguous matrix f2py
+passes to BLAS without a copy, and the candidate is one fused ``dgemv``,
+f_k - F eta with ``alpha=-1, beta=1``, on a copy of f_k (``overwrite_y=0``).
+The guard's ||eta|| is ``math.sqrt(ddot(eta, eta))``.
+
 Column-pointer convention: ``j`` counts 1 + stored columns, read off the QR
 factors.  A fresh or restarted memory has j = 1; the first push moves it to
 2; extrapolation is only attempted once j > 2, i.e. with at least two
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import ddot, dgemv
 
 from .linalg import ColumnRankDeficient, QrState, SingularTriangular, qr_append_column, qr_solve_ls
 
@@ -30,7 +37,7 @@ class AccelMemory:
     """QR factors of the residual differences R plus the F = V - R buffer.
 
     Buffers are preallocated for ``m_max`` columns; each push appends one
-    column to both.
+    column to both.  F is column-major.
     """
 
     def __init__(self, dim: int, m_max: int, epoch: int = 0):
@@ -39,7 +46,7 @@ class AccelMemory:
         self.m_max = m_max
         self.epoch = epoch
         self._anchor = None  # (v, r) of the previous observed iterate
-        self._f = np.zeros((dim, m_max))
+        self._f = np.zeros((dim, m_max), order="F")
 
     @property
     def ncols(self) -> int:
@@ -115,14 +122,21 @@ class AccelMemory:
     def candidate(self, f_k: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Accelerated point f_k - F eta.
 
-        F is exactly zero where V == R, so the candidate is then f_k bit for
-        bit.
+        F is exactly zero where V == R, so the candidate then equals f_k.
+        The caller's f_k and eta are left untouched.
         """
         k = self.qr.ncols
         eta = np.asarray(eta, dtype=float)
         if eta.shape != (k,):
             raise ValueError("coefficient length does not match stored columns")
-        return np.asarray(f_k, dtype=float) - self._f[:, :k] @ eta
+        f_k = np.asarray(f_k, dtype=float)
+        if f_k.shape != (self.dim,):  # BLAS would update a prefix of a longer f_k
+            raise ValueError(f"f_k has shape {f_k.shape}, expected ({self.dim},)")
+        if k == 0:  # f2py refuses a matrix with no columns
+            return f_k.copy()
+        # Positional f2py arguments: (alpha, a, x, beta, y, offx, incx, offy,
+        # incy, trans, overwrite_y).
+        return dgemv(-1.0, self._f[:, :k], eta, 1.0, f_k, 0, 1, 0, 1, 0, 0)
 
     def restart(self, epoch: int | None = None) -> "AccelMemory":
         """Drop all columns and the anchor, and resync the epoch."""
@@ -137,4 +151,4 @@ def eta_guard(eta: np.ndarray, eta_max: float) -> bool:
     """True when ||eta|| is small enough for the candidate to be trusted."""
     if eta_max <= 0:
         raise ValueError("eta_max must be positive")
-    return math.sqrt(eta @ eta) <= eta_max
+    return math.sqrt(ddot(eta, eta)) <= eta_max

@@ -71,6 +71,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .accel import AccelMemory
 from .operators import FixedPointOperator, NonFiniteOutput
@@ -123,7 +124,7 @@ class FixedPointState:
 
     def __post_init__(self):
         if self.r_norm is None:
-            self.r_norm = math.sqrt(self.r @ self.r)
+            self.r_norm = math.sqrt(ddot(self.r, self.r))
 
 
 @dataclass
@@ -265,7 +266,7 @@ class Driver:
         """(v, F(v), v - F(v), its norm, the operator's record of this evaluation)."""
         f = self.op.apply(v)
         r = v - f
-        return v, f, r, math.sqrt(r @ r), self.op.info
+        return v, f, r, math.sqrt(ddot(r, r)), self.op.info
 
     # -- one iteration -----------------------------------------------------
 
@@ -315,7 +316,7 @@ class Driver:
         st.k += 1
         if accepted or start is not None:
             step = st.v - old_v
-            self._last_step_norm = math.sqrt(step @ step)
+            self._last_step_norm = math.sqrt(ddot(step, step))
         else:  # a plain step from f moves by f - v = -r exactly, so by the previous r_norm
             self._last_step_norm = st.r_prev_norm
 

@@ -198,7 +198,13 @@ GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, seed: int = 0, **params) -> ConicProblem:
-    """Build a seeded problem; identical arguments give bit-identical data.
+    """Build a seeded problem; identical arguments give bit-identical data
+    under a fixed BLAS thread count.
+
+    The dense products that form the data (RandomQP's ``M.T @ M``, for one)
+    run on threaded BLAS, which can sum in an order that depends on the
+    thread count: ``RandomQP`` with n=420, m=620 gets a different ``P``
+    under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 
     ``kind`` is one of ``GENERATOR_KINDS`` in any letter case.
     """

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.blas import dgemv
 
 from fpaccel.accel import AccelMemory, eta_guard
 from fpaccel.driver import DriverConfig, Hooks, run_unsafe
@@ -38,6 +39,33 @@ def test_push_pair_collinear_residual_diff():
     with pytest.raises(ColumnRankDeficient):
         mem.push_pair(np.zeros(3), dr.copy())
     assert mem.ncols == 1  # the failed pair is not committed
+
+
+def test_memory_leaves_its_inputs_untouched():
+    # push_pair forms dv - dr after the append and candidate runs a fused
+    # update on f_k; neither may write the caller's arrays or F.
+    rng = np.random.default_rng(11)
+    mem = AccelMemory(20, 5)
+    for _ in range(3):
+        dv, dr = rng.standard_normal(20), rng.standard_normal(20)
+        saved = dv.tobytes(), dr.tobytes()
+        mem.push_pair(dv, dr)
+        assert (dv.tobytes(), dr.tobytes()) == saved
+    f_k, eta = rng.standard_normal(20), rng.standard_normal(3)
+    saved = f_k.tobytes(), eta.tobytes(), mem.f_diffs.tobytes()
+    out = mem.candidate(f_k, eta)
+    assert (f_k.tobytes(), eta.tobytes(), mem.f_diffs.tobytes()) == saved
+    assert not np.shares_memory(out, f_k)
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_candidate_rejects_f_of_the_wrong_length(size):
+    # BLAS updates a prefix of a longer f_k without complaint, and f2py
+    # refuses a shorter one with its own exception type.
+    mem = AccelMemory(5, 3)
+    mem.push_pair(np.ones(5), np.arange(5.0))
+    with pytest.raises(ValueError, match="shape"):
+        mem.candidate(np.ones(size), np.ones(1))
 
 
 def test_eta_type2_single_column():
@@ -81,19 +109,19 @@ def test_candidate_equals_f_when_histories_match():
 
 def test_candidate_bit_identical_to_difference_matrix_form():
     # The F buffer stores dv - dr at push time; the candidate must keep the
-    # bits of f - (V - R) eta with V - R formed from separate V and R
-    # buffers, for every column count up to a full memory.
+    # bits of the fused dgemv f - (V - R) eta with V - R formed from
+    # separate V and R buffers, for every column count up to a full memory.
     rng = np.random.default_rng(10)
     n, m_max = 150, 15
     mem = AccelMemory(n, m_max)
-    v_buf, r_buf = np.zeros((n, m_max)), np.zeros((n, m_max))
+    v_buf, r_buf = np.zeros((n, m_max), order="F"), np.zeros((n, m_max), order="F")
     for k in range(1, m_max + 1):
         dv, dr = rng.standard_normal(n), rng.standard_normal(n)
         mem.push_pair(dv, dr)
         v_buf[:, k - 1], r_buf[:, k - 1] = dv, dr
         for _ in range(3):
             f_k, eta = rng.standard_normal(n), rng.standard_normal(k)
-            want = f_k - (v_buf[:, :k] - r_buf[:, :k]) @ eta
+            want = dgemv(-1.0, v_buf[:, :k] - r_buf[:, :k], eta, 1.0, f_k)
             assert mem.candidate(f_k, eta).tobytes() == want.tobytes()
     assert mem.ncols == m_max
 

@@ -120,7 +120,7 @@ PROJECTION_RTOL = 1e-12
 @given(
     block=st.one_of(
         st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 8)),
-        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(2, 8)),
+        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(1, 8)),
         st.builds(ConeBlock, st.just(PSD_TRIANGLE), st.sampled_from([1, 3, 6, 10])),
     ),
     scale=st.floats(-3.0, 3.0),
@@ -271,7 +271,7 @@ def _closed_form_margin(block, v):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     block=st.one_of(
-        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(2, 8)),
+        st.builds(ConeBlock, st.just(SECOND_ORDER), st.integers(1, 8)),
         st.builds(ConeBlock, st.just(PSD_TRIANGLE), st.sampled_from([1, 3, 6, 10, 15])),
     ),
     scale=st.floats(-8.0, 1.0),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import ddot, dgemv
 
 from fpaccel.linalg import (
     ColumnRankDeficient,
@@ -71,13 +72,14 @@ def test_qr_invariants_on_random_appends():
 
 
 def reference_cgs2_append(q_buf, r_buf, k, col):
-    """The append as first written: CGS2 on a copy, coefficients from zeros."""
+    """The append as a plain loop over its BLAS calls: CGS2 on a copy,
+    coefficients from zeros."""
     q = q_buf[:, :k]
     w = col.copy()
     coeffs = np.zeros(k)
-    for _ in range(2):
-        c = q.T @ w
-        w -= q @ c
+    for _ in range(2 if k else 0):  # f2py refuses a matrix with no columns
+        c = dgemv(1.0, q, w, trans=1)
+        w = dgemv(-1.0, q, c, 1.0, w)
         coeffs += c
     w_norm = float(np.linalg.norm(w))
     q_buf[:, k] = w / w_norm
@@ -89,7 +91,7 @@ def test_qr_append_bit_identical_to_reference_cgs2():
     rng = np.random.default_rng(6)
     n, capacity = 150, 15
     state = QrState(n, capacity)
-    q_buf, r_buf = np.zeros((n, capacity)), np.zeros((capacity, capacity))
+    q_buf, r_buf = np.zeros((n, capacity), order="F"), np.zeros((capacity, capacity))
     for k in range(capacity):
         col = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
         qr_append_column(state, col)
@@ -102,13 +104,15 @@ def test_qr_append_bit_identical_to_reference_cgs2():
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("size", [1, 2, 7, 15, 150, 1040])
 def test_dot_norm_bit_identical_to_numpy_norm(scale, size):
-    # The norms on the iteration path are math.sqrt(x @ x), which must be
-    # the bits of np.linalg.norm(x) for 1-D float vectors.
+    # The norms on the iteration path are math.sqrt(ddot(x, x)), and
+    # math.sqrt(x @ x) where x may be empty; both must be the bits of
+    # np.linalg.norm(x) for 1-D float vectors.
     rng = np.random.default_rng(size)
     for _ in range(20):
         x = rng.standard_normal(size) * scale
-        got, want = math.sqrt(x @ x), np.linalg.norm(x)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        want = np.float64(np.linalg.norm(x)).tobytes()
+        assert np.float64(math.sqrt(x @ x)).tobytes() == want
+        assert np.float64(math.sqrt(ddot(x, x))).tobytes() == want
 
 
 def test_qr_collinear_column_rejected():
@@ -118,6 +122,68 @@ def test_qr_collinear_column_rejected():
     with pytest.raises(ColumnRankDeficient):
         qr_append_column(state, 3.0 * col)
     assert state.ncols == 1  # failed append commits nothing
+
+
+def test_rank_deficient_append_commits_nothing():
+    # The append writes its coefficient workspace before the rank test; a
+    # rejected column must leave every exposed factor and bound as it was,
+    # and the next append must give the factors of a state that never saw it.
+    rng = np.random.default_rng(8)
+    cols = [rng.standard_normal(30) for _ in range(3)]
+    state, clean = QrState(30, 6), QrState(30, 6)
+    for col in cols:
+        qr_append_column(state, col)
+        qr_append_column(clean, col)
+
+    def snapshot(s):
+        return s.q.tobytes(), s.r.tobytes(), s.ncols, s.pivot_min, s.pivot_max
+
+    before = snapshot(state)
+    with pytest.raises(ColumnRankDeficient):
+        qr_append_column(state, cols[0] - 2.0 * cols[2])
+    assert snapshot(state) == before
+    good = rng.standard_normal(30)
+    qr_append_column(state, good)
+    qr_append_column(clean, good)
+    assert snapshot(state) == snapshot(clean)
+
+
+def test_appends_after_a_nan_column_and_reset_match_a_fresh_state():
+    # A NaN column leaves NaN in the workspace; the products that refill it
+    # (beta = 0) must not read it back.
+    rng = np.random.default_rng(9)
+    state, fresh = QrState(12, 4), QrState(12, 4)
+    for _ in range(2):
+        qr_append_column(state, rng.standard_normal(12))
+    with np.errstate(invalid="ignore"):
+        qr_append_column(state, np.full(12, np.nan))
+    state.reset()
+    for _ in range(4):
+        col = rng.standard_normal(12)
+        qr_append_column(state, col)
+        qr_append_column(fresh, col)
+        assert (state.q.tobytes(), state.r.tobytes()) == (fresh.q.tobytes(), fresh.r.tobytes())
+
+
+def test_kernels_leave_their_inputs_untouched():
+    # The fused updates overwrite their y argument in place where told to;
+    # on a caller's array that would corrupt the caller's iterate.
+    rng = np.random.default_rng(7)
+    state = QrState(20, 4)
+    for _ in range(3):  # k = 0 takes its own branch, k > 0 the fused updates
+        col = rng.standard_normal(20)
+        saved = col.tobytes()
+        qr_append_column(state, col)
+        assert col.tobytes() == saved
+    rhs = rng.standard_normal(20)
+    saved = rhs.tobytes()
+    eta = qr_solve_ls(state, rhs)
+    assert rhs.tobytes() == saved
+    # The returned coefficients are the caller's: the next append, which
+    # rewrites the workspace, leaves them alone.
+    saved = eta.tobytes()
+    qr_append_column(state, rng.standard_normal(20))
+    assert eta.tobytes() == saved
 
 
 def test_qr_zero_column_rejected():
@@ -175,16 +241,27 @@ def test_solve_ls_empty_state():
         qr_solve_ls(QrState(3, 3), np.zeros(3))
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_solve_ls_rejects_a_rhs_of_the_wrong_length(size):
+    # BLAS reads a prefix of a longer rhs without complaint, and f2py
+    # refuses a shorter one with its own exception type.
+    state = QrState(3, 3)
+    qr_append_column(state, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="shape"):
+        qr_solve_ls(state, np.ones(size))
+
+
 def test_solve_ls_bit_identical_to_solve_triangular():
-    # qr_solve_ls calls LAPACK trtrs itself; it must give scipy's bits for
-    # every column count, the full buffer (a C-contiguous r) included.
+    # qr_solve_ls calls BLAS dtrsv itself; fed the same q'rhs, its dgemv
+    # product, it must give scipy's bits for every column count, the full
+    # buffer (a C-contiguous r) included.
     rng = np.random.default_rng(4)
     state = QrState(30, 8)
     for k in range(1, 9):
         qr_append_column(state, rng.standard_normal(30))
         for _ in range(3):
             rhs = rng.standard_normal(30)
-            want = solve_triangular(state.r, state.q.T @ rhs, lower=False)
+            want = solve_triangular(state.r, dgemv(1.0, state.q, rhs, trans=1), lower=False)
             assert qr_solve_ls(state, rhs).tobytes() == want.tobytes()
     assert state.ncols == state.capacity
 
@@ -229,6 +306,12 @@ def test_solve_ls_screen_sees_every_entry_of_the_triangle(bad):
             for rhs in (np.zeros(4), np.eye(4)[j]):
                 with pytest.raises(ValueError, match="finite"):
                     qr_solve_ls(state, rhs)
+    # A row that no column of q touches: only inf * 0 brings it into q'rhs.
+    state = QrState(5, 4)
+    for col in np.eye(5)[:4]:
+        qr_append_column(state, col)
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        qr_solve_ls(state, np.array([0.0, 0.0, 0.0, 0.0, bad]))
 
 
 def test_solve_ls_overflowing_eta_is_returned():

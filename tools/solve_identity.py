@@ -14,9 +14,12 @@ count and its full and points sha256), then three combined digests per set:
 * ``strict``: strict mode with ``tau = 0.9`` on the first 10 ``qp_small``
   cases and the 20 ``adapt_infeas`` cases at seed 0 (30 solves);
 * ``certs``: ``InfeasibleLP`` and ``UnboundedLP`` at generator seeds 1 to 8,
-  each in the three configurations with ``eps = 1e-6`` (48 solves), so that a
-  change to a certificate decision shows beyond the six infeasible LPs of
-  ``adapt_infeas``;
+  ``InfeasibleQP`` at seeds 200 to 207 and ``UnboundedQP`` at scales 1 and
+  1e2 and seeds 100 to 107, each in the three configurations with
+  ``eps = 1e-6`` and ``max_iter = 20000`` (120 solves), so that a change to a
+  certificate decision shows beyond the six infeasible LPs of
+  ``adapt_infeas``; the accelerated modes miss the QP families' certificate
+  at some seeds, and which seeds they miss moves with rounding;
 * ``psd``: ``RandomSDP`` at sides 3, 15 and 30 and generator seeds 1 to 4,
   each in the three configurations with ``eps = 1e-5`` (36 solves), so that a
   change to the PSD projection shows beyond the side-10 blocks of ``sdp``.
@@ -32,8 +35,8 @@ counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
 ``cum_evals``: equal counts digests mean every decision and count is the
 same, even where a change moves the bits of the iterates or residuals.
 Last come the summed iterations, operator evaluations and convergence checks
-of each set per ``workload@seed`` (per generator kind for ``certs``, per side
-for ``psd``) and mode, the counts a behaviour change moves.
+of each set per ``workload@seed`` (per family for ``certs``, per side for
+``psd``) and mode, the counts a behaviour change moves.
 
 Run it on two checkouts and diff the outputs.  A change that only stops
 earlier, on the same trajectory, shows as equal statuses on every per-solve
@@ -59,8 +62,15 @@ BENCH_SETS = (
 )
 STRICT_TAU = 0.9
 STRICT_QP_SMALL_CASES = 10
-CERT_KINDS = ("InfeasibleLP", "UnboundedLP")
-CERT_SEEDS = range(1, 9)
+# (generator, parameters, seeds) of each certificate family
+CERT_FAMILIES = (
+    ("InfeasibleLP", {}, range(1, 9)),
+    ("UnboundedLP", {}, range(1, 9)),
+    ("InfeasibleQP", {}, range(200, 208)),
+    ("UnboundedQP", {"scale": 1.0}, range(100, 108)),
+    ("UnboundedQP", {"scale": 1e2}, range(100, 108)),
+)
+CERT_MAX_ITER = 20000
 PSD_SIDES = (3, 15, 30)
 PSD_SEEDS = range(1, 5)
 PSD_EPS = 1e-5
@@ -152,12 +162,14 @@ def main() -> int:
         tally(("strict", f"{workload}@0", "strict"), sol)
         print(f"strict {case.name} {record('strict', sol)}")
 
-    for generator in CERT_KINDS:
-        for seed in CERT_SEEDS:
+    for generator, params, seeds in CERT_FAMILIES:
+        family = generator + "".join(f":{k}={v:g}" for k, v in params.items())
+        for seed in seeds:
+            problem = generate(generator, seed=seed, **params)
             for mode in workloads.MODES:
-                sol = conic.solve(generate(generator, seed=seed), mode, eps=1e-6)
-                tally(("certs", generator, mode), sol)
-                print(f"certs  {generator}@{seed} {mode} {record('certs', sol)}")
+                sol = conic.solve(problem, mode, eps=1e-6, max_iter=CERT_MAX_ITER)
+                tally(("certs", family, mode), sol)
+                print(f"certs  {family}@{seed} {mode} {record('certs', sol)}")
 
     for side in PSD_SIDES:
         for seed in PSD_SEEDS:
