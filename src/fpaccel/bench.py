@@ -53,7 +53,6 @@ SUMMARY_COLUMNS = (
     ("accel_seconds", "record.accel_seconds"),
     ("operator_evals", "record.operator_evaluations"),
     ("rejected_candidates", "record.rejected_candidates"),
-    ("strict_checks", "record.strict_checks"),
 )
 
 

@@ -3,8 +3,10 @@
 One ``Driver`` instance runs one solve, in the configuration named by
 ``DriverConfig.mode``: ``vanilla`` (plain operator iteration, no history),
 ``unsafe`` (acceleration without the residual safeguard), ``safeguarded``
-(the relaxed residual test) or ``strict`` (a contraction test against a
-fresh evaluation at the current point).  ``run`` is the single entry point.
+(the relaxed residual test against the previous iterate's residual) or
+``strict`` (a contraction test against the current iterate's residual).
+Both references are norms the state already holds, so a candidate costs
+one evaluation in either mode.  ``run`` is the single entry point.
 Each iteration, in order:
 
 1. run the scheduled operator update (``Hooks.operator_update``) when
@@ -43,7 +45,8 @@ whose trace columns ``r_prim`` and ``r_dual`` are both within ``eps``, so
 ``check_interval`` is the longest gap between tests.  The columns only pick
 extra steps to test; the test alone decides, and a run stops at the first
 tested step that passes.  Without a metrics hook the columns are NaN and
-only the cadence remains.
+only the cadence remains.  Without a ``converged`` hook the test is
+``state.r_norm <= eps``.
 
 Infeasibility checks are latched on the ``check_interval`` cadence and
 consumed at the next checkpoint.
@@ -92,7 +95,7 @@ def safeguard(r_acc_norm: float, r_ref_norm: float, tau: float) -> bool:
     """Accept when the candidate residual is within tau times the reference one.
 
     The relaxed test's reference is the previous iterate's residual norm; the
-    strict test's is a fresh evaluation at the current point, with tau < 1.
+    strict test's is the current iterate's, with tau < 1.
     """
     return r_acc_norm <= tau * r_ref_norm
 
@@ -112,19 +115,18 @@ def is_integer_at_least(value, least: int) -> bool:
 
 @dataclass
 class FixedPointState:
-    """Current iterate with its operator value, residual and evaluation record."""
+    """Current iterate with its operator value, residual and evaluation record.
+
+    The first five fields are in the order ``Driver._evaluate`` returns them.
+    """
 
     v: np.ndarray
     f: np.ndarray
     r: np.ndarray
-    r_norm: float | None = None  # ||r||, computed from r when not given
+    r_norm: float  # ||r||
+    info: object = None
     k: int = 0
     r_prev_norm: float = math.inf
-    info: object = None
-
-    def __post_init__(self):
-        if self.r_norm is None:
-            self.r_norm = math.sqrt(ddot(self.r, self.r))
 
 
 @dataclass
@@ -160,7 +162,7 @@ class DriverConfig:
 class Hooks:
     """Optional solve-specific behavior plugged into the loop.
 
-    converged(state, op) -> bool replaces the default step-norm test.
+    converged(state, op) -> bool replaces the default test ``state.r_norm <= eps``.
     operator_update(op, state) -> start-or-None runs the scheduled parameter
     update at the start of every step whose ``state.k`` is a positive
     multiple of ``adapt_interval``, accelerated or not; a change must bump
@@ -190,7 +192,6 @@ class TraceEntry:
     elapsed: float
     accel_seconds: float
     cum_evals: int
-    step_norm: float
     r_prim: float = math.nan
     r_dual: float = math.nan
     infeas_checked: bool = False
@@ -205,7 +206,7 @@ class RunRecord:
     status: str = MAX_ITER
     operator_evaluations: int = 0
     rejected_candidates: int = 0
-    strict_checks: int = 0
+    strict_checks: int = 0  # always 0; kept because the acceptance tests read it
     convergence_checks: int = 0
     total_seconds: float = 0.0
     accel_seconds: float = 0.0
@@ -235,13 +236,13 @@ class Driver:
         self._start = time.perf_counter()
         self._status = None
         try:
-            f0 = op.apply(v0)
+            self.state = FixedPointState(*self._evaluate(v0.copy()))
         except NonFiniteOutput:
             # run() ends before the first iteration; info keeps the operator's
             # record of the failed evaluation.
             f0 = np.full(op.dim, math.nan)
+            self.state = FixedPointState(v0.copy(), f0, v0 - f0, math.nan, op.info)
             self._status = DIVERGED
-        self.state = FixedPointState(v=v0.copy(), f=f0, r=v0 - f0, info=op.info)
         self.record = RunRecord(final_state=self.state)
         self.mem = (
             AccelMemory(op.dim, self.cfg.m_max, epoch=op.epoch)
@@ -250,9 +251,8 @@ class Driver:
         )
         self._pending_infeas = False
         # Loop evaluations only: the setup evaluation above is excluded so
-        # that evaluations == iterations + rejections (+ strict checks).
+        # that evaluations == iterations + rejections.
         self._evals0 = op.eval_count
-        self._last_step_norm = self.state.r_norm
 
     # -- internals ---------------------------------------------------------
 
@@ -260,7 +260,7 @@ class Driver:
         self.record.convergence_checks += 1
         if self.hooks.converged is not None:
             return bool(self.hooks.converged(self.state, self.op))
-        return self._last_step_norm <= self.cfg.eps
+        return self.state.r_norm <= self.cfg.eps
 
     def _evaluate(self, v: np.ndarray) -> tuple:
         """(v, F(v), v - F(v), its norm, the operator's record of this evaluation)."""
@@ -295,12 +295,9 @@ class Driver:
 
             if v_acc is not None:
                 candidate = self._evaluate(v_acc)
-                r_ref_norm = st.r_prev_norm
-                if cfg.mode == STRICT:
-                    # The strict test prices in a fresh evaluation at the
-                    # current point, which is what makes it expensive.
-                    r_ref_norm = self._evaluate(st.v)[3]
-                    rec.strict_checks += 1
+                # A candidate exists only under the operator that gave st.f,
+                # so st.r_norm is the current iterate's residual norm.
+                r_ref_norm = st.r_norm if cfg.mode == STRICT else st.r_prev_norm
                 if cfg.mode == UNSAFE or safeguard(candidate[3], r_ref_norm, cfg.tau):
                     accepted = True
                     new = candidate
@@ -314,11 +311,6 @@ class Driver:
         st.r_prev_norm = st.r_norm
         st.v, st.f, st.r, st.r_norm, st.info = new
         st.k += 1
-        if accepted or start is not None:
-            step = st.v - old_v
-            self._last_step_norm = math.sqrt(ddot(step, step))
-        else:  # a plain step from f moves by f - v = -r exactly, so by the previous r_norm
-            self._last_step_norm = st.r_prev_norm
 
         infeas_checked = False
         # A checkpoint needs a pure step under one operator: no parameter
@@ -345,7 +337,6 @@ class Driver:
             elapsed=time.perf_counter() - self._start,
             accel_seconds=accel_t,
             cum_evals=op.eval_count - self._evals0,
-            step_norm=self._last_step_norm,
             r_prim=r_prim,
             r_dual=r_dual,
             infeas_checked=infeas_checked,

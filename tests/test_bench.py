@@ -432,7 +432,7 @@ def test_run_benchmark_common_subset_rule(tmp_path):
         lines = fh.read().splitlines()
     assert len(lines) == 9
     for line, row in zip(lines[-2:], summary.rows[-2:]):
-        assert line == f"nonconvex,{row.config},{row.status},0,0,0,0,0,0"
+        assert line == f"nonconvex,{row.config},{row.status},0,0,0,0,0"
 
 
 def test_run_benchmark_deterministic_iterations():
@@ -550,7 +550,9 @@ def test_run_benchmark_runs_strict_below_tau_one():
     assert [r.config for r in summary.rows] == ["safeguarded", "strict"] * 2
     assert all(r.status == "converged" for r in summary.rows)
     for r in summary.rows:
-        assert (r.record.strict_checks > 0) == (r.config == "strict")
+        rec = r.record
+        assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
+        assert rec.strict_checks == 0
 
 
 def test_solve_config_has_the_defaults_of_solve():
@@ -702,12 +704,8 @@ def test_cli_runs_strict_and_reconciles_its_evaluations(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["config"] for r in rows] == ["safeguarded", "strict"] * 2
     for r in rows:
-        counts = {k: int(r[k]) for k in ("iterations", "operator_evals",
-                                          "rejected_candidates", "strict_checks")}
-        assert counts["operator_evals"] == (
-            counts["iterations"] + counts["rejected_candidates"] + counts["strict_checks"]
-        )
-        assert (counts["strict_checks"] > 0) == (r["config"] == "strict")
+        counts = {k: int(r[k]) for k in ("iterations", "operator_evals", "rejected_candidates")}
+        assert counts["operator_evals"] == counts["iterations"] + counts["rejected_candidates"]
 
 
 def test_cli_generate_spec_parsing():
@@ -760,9 +758,9 @@ def test_solve_identity_digest_sees_one_bit(monkeypatch):
     # bit-identical; one flipped bit of x or one trace column must show.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     tool = importlib.import_module("solve_identity")
-    digest, points = tool.solve_digest, tool.points_digest
+    digest, points, counts = tool.solve_digest, tool.points_digest, tool.counts_digest
     sol = solve(generate("RandomQP", n=6, m=12, seed=2), "safeguarded")
-    base, base_points = digest(sol), points(sol)
+    base, base_points, base_counts = digest(sol), points(sol), counts(sol)
     sol.record.total_seconds += 1.0  # timings are left out
     sol.record.entries[0].elapsed += 1.0
     assert digest(sol) == base and points(sol) == base_points
@@ -776,8 +774,14 @@ def test_solve_identity_digest_sees_one_bit(monkeypatch):
     # a trace residual column moves the full digest, not the points digest
     sol.record.entries[-1].r_dual = np.nextafter(sol.record.entries[-1].r_dual, np.inf)
     assert digest(sol) != base and points(sol) == base_points
+    sol.record.entries[-1].r_dual = np.nextafter(sol.record.entries[-1].r_dual, -np.inf)
+    # a run counter moves the full and counts digests, not the points digest
+    sol.record.operator_evaluations += 1
+    assert digest(sol) != base and counts(sol) != base_counts and points(sol) == base_points
+    sol.record.operator_evaluations -= 1
+    assert digest(sol) == base and counts(sol) == base_counts
     sol.record.entries[-1].j += 1
-    assert digest(sol) != base
+    assert digest(sol) != base and counts(sol) != base_counts
 
 
 def test_accel_share_summary_on_a_small_problem(monkeypatch):

@@ -619,8 +619,10 @@ def test_bad_eps_infeas_is_rejected(eps_infeas):
 
 
 def test_solve_runs_strict_mode():
-    sol = solve(tiny_qp(), "strict", tau=0.5)
-    assert sol.status == "converged" and sol.record.strict_checks > 0
+    rec = solve(tiny_qp(), "strict", tau=0.5).record
+    assert rec.status == "converged" and any(e.accepted for e in rec.entries)
+    assert rec.strict_checks == 0
+    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
     with pytest.raises(ValueError, match="mode must be one of"):
         solve(tiny_qp(), "turbo")
 
@@ -630,7 +632,27 @@ def test_solve_counts_every_loop_evaluation(mode):
     prob = generate("RandomQP", n=20, m=40, seed=9)
     rec = solve(prob, mode, tau=0.5 if mode == "strict" else 2.0).record
     assert rec.status == "converged"
-    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates + rec.strict_checks
+    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
+    assert rec.strict_checks == 0
+
+
+@pytest.mark.parametrize("kind, params", [("InfeasibleQP", {}), ("UnboundedQP", {"scale": 1e8})],
+                         ids=["InfeasibleQP", "UnboundedQP-1e8"])
+def test_strict_reaches_the_status_of_vanilla_within_the_bound(kind, params):
+    # An accelerated solve must reach vanilla's status (a certificate, or
+    # convergence at UnboundedQP seed 4) within max(2000, 3 x vanilla's
+    # iterations).  Strict with tau = 0.9 meets this at every seed; the
+    # safeguarded mode does not yet (see ROADMAP item 1).
+    missed = []
+    for seed in range(1, 9):
+        prob = generate(kind, seed=seed, **params)
+        vanilla = solve(prob, "vanilla", max_iter=20000)
+        assert vanilla.status != "max_iter"
+        bound = max(2000, 3 * vanilla.record.iterations)
+        strict = solve(prob, "strict", tau=0.9, max_iter=bound)
+        if strict.status != vanilla.status:
+            missed.append((seed, vanilla.status, strict.status, strict.record.iterations))
+    assert missed == []
 
 
 def test_finite_positive_gamma_is_clipped():

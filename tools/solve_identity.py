@@ -24,25 +24,30 @@ count and its full and points sha256), then three combined digests per set:
   each in the three configurations with ``eps = 1e-5`` (36 solves), so that a
   change to the PSD projection shows beyond the side-10 blocks of ``sdp``.
 
-Each hash covers the status, the run counters, the bytes of ``x``, ``s``,
-``y`` and the final iterate, the objective's bits and every trace column
-except the two timings.  Equal digests on two checkouts mean every iterate,
-decision and count is the same.  The *points* digest covers the status, the
-run counters and the bytes of ``x``, ``s``, ``y`` and the final iterate but
-no trace column: equal points digests with unequal full digests mean only
-trace columns moved.  The *counts* digest covers only the status, the run
-counters and each trace entry's ``k``, ``accepted``, ``j``, ``epoch`` and
-``cum_evals``: equal counts digests mean every decision and count is the
-same, even where a change moves the bits of the iterates or residuals.
-Last come the summed iterations, operator evaluations and convergence checks
-of each set per ``workload@seed`` (per family for ``certs``, per side for
-``psd``) and mode, the counts a behaviour change moves.
+The run counters are the iterations, operator evaluations, rejected
+candidates and convergence checks.  The full digest covers the status, the
+run counters, the bytes of ``x``, ``s``, ``y`` and the final iterate, the
+objective's bits and every trace column except the two timings: equal full
+digests on two checkouts mean every iterate, decision and count is the same.
+The *points* digest covers only the status, the iteration count and the
+bytes of ``x``, ``s``, ``y`` and the final iterate: equal points digests with
+unequal full digests mean the trajectory's end is the same and only trace
+columns or counters moved, as when a change only saves evaluations.  The
+*counts* digest covers only the status, the run counters and each trace
+entry's ``k``, ``accepted``, ``j``, ``epoch`` and ``cum_evals``: equal counts
+digests mean every decision and count is the same, even where a change moves
+the bits of the iterates or residuals.  Last come the summed iterations,
+operator evaluations and convergence checks of each set per
+``workload@seed`` (per family for ``certs``, per side for ``psd``) and mode,
+the counts a behaviour change moves.
 
 Run it on two checkouts and diff the outputs.  A change that only stops
 earlier, on the same trajectory, shows as equal statuses on every per-solve
 line, a lower iteration count and new digests on the lines whose stop moved
 (their trace is a prefix of the old one), byte-equal lines elsewhere, and
-sums that fall or stay.
+sums that fall or stay.  A change that only saves evaluations shows as equal
+statuses, iteration counts and points digests, new full digests on the lines
+that saved some, and evaluation sums that fall.
 """
 
 from __future__ import annotations
@@ -76,18 +81,16 @@ PSD_SEEDS = range(1, 5)
 PSD_EPS = 1e-5
 
 
-def _status_and_counters(sol):
-    rec = sol.record
-    h = hashlib.sha256(sol.status.encode())
-    h.update(struct.pack(
-        "<5q", rec.iterations, rec.operator_evaluations, rec.rejected_candidates,
-        rec.strict_checks, rec.convergence_checks,
-    ))
-    return h
+def _counters(rec) -> bytes:
+    return struct.pack(
+        "<4q", rec.iterations, rec.operator_evaluations, rec.rejected_candidates,
+        rec.convergence_checks,
+    )
 
 
 def _points(sol):
-    h = _status_and_counters(sol)
+    h = hashlib.sha256(sol.status.encode())
+    h.update(struct.pack("<q", sol.record.iterations))
     for arr in (sol.x, sol.s, sol.y, sol.record.final_state.v):
         h.update(struct.pack("<q", arr.size) + arr.astype("<f8").tobytes())
     return h
@@ -97,23 +100,24 @@ def solve_digest(sol) -> str:
     """sha256 over everything a solve decides, its timings excepted."""
     rec = sol.record
     h = _points(sol)
-    h.update(struct.pack("<d", sol.objective))
+    h.update(_counters(rec) + struct.pack("<d", sol.objective))
     for e in rec.entries:
         h.update(struct.pack(
-            "<qd?qqqddd?", e.k, e.r_norm, e.accepted, e.j, e.epoch, e.cum_evals,
-            e.step_norm, e.r_prim, e.r_dual, e.infeas_checked,
+            "<qd?qqqdd?", e.k, e.r_norm, e.accepted, e.j, e.epoch, e.cum_evals,
+            e.r_prim, e.r_dual, e.infeas_checked,
         ))
     return h.hexdigest()
 
 
 def points_digest(sol) -> str:
-    """sha256 over a solve's status, counters and returned point and iterate."""
+    """sha256 over a solve's status, iteration count and returned point and iterate."""
     return _points(sol).hexdigest()
 
 
 def counts_digest(sol) -> str:
     """sha256 over a solve's status, counters and per-iteration decisions."""
-    h = _status_and_counters(sol)
+    h = hashlib.sha256(sol.status.encode())
+    h.update(_counters(sol.record))
     for e in sol.record.entries:
         h.update(struct.pack("<q?qqq", e.k, e.accepted, e.j, e.epoch, e.cum_evals))
     return h.hexdigest()
