@@ -84,8 +84,8 @@ class AccelMemory:
         follow; restarts on a full memory keeping (v, r) as the anchor, so
         two follow (j = 1, 2); otherwise pushes the pair formed against the
         anchor.  Every operator change arrives here as a new epoch, whether
-        the driver's scheduled update or a ``set_params`` between steps made
-        it.
+        the driver's scheduled update or a parameter change between steps
+        made it.
         """
         if epoch != self.epoch:
             return self.restart(epoch)

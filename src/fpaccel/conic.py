@@ -33,8 +33,9 @@ even for one right-hand side.
 Each application also reads off the primal-dual point x,
 s = project(v_s - 2 gamma lam), y = lam and keeps it, with the product A x
 the KKT solve already formed, as one immutable ``DrsStep`` record; it forms
-no residual norm.  ``DrsOperator.residuals`` forms the primal and dual
-residual norms of a step from the data, and only the decisions that read
+no residual norm.  ``DrsOperator.residuals`` is the one place that forms
+the primal and dual residual norms of a step from the data, together with
+the products P x and A'y it needs for them, and only the decisions that read
 them call it: the convergence test, step-size adaptation every
 ``adapt_interval`` steps and ``solve``'s return.  The convergence test runs
 every ``check_interval`` steps and at every step whose trace columns, which
@@ -43,12 +44,13 @@ are read off the fixed-point residual at no extra product, are both within
 The driver carries the record of the iterate it holds in
 ``FixedPointState.info``, so no operator evaluation happens outside the
 counted ones.  The step size gamma is the single operator parameter;
-adapting it refactors the reduced matrix and bumps the operator epoch.
-The fixed point moves with gamma, v*(gamma) = (x*, s* + gamma y*), so a
-change from gamma0 to gamma1 carries the primal-dual point across rather
-than the iterate: the driver's next plain step starts from the current
-value f with its s-part moved by (gamma1 - gamma0) y
-(``DrsOperator.update_gamma``, ``solve``'s scheduled update).
+changing it (``DrsOperator.set_params``) refactors the reduced matrix and
+bumps the operator epoch.  The fixed point moves with gamma,
+v*(gamma) = (x*, s* + gamma y*), so a change from gamma0 to gamma1 carries
+the primal-dual point across rather than the iterate: the driver's next
+plain step starts from the current value f with its s-part moved by
+(gamma1 - gamma0) y (``DrsOperator.adapt_gamma``, ``solve``'s scheduled
+update).
 """
 
 from __future__ import annotations
@@ -159,15 +161,9 @@ class DrsOperator(FixedPointOperator):
 
     # -- parameter handling --------------------------------------------
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([self.gamma])
-
-    def set_params(self, rho) -> None:
-        rho = np.asarray(rho)
-        if rho.shape != (1,):
-            raise ValueError("expected a single step-size parameter")
-        gamma = _step_size(rho[0])
+    def set_params(self, gamma) -> None:
+        """Move the step size to ``gamma``, a scalar checked and clipped as the constructor does."""
+        gamma = _step_size(gamma)
         if gamma == self.gamma:
             return
         # Factor first: a failed factorization leaves gamma, the factor and
@@ -206,13 +202,10 @@ class DrsOperator(FixedPointOperator):
         ax = prob.A @ x
         return x, (ax - r2) / gamma, ax
 
-    def residuals(self, step: DrsStep) -> tuple[float, float]:
-        """(r_prim, r_dual): the infinity norms of A x + s - b and P x + q + A'y
-        at a step's point, formed from the data."""
-        return self._residual_terms(step)[:2]
-
-    def _residual_terms(self, step: DrsStep):
-        """(r_prim, r_dual, P x, A'y): ``residuals`` with the two products it formed."""
+    def residuals(self, step: DrsStep) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(r_prim, r_dual, P x, A'y): the infinity norms of A x + s - b and
+        P x + q + A'y at a step's point, formed from the data, with the two
+        products they formed."""
         prob = self.problem
         px, aty = prob.P @ step.x, prob.A.T @ step.y
         return _inf_norm(step.ax + step.s - prob.b), _inf_norm(px + prob.q + aty), px, aty
@@ -229,42 +222,18 @@ class DrsOperator(FixedPointOperator):
 
     # -- parameter adaptation -------------------------------------------------
 
-    def adapt_gamma(self, step: DrsStep, tol: float = 1e-6) -> bool:
-        """Rebalance gamma from the scaled primal/dual residual ratio of a step.
+    def adapt_gamma(self, step: DrsStep, f: np.ndarray, tol: float = 1e-6) -> np.ndarray | None:
+        """Rebalance gamma from the scaled primal/dual residual ratio of a step,
+        and return the point to restart from, or None when gamma stays.
 
         The residual norms and the dual scale's products P x and A'y come
-        from one ``_residual_terms`` call, so each product is formed once.
+        from one ``residuals`` call, so each product is formed once.
 
         The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
         to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
         an already-converged step (both residuals <= tol) is left alone.
-        Returns True when gamma changed (epoch bumped, KKT refactored).  When
-        the reduced matrix fails to factor at the new gamma, the old gamma
-        stays (``set_params`` commits nothing then) and it returns False.
-        """
-        prob = self.problem
-        if prob.m == 0:
-            return False
-        r_prim, r_dual, px, aty = self._residual_terms(step)
-        if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
-            return False
-        if r_prim <= tol and r_dual <= tol:
-            return False
-        prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
-        dual_scale = max(_inf_norm(px), _inf_norm(prob.q), _inf_norm(aty), 1.0)
-        ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
-        factor = _clip(math.sqrt(ratio), 0.1, 10.0)
-        if 0.2 <= factor <= 5.0:
-            return False
-        old_epoch = self.epoch
-        try:
-            self.set_params([self.gamma / factor])
-        except LinAlgError:
-            return False
-        return self.epoch != old_epoch
-
-    def update_gamma(self, step: DrsStep, f: np.ndarray, tol: float = 1e-6) -> np.ndarray | None:
-        """``solve``'s scheduled update: ``adapt_gamma`` on a step, then the point to restart from.
+        When the reduced matrix fails to factor at the new gamma, the old
+        gamma stays (``set_params`` commits nothing then).
 
         ``f`` is the value (x, s + gamma0 y) of the evaluation that produced
         ``step``.  When gamma moves from gamma0 to gamma1, the step's
@@ -273,13 +242,29 @@ class DrsOperator(FixedPointOperator):
         no operator evaluation.  A fixed point v*(gamma) = (x*, s* + gamma y*)
         of the old operator goes to the fixed point of the new one, where
         keeping f would scale the dual it encodes by gamma0 / gamma1.
-        Returns None when gamma stays.
         """
-        gamma0 = self.gamma
-        if not self.adapt_gamma(step, tol):
+        prob = self.problem
+        if prob.m == 0:
             return None
-        n = self.problem.n
-        return np.concatenate([f[:n], f[n:] + (self.gamma - gamma0) * step.y])
+        r_prim, r_dual, px, aty = self.residuals(step)
+        if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
+            return None
+        if r_prim <= tol and r_dual <= tol:
+            return None
+        prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
+        dual_scale = max(_inf_norm(px), _inf_norm(prob.q), _inf_norm(aty), 1.0)
+        ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
+        factor = _clip(math.sqrt(ratio), 0.1, 10.0)
+        if 0.2 <= factor <= 5.0:
+            return None
+        gamma0, epoch0 = self.gamma, self.epoch
+        try:
+            self.set_params(gamma0 / factor)
+        except LinAlgError:
+            return None
+        if self.epoch == epoch0:
+            return None
+        return np.concatenate([f[:prob.n], f[prob.n:] + (self.gamma - gamma0) * step.y])
 
     # -- infeasibility detection ------------------------------------------------
 
@@ -359,6 +344,16 @@ def solve_config(
     return _driver.DriverConfig(mode=mode, **settings)
 
 
+def _hooks(eps: float, eps_infeas: float) -> _driver.Hooks:
+    """The driver hooks of a solve to tolerances ``eps`` and ``eps_infeas``."""
+    return _driver.Hooks(
+        converged=lambda state, op: all(r <= eps for r in op.residuals(state.info)[:2]),
+        operator_update=lambda op, state: op.adapt_gamma(state.info, state.f, tol=eps),
+        infeasibility=lambda op, dv: op.infeasibility_check(dv, eps_infeas),
+        metrics=_trace_norms,
+    )
+
+
 class ConicSolution:
     """Solve outcome: status, primal-dual point, and the full run record."""
 
@@ -407,20 +402,12 @@ def solve(
     choose when to test; the data's residuals decide.
     """
     cfg = solve_config(mode, gamma=gamma, eps_infeas=eps_infeas, **settings)
-    eps = cfg.eps
     op = DrsOperator(problem, gamma=gamma)
-    hooks = _driver.Hooks(
-        converged=lambda state, operator: all(r <= eps for r in operator.residuals(state.info)),
-        operator_update=lambda operator, state: operator.update_gamma(state.info, state.f, tol=eps),
-        infeasibility=lambda operator, dv: operator.infeasibility_check(dv, eps_infeas),
-        metrics=_trace_norms,
-    )
-
     if v0 is None:
         v0 = np.zeros(op.dim)
-    record = _driver.run(op, v0, cfg, hooks)
+    record = _driver.run(op, v0, cfg, _hooks(cfg.eps, eps_infeas))
     step = record.final_state.info
-    r_prim, r_dual = op.residuals(step)
+    r_prim, r_dual = op.residuals(step)[:2]
     return ConicSolution(
         status=record.status,
         x=step.x,

@@ -26,7 +26,7 @@ Each iteration, in order:
 
 A scheduled update is an ordinary epoch change: when it moves the operator
 epoch, ``AccelMemory.observe`` restarts the memory, exactly as for a
-``set_params`` made between steps; an update that changes nothing leaves
+parameter change made between steps; an update that changes nothing leaves
 the history alone.  The driver never restarts the memory itself.  An
 operator whose fixed point moves with its parameters returns, from the
 update, the current point mapped into the new operator's coordinates; the

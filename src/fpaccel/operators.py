@@ -1,10 +1,10 @@
-"""Parametric fixed-point operator contract and synthetic test operators.
+"""Fixed-point operator contract and synthetic test operators.
 
 A fixed-point operator maps R^n -> R^n; its parameters may change during a
-solve, and every change bumps an epoch counter so downstream consumers
-(the acceleration memory in particular) can tell that cached history is
-stale.  Applications are counted so benchmark reports can account for the
-extra evaluations spent on rejected candidate points.
+solve, and an operator bumps its epoch counter on every change so downstream
+consumers (the acceleration memory in particular) can tell that cached
+history is stale.  Applications are counted so benchmark reports can account
+for the extra evaluations spent on rejected candidate points.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ class NonFiniteOutput(Exception):
 class FixedPointOperator:
     """Base class for operators v -> F_rho(v).
 
-    Subclasses implement ``_apply`` and, when they carry parameters,
-    override ``params`` and ``set_params``.  ``apply`` validates shapes,
-    rejects non-finite output, and counts evaluations.  An ``_apply`` may
-    leave a record of its evaluation in ``info``, which the driver keeps
-    next to the iterate it adopts.
+    Subclasses implement ``_apply``; one whose parameters change bumps
+    ``epoch`` on every change.  ``apply`` validates shapes, rejects
+    non-finite output, and counts evaluations.  An ``_apply`` may leave a
+    record of its evaluation in ``info``, which the driver keeps next to the
+    iterate it adopts.
     """
 
     def __init__(self, dim: int):
@@ -35,17 +35,6 @@ class FixedPointOperator:
         self.epoch = 0
         self.eval_count = 0
         self.info = None
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def set_params(self, rho) -> None:
-        rho = np.asarray(rho, dtype=float)
-        if rho.size != self.params.size:
-            raise ValueError("parameter vector has the wrong length")
-        # No tunable parameters at the base level: nothing to do, epoch
-        # stays put.
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

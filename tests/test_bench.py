@@ -753,6 +753,28 @@ def test_accelerated_step_spans_are_live(monkeypatch):
     assert all(calls[name] for name in names), calls
 
 
+def test_residual_span_counts_every_residual_formation(monkeypatch):
+    # conic.residuals times every residual formation: one per convergence
+    # check, one per scheduled step-size update, made inside conic.adapt,
+    # and one at solve's return.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    problem = generate("RandomQP", n=20, m=40, seed=9)
+    tracer.install()
+    try:
+        rec = solve(problem, "safeguarded", gamma=1e-3, adapt_interval=7).record
+    finally:
+        tracer.uninstall()
+    assert rec.status == "converged"
+    spans = tracer.spans
+    adapts = {i for i, span in enumerate(spans) if span[tracing.NAME] == "conic.adapt"}
+    residuals = [span for span in spans if span[tracing.NAME] == "conic.residuals"]
+    assert adapts and adapts <= {span[tracing.PARENT] for span in residuals}
+    updates = (rec.iterations - 1) // 7
+    assert len(residuals) == rec.convergence_checks + updates + 1
+
+
 def test_solve_identity_digest_sees_one_bit(monkeypatch):
     # tools/solve_identity.py fingerprints solves to show a change is
     # bit-identical; one flipped bit of x or one trace column must show.

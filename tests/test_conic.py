@@ -154,20 +154,21 @@ def test_residual_norms_trivial():
     prob = ConicProblem(None, np.zeros(2), np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]),
                         [ConeBlock(NONNEG, 3)])
     step = DrsStep(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3))
-    assert DrsOperator(prob).residuals(step) == (0.0, 0.0)
+    assert DrsOperator(prob).residuals(step)[:2] == (0.0, 0.0)
 
 
 def test_residual_norms_match_recomputation():
     # residuals(step) is the data formula at the step's own point, bit for
-    # bit, with or without constraints.
+    # bit, with or without constraints, and returns the products it formed.
     rng = np.random.default_rng(4)
     for prob in (generate("RandomQP", n=10, m=15, seed=5),
                  ConicProblem(np.eye(3), [1.0, -2.0, 0.5], None, [], [])):
         n, m = prob.n, prob.m
         x, s, y = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)
-        r_prim, r_dual = DrsOperator(prob).residuals(DrsStep(x, s, y, prob.A @ x))
+        r_prim, r_dual, px, aty = DrsOperator(prob).residuals(DrsStep(x, s, y, prob.A @ x))
         assert r_prim == np.abs(prob.A @ x + s - prob.b).max(initial=0.0)
         assert r_dual == np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
+        assert px.tobytes() == (prob.P @ x).tobytes() and aty.tobytes() == (prob.A.T @ y).tobytes()
     assert r_prim == 0.0  # m = 0 has no primal residual
 
 
@@ -180,19 +181,19 @@ def test_gamma_update_refactors_and_bumps_epoch():
     op = DrsOperator(tiny_qp(), gamma=1.0)
     v = np.array([0.3, 0.4])
     before = op.apply(v)
-    op.set_params([0.5])
+    op.set_params(0.5)
     assert op.epoch == 1 and op.gamma == 0.5
     after = op.apply(v)
     assert not np.allclose(before, after)  # the KKT system really changed
-    op.set_params([0.5])
+    op.set_params(0.5)
     assert op.epoch == 1  # unchanged parameters do not bump the epoch
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, "1"])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, "1", [0.5]])
 def test_set_params_validates_like_the_constructor(gamma):
     op = DrsOperator(tiny_qp(), gamma=0.5)
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        op.set_params([gamma])
+        op.set_params(gamma)
     assert op.gamma == 0.5 and op.epoch == 0
 
 
@@ -208,15 +209,15 @@ def test_failed_refactor_leaves_the_operator_unchanged():
     v = rng.standard_normal(op.dim)
     before = op.apply(v).tobytes()
     with pytest.raises(np.linalg.LinAlgError):
-        op.set_params([1e4])
+        op.set_params(1e4)
     assert op.gamma == 1.0 and op.epoch == 0
     assert op.apply(v).tobytes() == before
 
 
 def fake_residuals(op, r_prim, r_dual):
     """Make op's decisions read (r_prim, r_dual), with the step's own products P x and A'y."""
-    terms = op._residual_terms
-    op._residual_terms = lambda step: (r_prim, r_dual, *terms(step)[2:])
+    residuals = op.residuals
+    op.residuals = lambda step: (r_prim, r_dual, *residuals(step)[2:])
 
 
 def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
@@ -229,9 +230,10 @@ def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
     )
     op = DrsOperator(prob, gamma=500.0)
     v = rng.standard_normal(op.dim)
-    before, factor = op.apply(v).tobytes(), op._factor.copy()
+    f = op.apply(v)
+    before, factor = f.tobytes(), op._factor.copy()
     fake_residuals(op, 0.0, 1.0)  # ratio 0: the factor clips to 0.1
-    assert not op.adapt_gamma(op.info)
+    assert op.adapt_gamma(op.info, f) is None
     assert op.gamma == 500.0 and op.epoch == 0
     assert np.array_equal(op._factor, factor)
     assert op.apply(v).tobytes() == before
@@ -379,10 +381,10 @@ def test_adapt_gamma_forms_each_product_once():
     # The residual norms and the dual scale share one P x and one A'y.
     prob = generate("RandomQP", n=8, m=12, seed=6)
     op = DrsOperator(prob, gamma=1.0)
-    op.apply(np.ones(op.dim))
+    f = op.apply(np.ones(op.dim))
     prob.P, prob.A = prob.P.view(CountedMatrix), prob.A.view(CountedMatrix)
     CountedMatrix.products.clear()
-    op.adapt_gamma(op.info)
+    op.adapt_gamma(op.info, f)
     assert sorted(CountedMatrix.products) == [(8, 8), (8, 12)]
 
 
@@ -390,7 +392,7 @@ def test_adapt_gamma_deadband_and_clip():
     prob = generate("RandomQP", n=8, m=12, seed=6)
     op = DrsOperator(prob, gamma=1.0)
     v = np.zeros(op.dim)
-    op.apply(v)
+    f = op.apply(v)
     step = op.info
     x, s, y = step.x, step.s, step.y
     prim_scale = max(np.abs(prob.A @ x).max(), np.abs(s).max(), np.abs(prob.b).max(), 1.0)
@@ -400,20 +402,20 @@ def test_adapt_gamma_deadband_and_clip():
 
     # balanced residuals: factor 1 sits inside the deadband
     fake_residuals(op, prim_scale, dual_scale)
-    assert not op.adapt_gamma(step)
+    assert op.adapt_gamma(step, f) is None
     assert op.epoch == 0
 
     # scaled ratio 100 -> clip(sqrt(100)) = 10 -> gamma divided by 10
     fake_residuals(op, 100.0 * prim_scale, dual_scale)
-    assert op.adapt_gamma(step)
+    assert op.adapt_gamma(step, f) is not None
     assert op.epoch == 1
     assert op.gamma == pytest.approx(0.1)
 
     # converged state: no change regardless of the ratio
     op2 = DrsOperator(prob, gamma=1.0)
-    op2.apply(v)
+    f2 = op2.apply(v)
     fake_residuals(op2, 1e-9, 1e-13)
-    assert not op2.adapt_gamma(op2.info, tol=1e-6)
+    assert op2.adapt_gamma(op2.info, f2, tol=1e-6) is None
     assert op2.epoch == 0
 
 
@@ -659,7 +661,7 @@ def test_finite_positive_gamma_is_clipped():
     assert DrsOperator(tiny_qp(), gamma=1e-9).gamma == 1e-6
     op = DrsOperator(tiny_qp(), gamma=1e9)
     assert op.gamma == 1e6
-    op.set_params([1e-9])  # the adaptive update clips as well
+    op.set_params(1e-9)  # the adaptive update clips as well
     assert op.gamma == 1e-6 and op.epoch == 1
     assert solve(tiny_qp(), gamma=1e9, eps=1e-8).status == "converged"
 
@@ -740,7 +742,7 @@ def test_adapt_gamma_decides_from_the_data_products():
     for gamma in (1e-3, 1.0, 1e3):
         for _ in range(10):
             op = DrsOperator(prob, gamma=gamma)
-            op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
+            f = op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
             step = op.info
             r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
             prim_scale = max(np.abs(step.ax).max(), np.abs(step.s).max(), np.abs(prob.b).max(), 1.0)
@@ -751,7 +753,7 @@ def test_adapt_gamma_decides_from_the_data_products():
             ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
             factor = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
             want = op.gamma if 0.2 <= factor <= 5.0 else float(np.clip(op.gamma / factor, 1e-6, 1e6))
-            assert op.adapt_gamma(step) == (want != gamma)
+            assert (op.adapt_gamma(step, f) is not None) == (want != gamma)
             assert op.gamma == want
             changed += want != gamma
     assert 0 < changed < 30  # both decisions were exercised
@@ -772,9 +774,9 @@ def test_scalar_clip_is_np_clip_bit_for_bit(x):
         assert struct.pack("<d", conic._step_size(x)) == struct.pack("<d", want)
 
 
-def test_update_gamma_carries_a_fixed_point_to_the_new_one(monkeypatch):
+def test_adapt_gamma_carries_a_fixed_point_to_the_new_one(monkeypatch):
     # At an accurate fixed point of the operator at gamma0 = 1, the start
-    # update_gamma returns is a fixed point at gamma1 up to rounding, across
+    # adapt_gamma returns is a fixed point at gamma1 up to rounding, across
     # the step-size range; the kept iterate f is far from it.
     prob = generate("RandomQP", n=30, m=60, seed=3)
     sol = solve(prob, eps=1e-12, adapt_interval=10**5)  # gamma stays 1
@@ -783,18 +785,18 @@ def test_update_gamma_carries_a_fixed_point_to_the_new_one(monkeypatch):
     op = DrsOperator(prob, gamma=1.0)
     f = op.apply(v)
     assert np.linalg.norm(f - v) <= 1e-11
-    assert op.update_gamma(op.info, f) is None and op.epoch == 0  # converged: gamma stays
+    assert op.adapt_gamma(op.info, f) is None and op.epoch == 0  # converged: gamma stays
 
     for gamma1 in (1e-3, 0.1, 0.5, 2.0, 10.0, 1e3):
         op = DrsOperator(prob, gamma=1.0)
         f = op.apply(v)
+        fake_residuals(op, 1.0, 0.0)  # ratio inf: the factor clips to 10, a move
 
-        def move(step, tol, op=op, gamma1=gamma1):
-            op.set_params([gamma1])
-            return True
+        def commit_gamma1(_gamma, commit=op.set_params, gamma1=gamma1):
+            commit(gamma1)
 
-        monkeypatch.setattr(op, "adapt_gamma", move)
-        start = op.update_gamma(op.info, f)
+        monkeypatch.setattr(op, "set_params", commit_gamma1)
+        start = op.adapt_gamma(op.info, f)
         assert op.gamma == gamma1 and op.epoch == 1
         assert start[: prob.n].tobytes() == f[: prob.n].tobytes()
         assert np.linalg.norm(op.apply(start) - start) <= 1e-10 * max(1.0, gamma1)
@@ -821,13 +823,13 @@ def test_evaluations_form_no_residual_norms(monkeypatch):
     # Only the decisions form residuals: each convergence check, each
     # scheduled step-size update and solve's return, never an evaluation.
     calls = []
-    terms = DrsOperator._residual_terms
+    residuals = DrsOperator.residuals
 
     def counted(op, step):
         calls.append(1)
-        return terms(op, step)
+        return residuals(op, step)
 
-    monkeypatch.setattr(DrsOperator, "_residual_terms", counted)
+    monkeypatch.setattr(DrsOperator, "residuals", counted)
     prob = generate("RandomQP", n=20, m=40, seed=9)
     op = DrsOperator(prob)
     for _ in range(5):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fpaccel import accel
-from fpaccel.conic import DrsOperator, _trace_norms, solve
+from fpaccel import accel, conic
+from fpaccel.conic import DrsOperator, solve
 from fpaccel.driver import (
     Driver,
     DriverConfig,
@@ -44,14 +44,9 @@ class BetaOperator(AffineTestOperator):
         super().__init__(a, b)
         self.beta = beta
 
-    @property
-    def params(self):
-        return np.array([self.beta])
-
-    def set_params(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if rho[0] != self.beta:
-            self.beta = float(rho[0])
+    def set_params(self, beta):
+        if beta != self.beta:
+            self.beta = float(beta)
             self.epoch += 1
 
     def _apply(self, v):
@@ -415,7 +410,7 @@ def driver_runs(draw, modes=("unsafe", "safeguarded", "strict")):
         cfg = DriverConfig(eps=1e-10, max_iter=300, **settings_)
         update = Hooks(
             converged=residual_hook(1e-10).converged,
-            operator_update=lambda op_, _st: op_.set_params(op_.params * 1.01),
+            operator_update=lambda op_, _st: op_.set_params(op_.beta * 1.01),
         )
         rec = run(op, rng.standard_normal(op.dim), cfg, update)
     return settings_, rec
@@ -546,7 +541,7 @@ def adaptive_setup(adapt_interval=10, check_interval=25, seed=9, n=12, radius=0.
         # the run can still converge
         if len(fired) < 3:
             fired.append(1)
-            op_.set_params(op_.params * 1.01)
+            op_.set_params(op_.beta * 1.01)
 
     return op, cfg, bump, rng
 
@@ -581,7 +576,7 @@ def test_out_of_band_epoch_change_restarts_memory():
     for _ in range(4):
         driver.step()
     assert driver.mem.ncols > 0
-    op.set_params(np.array([1.5]))  # outside the scheduled path
+    op.set_params(1.5)  # outside the scheduled path
     entry = driver.step()
     assert entry.j == 1  # memory was rebuilt before any push
     assert driver.mem.epoch == op.epoch
@@ -620,7 +615,7 @@ def test_scheduled_change_equals_the_same_change_made_between_steps():
 
     def bump(op_, state):
         if state.k == 10:
-            op_.set_params(op_.params * 1.01)
+            op_.set_params(op_.beta * 1.01)
 
     hooks = residual_hook(1e-13)
     hooks.operator_update = bump
@@ -628,7 +623,7 @@ def test_scheduled_change_equals_the_same_change_made_between_steps():
     by_hand = Driver(BetaOperator(a, b), v0, cfg, residual_hook(1e-13))
     for k in range(40):
         if k == 10:
-            by_hand.op.set_params(by_hand.op.params * 1.01)
+            by_hand.op.set_params(by_hand.op.beta * 1.01)
         scheduled.step()
         by_hand.step()
     assert scheduled.op.epoch == by_hand.op.epoch == 1
@@ -657,7 +652,7 @@ def test_an_update_start_is_what_the_next_plain_step_evaluates(mode, tau):
 
     def update(op_, state):
         if state.k in (10, 30):  # two changes, each handing over a new point
-            op_.set_params(op_.params * 1.5)
+            op_.set_params(op_.beta * 1.5)
             starts[state.k] = state.f + 0.25
             return starts[state.k]
         return None
@@ -773,7 +768,7 @@ def test_hooks_see_the_record_of_the_current_iterate(mode, tau):
     def operator_update(op_, state):
         record_matches(state)
         if op_.epoch < 3:
-            op_.set_params(op_.params * 1.001)
+            op_.set_params(op_.beta * 1.001)
 
     def metrics(_op, state):
         record_matches(state)
@@ -817,16 +812,10 @@ def test_default_stop_test_is_the_residual_norm(mode, tau):
 
 
 def conic_driver(prob, cfg):
-    """A Driver over the splitting operator, with the hooks ``solve`` plugs in."""
+    """A Driver over the splitting operator, with the hooks ``solve`` plugs in at its
+    default ``eps_infeas``."""
     op = DrsOperator(prob)
-    hooks = Hooks(
-        converged=lambda state, operator: all(r <= cfg.eps for r in operator.residuals(state.info)),
-        operator_update=lambda operator, state: operator.update_gamma(
-            state.info, state.f, tol=cfg.eps),
-        infeasibility=lambda operator, dv: operator.infeasibility_check(dv),
-        metrics=_trace_norms,
-    )
-    return Driver(op, np.zeros(op.dim), cfg, hooks)
+    return Driver(op, np.zeros(op.dim), cfg, conic._hooks(cfg.eps, 1e-6))
 
 
 def untimed(entry):
