@@ -45,12 +45,16 @@ The driver carries the record of the iterate it holds in
 ``FixedPointState.info``, so no operator evaluation happens outside the
 counted ones.  The step size gamma is the single operator parameter;
 changing it (``DrsOperator.set_params``) refactors the reduced matrix and
-bumps the operator epoch.  The fixed point moves with gamma,
-v*(gamma) = (x*, s* + gamma y*), so a change from gamma0 to gamma1 carries
-the primal-dual point across rather than the iterate: the driver's next
-plain step starts from the current value f with its s-part moved by
-(gamma1 - gamma0) y (``DrsOperator.adapt_gamma``, ``solve``'s scheduled
-update).
+bumps the operator epoch.  Every ``adapt_interval`` steps, ``solve``
+rebalances gamma by the square root of the scaled primal/dual residual
+ratio when that factor leaves the deadband [0.2, 5], in one jump clipped
+only to [GAMMA_MIN, GAMMA_MAX], as OSQP (Stellato et al. 2020) and COSMO
+(Garstka, Cannon & Goulart 2021) adapt their penalty.  The fixed point
+moves with gamma, v*(gamma) = (x*, s* + gamma y*), so a change from gamma0
+to gamma1 carries the primal-dual point across rather than the iterate: the
+driver's next plain step starts from the current value f with its s-part
+moved by (gamma1 - gamma0) y (``DrsOperator.adapt_gamma``, ``solve``'s
+scheduled update).
 """
 
 from __future__ import annotations
@@ -229,11 +233,15 @@ class DrsOperator(FixedPointOperator):
         The residual norms and the dual scale's products P x and A'y come
         from one ``residuals`` call, so each product is formed once.
 
-        The proposed factor sqrt(r_prim_scaled / r_dual_scaled) is clipped
-        to [0.1, 10] and only applied when it leaves the deadband [0.2, 5];
-        an already-converged step (both residuals <= tol) is left alone.
-        When the reduced matrix fails to factor at the new gamma, the old
-        gamma stays (``set_params`` commits nothing then).
+        The factor sqrt(r_prim_scaled / r_dual_scaled) is applied only when
+        it leaves the deadband [0.2, 5], and then in one jump: the new gamma
+        is gamma0 / factor clipped to [GAMMA_MIN, GAMMA_MAX], with no cap on
+        the factor itself, the rule of OSQP (Stellato et al. 2020, sec. 5.2)
+        and COSMO (Garstka, Cannon & Goulart 2021).  A ratio of 0 sends gamma
+        to GAMMA_MAX and an infinite one to GAMMA_MIN.  An already-converged
+        step (both residuals <= tol) is left alone.  When the reduced matrix
+        fails to factor at the new gamma, the old gamma stays
+        (``set_params`` commits nothing then).
 
         ``f`` is the value (x, s + gamma0 y) of the evaluation that produced
         ``step``.  When gamma moves from gamma0 to gamma1, the step's
@@ -254,7 +262,9 @@ class DrsOperator(FixedPointOperator):
         prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
         dual_scale = max(_inf_norm(px), _inf_norm(prob.q), _inf_norm(aty), 1.0)
         ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
-        factor = _clip(math.sqrt(ratio), 0.1, 10.0)
+        # Wide enough that gamma0 / factor reaches either end of the step-size
+        # range from anywhere in it, and finite and nonzero at a ratio of 0 or inf.
+        factor = _clip(math.sqrt(ratio), GAMMA_MIN / GAMMA_MAX, GAMMA_MAX / GAMMA_MIN)
         if 0.2 <= factor <= 5.0:
             return None
         gamma0, epoch0 = self.gamma, self.epoch

@@ -852,3 +852,46 @@ docstring"""
     (package / "b.py").write_text("x = 1\n\n")
     assert tool.main(["src_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "total lines=20 code=9"
+
+
+def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch, capsys):
+    # tools/sweep.py runs families x seeds x settings x modes through
+    # run_benchmark, always with vanilla; each row's sums are its solves' own
+    # counts, and a solve whose evaluations are not its iterations plus its
+    # rejections fails the run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    tool = importlib.import_module("sweep")
+    qps = [(f"qp@{seed}", generate("RandomQP", n=6, m=12, seed=seed)) for seed in (1, 2)]
+    families = [("RandomQP", qps), ("InfeasibleLP", [("lp@1", generate("InfeasibleLP", seed=1))])]
+    grid = [dict(gamma=g, tau=0.9, m_max=m, eta_max=1e4) for g in (1e-2, 1e2) for m in (3, 5)]
+    rows = tool.sweep(families, ["strict"], grid, max_iter=500)
+    assert [(r.family, r.mode) for r in rows[:2]] == [("RandomQP", "vanilla"),
+                                                      ("RandomQP", "strict")]
+    assert len(rows) == 2 * len(grid) * 2
+    for row in rows:
+        problems = dict(families)[row.family]
+        sols = [solve(p, row.mode, max_iter=500, **row.setting) for _, p in problems]
+        assert sum(row.statuses.values()) == len(problems)
+        assert row.statuses == Counter(sol.status for sol in sols)
+        assert row.iterations == [sol.record.iterations for sol in sols]
+        assert row.evaluations == [sol.record.operator_evaluations for sol in sols]
+        assert row.rejections == sum(sol.record.rejected_candidates for sol in sols)
+        assert row.gamma_changes == sum(sol.record.entries[-1].epoch for sol in sols)
+        assert row.unreconciled == []
+    assert any(row.gamma_changes for row in rows) and any(row.rejections for row in rows)
+
+    spec = ["--generate", "RandomQP:n=6;m=12:1-2", "--gamma", "1e-2,1e2"]
+    assert tool.main(spec) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 1 + 2 * 2 and "iters sum/med" in table[0]
+    assert all("converged=2" in line for line in table[1:])
+    assert tool.main(spec + ["--modes", "strict"]) == 2  # strict at the default tau = 1
+
+    def miscounted(*args, **kwargs):
+        summary = run_benchmark(*args, **kwargs)
+        summary.rows[0].record.operator_evaluations += 1
+        return summary
+
+    monkeypatch.setattr("fpaccel.bench.run_benchmark", miscounted)
+    assert tool.main(spec) == 1
+    assert "evaluations != iterations + rejections" in capsys.readouterr().err

@@ -222,7 +222,7 @@ def fake_residuals(op, r_prim, r_dual):
 
 def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
     # The reduced matrix -1e-3 I + (I + A'A)/gamma is definite at gamma = 500
-    # and not at the 5000 the clipped update asks for (A'A has rank 3 of 6).
+    # and not at the GAMMA_MAX the update asks for (A'A has rank 3 of 6).
     rng = np.random.default_rng(0)
     prob = ConicProblem(
         -1e-3 * np.eye(6), rng.standard_normal(6), rng.standard_normal((3, 6)),
@@ -232,7 +232,7 @@ def test_adapt_gamma_keeps_gamma_when_the_refactor_fails():
     v = rng.standard_normal(op.dim)
     f = op.apply(v)
     before, factor = f.tobytes(), op._factor.copy()
-    fake_residuals(op, 0.0, 1.0)  # ratio 0: the factor clips to 0.1
+    fake_residuals(op, 0.0, 1.0)  # ratio 0: the update asks for GAMMA_MAX
     assert op.adapt_gamma(op.info, f) is None
     assert op.gamma == 500.0 and op.epoch == 0
     assert np.array_equal(op._factor, factor)
@@ -405,11 +405,29 @@ def test_adapt_gamma_deadband_and_clip():
     assert op.adapt_gamma(step, f) is None
     assert op.epoch == 0
 
-    # scaled ratio 100 -> clip(sqrt(100)) = 10 -> gamma divided by 10
+    # scaled ratio 100 -> sqrt(100) = 10 -> gamma divided by 10
     fake_residuals(op, 100.0 * prim_scale, dual_scale)
     assert op.adapt_gamma(step, f) is not None
     assert op.epoch == 1
     assert op.gamma == pytest.approx(0.1)
+
+    # scaled ratio 1e4 -> gamma divided by 100 in one update, with no cap on the factor
+    op = DrsOperator(prob, gamma=1.0)
+    f = op.apply(v)
+    fake_residuals(op, 1e4 * prim_scale, dual_scale)
+    assert op.adapt_gamma(op.info, f) is not None
+    assert op.epoch == 1
+    assert op.gamma == pytest.approx(0.01)
+
+    # a ratio of 0 (r_prim = 0) sends gamma to GAMMA_MAX; r_dual = 0, or a
+    # ratio that overflows to inf, sends it to GAMMA_MIN; none raises
+    for r_prim, r_dual, want in ((0.0, 1.0, conic.GAMMA_MAX), (1.0, 0.0, conic.GAMMA_MIN),
+                                 (1e300, 1e-300, conic.GAMMA_MIN)):
+        op = DrsOperator(prob, gamma=1.0)
+        f = op.apply(v)
+        fake_residuals(op, r_prim, r_dual)
+        assert op.adapt_gamma(op.info, f) is not None
+        assert op.gamma == want and op.epoch == 1
 
     # converged state: no change regardless of the ratio
     op2 = DrsOperator(prob, gamma=1.0)
@@ -738,7 +756,7 @@ def test_adapt_gamma_decides_from_the_data_products():
     # data products of the step's own x and y give.
     rng = np.random.default_rng(15)
     prob = generate("RandomQP", n=12, m=24, seed=16)
-    changed = 0
+    changed = beyond_tenfold = 0
     for gamma in (1e-3, 1.0, 1e3):
         for _ in range(10):
             op = DrsOperator(prob, gamma=gamma)
@@ -751,20 +769,24 @@ def test_adapt_gamma_decides_from_the_data_products():
                 np.abs(prob.A.T @ step.y).max(), 1.0,
             )
             ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
-            factor = float(np.clip(np.sqrt(ratio), 0.1, 10.0))
+            factor = float(np.sqrt(ratio))  # one jump, clipped only to the step-size range
             want = op.gamma if 0.2 <= factor <= 5.0 else float(np.clip(op.gamma / factor, 1e-6, 1e6))
+            beyond_tenfold += not 0.1 <= factor <= 10.0
             assert (op.adapt_gamma(step, f) is not None) == (want != gamma)
             assert op.gamma == want
             changed += want != gamma
     assert 0 < changed < 30  # both decisions were exercised
+    assert beyond_tenfold > 0  # and moves past a factor of 10
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False))
 def test_scalar_clip_is_np_clip_bit_for_bit(x):
     # Both clips on the step-size path: adapt_gamma's factor, whose ratio can
-    # be infinite, and _step_size's range.
-    for lo, hi in ((0.1, 10.0), (conic.GAMMA_MIN, conic.GAMMA_MAX)):
+    # be 0 or infinite, to [GAMMA_MIN / GAMMA_MAX, GAMMA_MAX / GAMMA_MIN], and
+    # _step_size's range.
+    wide = (conic.GAMMA_MIN / conic.GAMMA_MAX, conic.GAMMA_MAX / conic.GAMMA_MIN)
+    for lo, hi in (wide, (conic.GAMMA_MIN, conic.GAMMA_MAX)):
         for value in (x, lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
                       0.0, math.inf, -math.inf):
             got = conic._clip(value, lo, hi)
@@ -790,7 +812,7 @@ def test_adapt_gamma_carries_a_fixed_point_to_the_new_one(monkeypatch):
     for gamma1 in (1e-3, 0.1, 0.5, 2.0, 10.0, 1e3):
         op = DrsOperator(prob, gamma=1.0)
         f = op.apply(v)
-        fake_residuals(op, 1.0, 0.0)  # ratio inf: the factor clips to 10, a move
+        fake_residuals(op, 1.0, 0.0)  # r_dual = 0: far outside the deadband, a move
 
         def commit_gamma1(_gamma, commit=op.set_params, gamma1=gamma1):
             commit(gamma1)

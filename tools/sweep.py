@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Iteration sweep over problem families, seeds, solver settings and driver modes.
+
+    python3 tools/sweep.py --generate SPECS [--modes MODES] [--gamma G,...]
+        [--tau T,...] [--m-max M,...] [--eta-max E,...] [--eps EPS] [--max-iter N]
+
+Runs from the root of a source checkout and imports ``fpaccel`` from its
+``src/``.  ``--generate`` takes the generator specs of ``bench run``
+(``kind:params:seeds``, comma-separated, e.g. ``RandomQP:n=30;m=60:21-35``);
+each spec is one family.  The setting axes take comma-separated values and
+the sweep runs their full grid: the starting step size ``gamma``, the
+safeguard's ``tau``, the memory ``m_max`` and the coefficient guard
+``eta_max``.  Every family and setting is solved through
+``bench.run_benchmark`` in vanilla, which is always included as the
+reference, and in each of ``--modes`` (any ``driver.MODES`` entry;
+safeguarded by default).
+
+It prints one row per family, setting and mode: the reached statuses with
+their counts, the sum and median of iterations and of operator evaluations,
+the summed rejected candidates, the summed step-size changes (the last trace
+entry's epoch) and the summed solve seconds.  It checks that every solve's
+evaluations are its iterations plus its rejections, and exits 1, naming the
+solves, when one is not; a bad spec, mode or setting exits 2 before any solve.
+
+It sets no BLAS thread count.  Accelerated counts move with the rounding of
+dense products, so compare two checkouts under the same thread count, e.g.
+``OPENBLAS_NUM_THREADS=1``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import sys
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+AXES = ("gamma", "tau", "m_max", "eta_max")  # the setting axes, in the table's order
+
+
+@dataclass
+class Row:
+    """The solves of one family under one setting and mode."""
+
+    family: str
+    setting: dict
+    mode: str
+    statuses: Counter = field(default_factory=Counter)
+    iterations: list = field(default_factory=list)
+    evaluations: list = field(default_factory=list)
+    rejections: int = 0
+    gamma_changes: int = 0
+    seconds: float = 0.0
+    unreconciled: list = field(default_factory=list)  # names of solves whose counts disagree
+
+
+def sweep(families, modes, grid, **settings) -> list[Row]:
+    """Solve every family under every setting of ``grid`` in vanilla and ``modes``.
+
+    ``families`` is a list of (family name, [(problem name, ConicProblem)])
+    pairs, ``grid`` a list of dicts of ``AXES`` values; ``settings`` go to
+    every solve.
+    """
+    from fpaccel import bench
+    from fpaccel.driver import VANILLA
+
+    configs = [VANILLA] + [m for m in modes if m != VANILLA]
+    rows = []
+    for (family, problems), setting in itertools.product(families, grid):
+        summary = bench.run_benchmark(problems, configs, **setting, **settings)
+        by_mode = {mode: Row(family, setting, mode) for mode in configs}
+        for result in summary.rows:
+            row, rec = by_mode[result.config], result.record
+            row.statuses[result.status] += 1
+            if rec is None:  # the solve raised; its error is its status
+                continue
+            row.iterations.append(rec.iterations)
+            row.evaluations.append(rec.operator_evaluations)
+            row.rejections += rec.rejected_candidates
+            row.gamma_changes += rec.entries[-1].epoch if rec.entries else 0
+            row.seconds += rec.total_seconds
+            if rec.operator_evaluations != rec.iterations + rec.rejected_candidates:
+                row.unreconciled.append(result.problem)
+        rows.extend(by_mode.values())
+    return rows
+
+
+def _sum_median(values) -> str:
+    return f"{sum(values)}/{np.median(values):g}" if values else "-"
+
+
+def format_table(rows) -> str:
+    """The sweep's rows as an aligned text table, one line per row."""
+    header = ("family", *AXES, "mode", "statuses", "iters sum/med", "evals sum/med",
+              "rejected", "gamma_changes", "seconds")
+    lines = [header]
+    for row in rows:
+        statuses = ",".join(f"{status}={n}" for status, n in sorted(row.statuses.items()))
+        lines.append((
+            row.family, *(f"{row.setting[axis]:g}" for axis in AXES), row.mode, statuses,
+            _sum_median(row.iterations), _sum_median(row.evaluations), str(row.rejections),
+            str(row.gamma_changes), f"{row.seconds:.3f}",
+        ))
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                     for line in lines)
+
+
+def _values(convert):
+    return lambda text: [convert(item) for item in text.split(",") if item.strip()]
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from fpaccel import problems
+    from fpaccel.cli import parse_generate_specs
+    from fpaccel.driver import MODES, DriverConfig
+
+    cfg = DriverConfig()  # the settings' defaults
+    parser = argparse.ArgumentParser(prog="sweep", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--generate", required=True,
+                        help="generator specs kind:params:seeds[,...]")
+    parser.add_argument("--modes", type=_values(str), default=["safeguarded"],
+                        help=f"comma-separated modes beside vanilla, any of {','.join(MODES)}")
+    parser.add_argument("--gamma", type=_values(float), default=[1.0])
+    parser.add_argument("--tau", type=_values(float), default=[cfg.tau])
+    parser.add_argument("--m-max", dest="m_max", type=_values(int), default=[cfg.m_max])
+    parser.add_argument("--eta-max", dest="eta_max", type=_values(float), default=[cfg.eta_max])
+    parser.add_argument("--eps", type=float, default=cfg.eps)
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=cfg.max_iter)
+    args = parser.parse_args(argv)
+
+    grid = [dict(zip(AXES, values))
+            for values in itertools.product(*(getattr(args, axis) for axis in AXES))]
+    families = {}
+    try:
+        for kind, params, seed in parse_generate_specs(args.generate):
+            family = kind + "".join(f":{k}={v:g}" for k, v in params.items())
+            families.setdefault(family, []).append(
+                (f"{family}@{seed}", problems.generate(kind, seed, **params)))
+        rows = sweep(list(families.items()), args.modes, grid, eps=args.eps,
+                     max_iter=args.max_iter)
+    except (ValueError, problems.InvalidParams) as exc:  # a bad spec, mode or setting
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(format_table(rows))
+    bad = [(row.mode, name) for row in rows for name in row.unreconciled]
+    for mode, name in bad:
+        print(f"error: {name} {mode}: evaluations != iterations + rejections", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
