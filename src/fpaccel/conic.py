@@ -30,10 +30,12 @@ U'y = rhs and U x = y on the upper factor U as BLAS-2 ``dtrsv`` calls: LAPACK
 ``dpotrs`` (what ``cho_solve`` calls) takes the slower BLAS-3 ``dtrsm`` path
 even for one right-hand side.
 
-Each application also reads off the primal-dual point x,
-s = project(v_s - 2 gamma lam), y = lam and keeps it, with the product A x
-the KKT solve already formed, as one immutable ``DrsStep`` record; it forms
-no residual norm.  ``DrsOperator.residuals`` is the one place that forms
+Each application forms the right-hand side, lam and the slack in arrays it
+already holds and writes its output once, into one new array.  It also
+reads off the primal-dual point x, s = project(v_s - 2 gamma lam), y = lam
+and keeps it, with the product A x the KKT solve already formed, as one
+immutable ``DrsStep`` NamedTuple; it forms no residual norm.
+``DrsOperator.residuals`` is the one place that forms
 the primal and dual residual norms of a step from the data, together with
 the products P x and A'y it needs for them, and only the decisions that read
 them call it: the convergence test, step-size adaptation every
@@ -60,7 +62,7 @@ scheduled update).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -136,8 +138,7 @@ class ConicProblem:
         return float(0.5 * x @ self.P @ x + self.q @ x)
 
 
-@dataclass(frozen=True)
-class DrsStep:
+class DrsStep(NamedTuple):
     """One operator evaluation read as a primal-dual point.
 
     x is the prox output, s the projected slack and y the KKT multiplier
@@ -199,12 +200,19 @@ class DrsOperator(FixedPointOperator):
     def solve_kkt(self, r1: np.ndarray, r2: np.ndarray):
         """(x, lam, A x) solving the KKT system through the reduced one."""
         prob, gamma = self.problem, self.gamma
+        # rhs = r1 + A'r2 / gamma and lam = (A x - r2) / gamma, formed in place
+        # in the same order of operations, so bit for bit the one-line forms.
+        rhs = prob.A.T @ r2
+        rhs /= gamma
+        rhs += r1
         # Positional f2py arguments (incx, offx, lower, trans, diag, overwrite_x):
         # parsing keywords adds about 0.4 us per call, a large share of a small solve.
-        y = dtrsv(self._factor, r1 + prob.A.T @ r2 / gamma, 1, 0, 0, 1, 0, 1)
+        y = dtrsv(self._factor, rhs, 1, 0, 0, 1, 0, 1)
         x = dtrsv(self._factor, y, 1, 0, 0, 0, 0, 1)
         ax = prob.A @ x
-        return x, (ax - r2) / gamma, ax
+        lam = ax - r2
+        lam /= gamma
+        return x, lam, ax
 
     def residuals(self, step: DrsStep) -> tuple[float, float, np.ndarray, np.ndarray]:
         """(r_prim, r_dual, P x, A'y): the infinity norms of A x + s - b and
@@ -217,12 +225,21 @@ class DrsOperator(FixedPointOperator):
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """The DRS step in reduced form, v+ = (x, project(v_s - 2 gamma lam) + gamma lam)."""
         prob, gamma, n = self.problem, self.gamma, self.problem.n
-        x, lam, ax = self.solve_kkt(v[:n] / gamma - prob.q, prob.b - v[n:])
-        s = v[n:] - 2.0 * gamma * lam
+        # v_x / gamma - q, v_s - 2 gamma lam and s + gamma lam in place, each in
+        # its one-line form's order of operations, as solve_kkt does.
+        r1 = v[:n] / gamma
+        r1 -= prob.q
+        x, lam, ax = self.solve_kkt(r1, prob.b - v[n:])
+        s = lam * (2.0 * gamma)
+        np.subtract(v[n:], s, out=s)
         for block, sl in zip(prob.cones, self._slices):
             s[sl] = project_cone(block, s[sl])
         self.info = DrsStep(x, s, lam, ax)
-        return np.concatenate([x, s + gamma * lam])
+        out = np.empty(self.dim)
+        out[:n] = x
+        glam = np.multiply(lam, gamma, out=out[n:])
+        glam += s
+        return out
 
     # -- parameter adaptation -------------------------------------------------
 

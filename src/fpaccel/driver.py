@@ -182,7 +182,7 @@ class Hooks:
     metrics: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     k: int
     r_norm: float

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 
 class NonFiniteOutput(Exception):
@@ -43,9 +44,9 @@ class FixedPointOperator:
         out = self._apply(v)
         if out.shape != (self.dim,):
             raise AssertionError("operator changed the vector dimension")
-        # A finite sum proves every entry finite; finite entries can also
-        # overflow the sum, so only then is the entrywise test needed.
-        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        # A finite sum of squares proves every entry finite; finite entries
+        # can also overflow it, so only then is the entrywise test needed.
+        if not math.isfinite(ddot(out, out)) and not np.isfinite(out).all():
             raise NonFiniteOutput("operator output contains inf/nan entries")
         self.eval_count += 1
         return out

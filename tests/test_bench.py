@@ -391,11 +391,20 @@ def test_run_benchmark_three_configs(tmp_path):
     assert len(rows) == 3 and rows[0]["problem"] == "tiny"
     trace = tmp_path / "traces" / "tiny__safeguarded.csv"
     with open(trace) as fh:
-        header = fh.readline().strip().split(",")
+        header, *trace_rows = list(csv.reader(fh))
     assert header == [
         "iter", "r_fixed_point", "r_prim", "r_dual", "accepted", "j", "epoch",
         "cum_operator_evals",
     ]
+    # One row per TraceEntry, each cell the entry's field: a float in 17
+    # significant digits, a bool as 1 or 0.
+    (entries,) = [r.record.entries for r in summary.rows if r.config == "safeguarded"]
+    assert len(trace_rows) == len(entries) > 0
+    for row, e in zip(trace_rows, entries):
+        assert int(row[0]) == e.k
+        assert row[1:4] == [format(v, ".17g") for v in (e.r_norm, e.r_prim, e.r_dual)]
+        assert row[4] == ("1" if e.accepted else "0")
+        assert [int(c) for c in row[5:]] == [e.j, e.epoch, e.cum_evals]
 
 
 def load_tiny():
@@ -895,3 +904,55 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
     monkeypatch.setattr("fpaccel.bench.run_benchmark", miscounted)
     assert tool.main(spec) == 1
     assert "evaluations != iterations + rejections" in capsys.readouterr().err
+
+
+def test_bench_pairs_claim_rule_on_synthetic_runs(monkeypatch, tmp_path, capsys):
+    # tools/bench_pairs.py claims a gain only with 9/10 pairs won (ties win
+    # for neither side) and medians apart by more than the parent's IQR.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    tool = importlib.import_module("bench_pairs")
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    assert tool.quartiles(parent) == (12.25, 16.75) and tool.quartiles([3.0]) == (3.0, 3.0)
+    row = tool.compare(parent, [p - 5.0 for p in parent])
+    assert row["change_wins"] == 10 and row["parent_iqr"] == 4.5 and row["claim_holds"]
+    assert row["parent_median"] == 14.5 and row["change_median"] == 9.5
+    assert row["relative_change"] == -5.0 / 14.5
+    # 9 wins and a tie still claim; 8 wins do not
+    tied = tool.compare(parent, [p - 5.0 for p in parent[:9]] + [19.0])
+    assert tied["change_wins"] == 9 and tied["claim_holds"]
+    assert tool.compare(parent, parent)["change_wins"] == 0
+    assert not tool.compare(parent, [p - 5.0 for p in parent[:8]] + [19.0, 20.0])["claim_holds"]
+    # every pair won but the medians closer than the parent's IQR
+    small = tool.compare(parent, [p - 1.0 for p in parent])
+    assert small["change_wins"] == 10 and not small["claim_holds"]
+    # a higher-is-better metric flips the direction
+    assert tool.compare(parent, [p + 5.0 for p in parent], better="higher")["claim_holds"]
+    assert not tool.compare(parent, [p + 5.0 for p in parent])["claim_holds"]
+    with pytest.raises(ValueError):
+        tool.compare(parent, parent[:9])
+
+    # main alternates the order, stores every pair, and exits 1 on an
+    # incorrect run; run_once is replaced, so no benchmark runs.
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout.name)
+        value = 2.0 if checkout.name == "parent" else 1.0
+        return {"correct": not (checkout.name == "change" and len(calls) > 4), "attempted": 3,
+                "failed": 0, "metrics": {"sgm_s.vanilla": {"value": value, "unit": "s"}}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "sgm_s.vanilla", "better": "lower"}]}))
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.setattr(tool, "commit_of", lambda checkout: None)
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "qp_small"]
+    assert tool.main(argv + ["--pairs", "2", "--json", str(out)]) == 0
+    assert calls == ["parent", "change", "change", "parent"]
+    run = json.loads(out.read_text())["runs"]["qp_small@0"]
+    assert [p["first"] for p in run["pairs"]] == ["parent", "change"]
+    assert run["summary"]["sgm_s.vanilla"]["change_wins"] == 2
+    assert "sgm_s.vanilla" in capsys.readouterr().out
+    assert tool.main(argv + ["--pairs", "3"]) == 1

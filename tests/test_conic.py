@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 
-from fpaccel.cones import BOX, KINDS, NONNEG, SECOND_ORDER, ZERO, ConeBlock
+from fpaccel.cones import (
+    BOX, KINDS, NONNEG, PSD_TRIANGLE, SECOND_ORDER, ZERO, ConeBlock, project_cone,
+)
 from fpaccel import conic
 from fpaccel.conic import ConicProblem, DrsOperator, DrsStep, _inf_norm, solve
 from fpaccel.driver import CONVERGED, DIVERGED, MAX_ITER
@@ -880,3 +883,74 @@ def test_no_op_updates_leave_the_run_alone(mode):
         columns = [(e.k, e.j, e.accepted, e.epoch, e.cum_evals) for e in rec.entries]
         runs.append((rec.final_state.v.tobytes(), columns))
     assert all(run == runs[-1] for run in runs)
+
+
+def all_cone_problem(seed):
+    """n = 6 with one block of each kind: zero 2, nonneg 3, box 3 (finite and
+    infinite bounds), second-order 4 and PSD side 3 (6 entries), m = 18."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    cones = [
+        ConeBlock(ZERO, 2),
+        ConeBlock(NONNEG, 3),
+        ConeBlock(BOX, 3, l=[-1.0, -np.inf, 0.0], u=[1.0, 2.0, np.inf]),
+        ConeBlock(SECOND_ORDER, 4),
+        ConeBlock(PSD_TRIANGLE, 6),
+    ]
+    M = rng.standard_normal((n, n))
+    return ConicProblem(M.T @ M / n, rng.standard_normal(n), rng.standard_normal((18, n)),
+                        rng.standard_normal(18), cones)
+
+
+def reference_evaluation(op, v):
+    """One DRS evaluation written as the expressions the operator's arithmetic
+    must equal bit for bit: (F(v), (x, s, y, A x))."""
+    prob, gamma, n = op.problem, op.gamma, op.problem.n
+    r1, r2 = v[:n] / gamma - prob.q, prob.b - v[n:]
+    y = dtrsv(op._factor, r1 + prob.A.T @ r2 / gamma, trans=1)
+    x = dtrsv(op._factor, y)
+    ax = prob.A @ x
+    lam = (ax - r2) / gamma
+    s = v[n:] - 2.0 * gamma * lam
+    for block, sl in zip(prob.cones, prob.cone_slices()):
+        s[sl] = project_cone(block, s[sl])
+    return np.concatenate([x, s + gamma * lam]), (x, s, lam, ax)
+
+
+IDENTITY_PROBLEMS = {
+    "all_cones": all_cone_problem,
+    "RandomQP": lambda seed: generate("RandomQP", n=8, m=12, seed=seed),
+    "RandomSDP": lambda seed: generate("RandomSDP", side=3, seed=seed),
+    "Lasso": lambda seed: generate("Lasso", features=4, samples=6, seed=seed),
+    "unconstrained": lambda seed: ConicProblem(np.eye(3), np.arange(3.0) - seed, None, [], []),
+}
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", sorted(IDENTITY_PROBLEMS))
+def test_evaluation_is_the_reference_expressions_bit_for_bit(kind, gamma):
+    # A rewrite of the evaluation may save temporaries but not reorder an
+    # expression: F(v) and every field of its DrsStep equal the reference's
+    # bytes, over generated points at scales 1e-3 to 1e3, and v is left as it was.
+    for seed in range(3):
+        op = DrsOperator(IDENTITY_PROBLEMS[kind](seed), gamma=gamma)
+        rng = np.random.default_rng(100 + seed)
+        for scale in (1e-3, 1.0, 1e3):
+            v = scale * rng.standard_normal(op.dim)
+            v_bytes = v.tobytes()
+            out, fields = reference_evaluation(op, v.copy())
+            assert op.apply(v).tobytes() == out.tobytes()
+            assert v.tobytes() == v_bytes
+            step = op.info
+            for got, want in zip((step.x, step.s, step.y, step.ax), fields):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_drs_step_is_an_immutable_record_in_field_order():
+    x, s, y, ax = (np.full(k, float(k)) for k in (1, 2, 3, 4))
+    step = DrsStep(x, s, y, ax)
+    assert step.x is x and step.s is s and step.y is y and step.ax is ax
+    assert tuple(step) == (x, s, y, ax)
+    for name in ("x", "s", "y", "ax"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, np.zeros(1))

@@ -13,6 +13,7 @@ from fpaccel.driver import (
     Driver,
     DriverConfig,
     Hooks,
+    TraceEntry,
     run,
     run_unsafe,
     run_vanilla,
@@ -854,3 +855,16 @@ def test_run_stops_at_the_first_tested_step_that_passes(prob, mode, tau):
     assert [untimed(e) for e in rec.entries] == [
         untimed(e) for e in hand.record.entries[: rec.iterations]
     ]
+
+
+def test_trace_entry_keeps_its_fields_through_replace():
+    # An entry is a plain record: dataclasses.replace copies it with one
+    # field changed, and its fields stay assignable.
+    fields = dict(k=3, r_norm=0.5, accepted=True, j=2, epoch=1, elapsed=0.1,
+                  accel_seconds=0.01, cum_evals=4, r_prim=0.2, r_dual=0.3, infeas_checked=True)
+    entry = TraceEntry(**fields)
+    moved = replace(entry, r_dual=1.5)
+    assert isinstance(moved, TraceEntry) and moved is not entry
+    assert moved == TraceEntry(**{**fields, "r_dual": 1.5}) and entry == TraceEntry(**fields)
+    entry.elapsed += 1.0
+    assert entry.elapsed == 1.1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fpaccel.operators import (
@@ -89,3 +91,51 @@ def test_picard_linear_convergence_rate():
         if k > 10:
             assert np.linalg.norm(a @ r) <= rate * np.linalg.norm(r) + 1e-12
         v = f
+
+
+class ReturnOperator(FixedPointOperator):
+    """Returns a given array, of any dtype or stride, as its output."""
+
+    def __init__(self, out):
+        super().__init__(len(out))
+        self.out = out
+
+    def _apply(self, v):
+        return self.out
+
+
+@st.composite
+def operator_outputs(draw):
+    """A float output whose entries are finite up to +-1.8e308 (so that a sum
+    of squares can overflow) with NaN and +-inf at random positions, an int
+    output, or a strided float view."""
+    layout = draw(st.sampled_from(["float", "int", "strided"]))
+    dim = draw(st.integers(1, 12))
+    if layout == "int":
+        return np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=dim, max_size=dim)))
+    big = st.sampled_from([1e154, 1e200, 1e308, np.finfo(float).max])
+    finite = st.one_of(st.floats(-1e308, 1e308), big, big.map(lambda x: -x))
+    out = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+    for pos in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+        out[pos] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if layout == "strided":
+        buf = np.zeros(2 * dim)
+        buf[::2] = out
+        out = buf[::2]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(operator_outputs())
+def test_apply_raises_exactly_on_a_non_finite_entry(out):
+    # The screen is a finite sum of squares with an entrywise fallback:
+    # apply raises NonFiniteOutput exactly when some entry is inf or NaN,
+    # and counts only the evaluations it returns.
+    op = ReturnOperator(out)
+    if np.isfinite(out).all():
+        assert op.apply(np.zeros(op.dim)) is out and op.eval_count == 1
+    else:
+        with pytest.raises(NonFiniteOutput):
+            op.apply(np.zeros(op.dim))
+        assert op.eval_count == 0
