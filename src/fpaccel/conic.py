@@ -51,7 +51,8 @@ bumps the operator epoch.  Every ``adapt_interval`` steps, ``solve``
 rebalances gamma by the square root of the scaled primal/dual residual
 ratio when that factor leaves the deadband [0.2, 5], in one jump clipped
 only to [GAMMA_MIN, GAMMA_MAX], as OSQP (Stellato et al. 2020) and COSMO
-(Garstka, Cannon & Goulart 2021) adapt their penalty.  The fixed point
+(Garstka, Cannon & Goulart 2021) adapt their penalty; the update right after
+such a jump also moves when the factor leaves [0.5, 2], once.  The fixed point
 moves with gamma, v*(gamma) = (x*, s* + gamma y*), so a change from gamma0
 to gamma1 carries the primal-dual point across rather than the iterate: the
 driver's next plain step starts from the current value f with its s-part
@@ -78,6 +79,10 @@ DUAL_INFEASIBLE = "dual_infeasible"
 
 GAMMA_MIN = 1e-6
 GAMMA_MAX = 1e6
+# The step-size deadbands on the rebalancing factor: a factor outside WIDE_BAND
+# is a jump; right after a jump, the next update also moves outside NARROW_BAND.
+WIDE_BAND = (0.2, 5.0)
+NARROW_BAND = (0.5, 2.0)
 
 
 class Certificate:
@@ -163,6 +168,9 @@ class DrsOperator(FixedPointOperator):
         self._slices = problem.cone_slices()
         self.gamma = _step_size(gamma)
         self._factor = self._cholesky(self.gamma)
+        # Whether the last update jumped, so that the next one uses the
+        # narrow band; only adapt_gamma reads or writes it.
+        self._after_jump = False
 
     # -- parameter handling --------------------------------------------
 
@@ -251,14 +259,20 @@ class DrsOperator(FixedPointOperator):
         from one ``residuals`` call, so each product is formed once.
 
         The factor sqrt(r_prim_scaled / r_dual_scaled) is applied only when
-        it leaves the deadband [0.2, 5], and then in one jump: the new gamma
-        is gamma0 / factor clipped to [GAMMA_MIN, GAMMA_MAX], with no cap on
-        the factor itself, the rule of OSQP (Stellato et al. 2020, sec. 5.2)
-        and COSMO (Garstka, Cannon & Goulart 2021).  A ratio of 0 sends gamma
-        to GAMMA_MAX and an infinite one to GAMMA_MIN.  An already-converged
-        step (both residuals <= tol) is left alone.  When the reduced matrix
-        fails to factor at the new gamma, the old gamma stays
-        (``set_params`` commits nothing then).
+        it leaves the deadband WIDE_BAND = [0.2, 5], and then in one jump: the
+        new gamma is gamma0 / factor clipped to [GAMMA_MIN, GAMMA_MAX], with
+        no cap on the factor itself, the rule of OSQP (Stellato et al. 2020,
+        sec. 5.2) and COSMO (Garstka, Cannon & Goulart 2021).  A jump can land
+        gamma up to 5x from balance, where that band would hold it, so the
+        update right after a jump also moves when the factor leaves
+        NARROW_BAND = [0.5, 2]; that move is a correction, and after that
+        update the wide band is back, whatever it did.  On a problem with no
+        balance point every update pushes gamma the same way, and a band
+        narrowed for good would walk it to the clip.  A ratio of 0
+        sends gamma to GAMMA_MAX and an infinite one to GAMMA_MIN.  An
+        already-converged step (both residuals <= tol) is left alone.  When
+        the reduced matrix fails to factor at the new gamma, the old gamma
+        and the jump state stay (``set_params`` commits nothing then).
 
         ``f`` is the value (x, s + gamma0 y) of the evaluation that produced
         ``step``.  When gamma moves from gamma0 to gamma1, the step's
@@ -282,13 +296,16 @@ class DrsOperator(FixedPointOperator):
         # Wide enough that gamma0 / factor reaches either end of the step-size
         # range from anywhere in it, and finite and nonzero at a ratio of 0 or inf.
         factor = _clip(math.sqrt(ratio), GAMMA_MIN / GAMMA_MAX, GAMMA_MAX / GAMMA_MIN)
-        if 0.2 <= factor <= 5.0:
+        jump = not WIDE_BAND[0] <= factor <= WIDE_BAND[1]
+        if not jump and (not self._after_jump or NARROW_BAND[0] <= factor <= NARROW_BAND[1]):
+            self._after_jump = False
             return None
         gamma0, epoch0 = self.gamma, self.epoch
         try:
             self.set_params(gamma0 / factor)
         except LinAlgError:
             return None
+        self._after_jump = jump
         if self.epoch == epoch0:
             return None
         return np.concatenate([f[:prob.n], f[prob.n:] + (self.gamma - gamma0) * step.y])

@@ -305,7 +305,8 @@ class Driver:
                     rec.rejected_candidates += 1
 
         if new is None:  # no candidate, or it was rejected: a plain step
-            new = self._evaluate(st.f.copy() if start is None else start)
+            # st.f needs no copy: nothing writes it, or the v it becomes, in place.
+            new = self._evaluate(st.f if start is None else start)
 
         old_v = st.v
         st.r_prev_norm = st.r_norm

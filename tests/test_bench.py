@@ -117,16 +117,19 @@ def test_generate_rejects_unknown():
     ("InfeasibleQP", {}, "primal_infeasible"),
     ("UnboundedQP", {}, "dual_infeasible"),
     ("UnboundedQP", {"scale": 1e8}, "dual_infeasible"),
+    ("UnboundedQP", {"scale": 1e2}, "dual_infeasible"),
 ])
 def test_infeasible_and_unbounded_qp_families(kind, params, status):
     # Identical arguments give identical data, and plain iterations reach the
-    # family's certificate.
-    for seed in (1, 2, 3):
+    # family's certificate at seeds 1-8, the cells a step-size rule must not
+    # starve of it; UnboundedQP seed 4 is bounded and converges.
+    for seed in range(1, 9):
         prob = generate(kind, seed=seed, **params)
         again = generate(kind, seed=seed, **params)
         for name in ("P", "q", "A", "b"):
             assert np.array_equal(getattr(prob, name), getattr(again, name))
-        assert solve(prob, "vanilla", max_iter=20000).status == status
+        want = "converged" if (kind, seed) == ("UnboundedQP", 4) else status
+        assert solve(prob, "vanilla", max_iter=20000).status == want
 
 
 def test_every_generator_kind_builds_in_any_letter_case():
@@ -867,7 +870,8 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
     # tools/sweep.py runs families x seeds x settings x modes through
     # run_benchmark, always with vanilla; each row's sums are its solves' own
     # counts, and a solve whose evaluations are not its iterations plus its
-    # rejections fails the run.
+    # rejections fails the run.  Each accelerated row counts the solves that
+    # reached vanilla's status within max(2000, 3 x vanilla's iterations).
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     tool = importlib.import_module("sweep")
     qps = [(f"qp@{seed}", generate("RandomQP", n=6, m=12, seed=seed)) for seed in (1, 2)]
@@ -887,13 +891,36 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
         assert row.rejections == sum(sol.record.rejected_candidates for sol in sols)
         assert row.gamma_changes == sum(sol.record.entries[-1].epoch for sol in sols)
         assert row.unreconciled == []
+        if row.mode == "vanilla":
+            assert row.in_bound is None
+            vanilla = sols
+            continue
+        met = [s.status == v.status and s.record.iterations <= max(2000, 3 * v.record.iterations)
+               for s, v in zip(sols, vanilla)]
+        unjudged = [s.status == "max_iter" != v.status for s, v in zip(sols, vanilla)]
+        assert (row.in_bound, row.open) == (sum(met), sum(unjudged))
     assert any(row.gamma_changes for row in rows) and any(row.rejections for row in rows)
+
+    # met at the bound, later than it, unjudged below it, vanilla's own
+    # max_iter, another status, a solve that raised, stopped at the bound
+    vanilla = [("converged", 100), ("primal_infeasible", 1000), ("converged", 700),
+               ("max_iter", 20000), ("converged", 50), ("converged", 10), ("converged", 700)]
+    accelerated = [("converged", 2000), ("primal_infeasible", 3001), ("max_iter", 2000),
+                   ("max_iter", 20000), ("dual_infeasible", 30), ("ValueError", None),
+                   ("max_iter", 2100)]
+    assert tool.bound_counts(vanilla, accelerated) == (2, 1)
+    with pytest.raises(ValueError):
+        tool.bound_counts(vanilla, accelerated[:-1])
 
     spec = ["--generate", "RandomQP:n=6;m=12:1-2", "--gamma", "1e-2,1e2"]
     assert tool.main(spec) == 0
     table = capsys.readouterr().out.splitlines()
     assert len(table) == 1 + 2 * 2 and "iters sum/med" in table[0]
     assert all("converged=2" in line for line in table[1:])
+    assert table[0].endswith("in bound")
+    assert [line.split()[-1] for line in table[1:]] == ["-", "2/2"] * 2
+    open_row = tool.Row("F", grid[0], "unsafe", outcomes=[("max_iter", 500)] * 3, in_bound=1, open=2)
+    assert tool.format_table([open_row]).splitlines()[1].endswith("1/3 (2 open)")
     assert tool.main(spec + ["--modes", "strict"]) == 2  # strict at the default tau = 1
 
     def miscounted(*args, **kwargs):

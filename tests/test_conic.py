@@ -440,6 +440,55 @@ def test_adapt_gamma_deadband_and_clip():
     assert op2.epoch == 0
 
 
+def update_with_factor(op, step, f, factor):
+    """adapt_gamma on ``step`` with the residuals faked so that its factor is ``factor``."""
+    prob = op.problem
+    prim_scale = max(_inf_norm(step.ax), _inf_norm(step.s), _inf_norm(prob.b), 1.0)
+    dual_scale = max(_inf_norm(prob.P @ step.x), _inf_norm(prob.q),
+                     _inf_norm(prob.A.T @ step.y), 1.0)
+    fake_residuals(op, factor**2 * prim_scale, dual_scale)
+    return op.adapt_gamma(step, f)
+
+
+def test_a_jump_earns_one_narrow_check(monkeypatch):
+    # A move by a factor outside [0.2, 5] is a jump; the next update also
+    # moves outside [0.5, 2] (a correction), and after it the wide band is back.
+    prob = generate("RandomQP", n=8, m=12, seed=6)
+    op = DrsOperator(prob, gamma=1.0)
+    f = op.apply(np.zeros(op.dim))
+    step = op.info
+
+    assert update_with_factor(op, step, f, 10.0) is not None  # the jump
+    assert op.gamma == pytest.approx(0.1) and op.epoch == 1
+    assert update_with_factor(op, step, f, 0.4) is not None  # the correction
+    assert op.gamma == pytest.approx(0.25) and op.epoch == 2
+    assert update_with_factor(op, step, f, 0.4) is None  # a correction earns no narrow check
+    assert op.gamma == pytest.approx(0.25) and op.epoch == 2
+
+    # a factor inside the narrow band after a jump clears the state
+    op = DrsOperator(prob, gamma=1.0)
+    assert update_with_factor(op, step, f, 0.1) is not None
+    assert op.gamma == pytest.approx(10.0)
+    assert update_with_factor(op, step, f, 1.5) is None
+    assert update_with_factor(op, step, f, 0.4) is None
+    assert op.gamma == pytest.approx(10.0) and op.epoch == 1
+
+    # a refactor that fails leaves gamma and the state as they were
+    op = DrsOperator(prob, gamma=1.0)
+    assert update_with_factor(op, step, f, 10.0) is not None
+    commit = op.set_params
+
+    def fail(_gamma):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(op, "set_params", fail)
+    assert update_with_factor(op, step, f, 0.4) is None
+    assert op.gamma == pytest.approx(0.1) and op.epoch == 1
+    monkeypatch.setattr(op, "set_params", commit)
+    assert update_with_factor(op, step, f, 0.4) is not None  # still the correction
+    assert op.gamma == pytest.approx(0.25) and op.epoch == 2
+
+
 def test_kkt_solves_are_the_counted_evaluations(monkeypatch):
     # Every KKT solve is the setup evaluation, a counted loop evaluation or
     # an infeasibility check: none is spent re-deriving data at an iterate.
@@ -757,29 +806,40 @@ def test_converged_means_data_residuals_within_eps(gamma, sweep_problems):
 def test_adapt_gamma_decides_from_the_data_products():
     # adapt_gamma forms P x and A'y itself; its decision must be the one the
     # data products of the step's own x and y give.
+    # Two consecutive updates on one operator: the second one also moves
+    # outside [0.5, 2] when the first was a jump (a factor outside [0.2, 5]).
     rng = np.random.default_rng(15)
     prob = generate("RandomQP", n=12, m=24, seed=16)
-    changed = beyond_tenfold = 0
+    changed = beyond_tenfold = corrections = 0
     for gamma in (1e-3, 1.0, 1e3):
         for _ in range(10):
             op = DrsOperator(prob, gamma=gamma)
-            f = op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
-            step = op.info
-            r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
-            prim_scale = max(np.abs(step.ax).max(), np.abs(step.s).max(), np.abs(prob.b).max(), 1.0)
-            dual_scale = max(
-                np.abs(prob.P @ step.x).max(), np.abs(prob.q).max(),
-                np.abs(prob.A.T @ step.y).max(), 1.0,
-            )
-            ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
-            factor = float(np.sqrt(ratio))  # one jump, clipped only to the step-size range
-            want = op.gamma if 0.2 <= factor <= 5.0 else float(np.clip(op.gamma / factor, 1e-6, 1e6))
-            beyond_tenfold += not 0.1 <= factor <= 10.0
-            assert (op.adapt_gamma(step, f) is not None) == (want != gamma)
-            assert op.gamma == want
-            changed += want != gamma
-    assert 0 < changed < 30  # both decisions were exercised
+            after_jump = False
+            for _update in range(2):
+                gamma0 = op.gamma
+                f = op.apply(rng.standard_normal(op.dim) * 10.0 ** rng.uniform(-2, 2))
+                step = op.info
+                r_prim, r_dual = _data_residuals(prob, step.x, step.s, step.y)
+                prim_scale = max(np.abs(step.ax).max(), np.abs(step.s).max(),
+                                 np.abs(prob.b).max(), 1.0)
+                dual_scale = max(
+                    np.abs(prob.P @ step.x).max(), np.abs(prob.q).max(),
+                    np.abs(prob.A.T @ step.y).max(), 1.0,
+                )
+                ratio = (r_prim / prim_scale) / max(r_dual / dual_scale, 1e-300)
+                factor = float(np.sqrt(ratio))  # one jump, clipped only to the step-size range
+                jump = not 0.2 <= factor <= 5.0
+                moves = jump or (after_jump and not 0.5 <= factor <= 2.0)
+                want = float(np.clip(gamma0 / factor, 1e-6, 1e6)) if moves else gamma0
+                corrections += moves and not jump
+                after_jump = jump
+                beyond_tenfold += not 0.1 <= factor <= 10.0
+                assert (op.adapt_gamma(step, f) is not None) == (want != gamma0)
+                assert op.gamma == want
+                changed += want != gamma0
+    assert 0 < changed < 60  # both decisions were exercised
     assert beyond_tenfold > 0  # and moves past a factor of 10
+    assert corrections > 0  # and the narrow band after a jump
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

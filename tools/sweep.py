@@ -18,7 +18,16 @@ safeguarded by default).
 It prints one row per family, setting and mode: the reached statuses with
 their counts, the sum and median of iterations and of operator evaluations,
 the summed rejected candidates, the summed step-size changes (the last trace
-entry's epoch) and the summed solve seconds.  It checks that every solve's
+entry's epoch), the summed solve seconds and, on each accelerated row, the
+bound count: how many solves reached vanilla's status on the same problem and
+setting within max(2000, 3 x vanilla's iterations).  The count is read off
+the solves the sweep already ran, since a run is deterministic: a solve that
+stopped with another status, or later than the bound, missed it, and where
+vanilla stopped at ``--max-iter`` an accelerated solve that did too met it.
+A solve that stopped at ``--max-iter`` below its bound, where vanilla reached
+another status, cannot be judged; the cell then reads ``met/n (u open)``, so
+pass a ``--max-iter`` of at least the bound (20000 judges every solve whose
+vanilla run took up to 6666 iterations).  It checks that every solve's
 evaluations are its iterations plus its rejections, and exits 1, naming the
 solves, when one is not; a bad spec, mode or setting exits 2 before any solve.
 
@@ -41,6 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 AXES = ("gamma", "tau", "m_max", "eta_max")  # the setting axes, in the table's order
+BOUND_FLOOR, BOUND_FACTOR = 2000, 3  # the bound: max(2000, 3 x vanilla's iterations)
 
 
 @dataclass
@@ -51,12 +61,35 @@ class Row:
     setting: dict
     mode: str
     statuses: Counter = field(default_factory=Counter)
+    outcomes: list = field(default_factory=list)  # (status, iterations or None) per solve
     iterations: list = field(default_factory=list)
     evaluations: list = field(default_factory=list)
     rejections: int = 0
     gamma_changes: int = 0
     seconds: float = 0.0
     unreconciled: list = field(default_factory=list)  # names of solves whose counts disagree
+    in_bound: int | None = None  # solves within the bound; None on the vanilla row
+    open: int = 0  # solves the bound count cannot judge
+
+
+def bound_counts(vanilla, accelerated) -> tuple[int, int]:
+    """(met, open): of the ``accelerated`` outcomes, those that reached the
+    status of the ``vanilla`` outcome of the same problem within the bound,
+    and those that stopped at the iteration cap below it while vanilla
+    reached another status.  Outcomes are (status, iterations), iterations
+    None for a solve that raised."""
+    from fpaccel.driver import MAX_ITER
+
+    met = open_ = 0
+    for (status0, iters0), (status, iters) in zip(vanilla, accelerated, strict=True):
+        if iters0 is None or iters is None:
+            continue
+        bound = max(BOUND_FLOOR, BOUND_FACTOR * iters0)
+        if status == status0:
+            met += iters <= bound
+        elif status == MAX_ITER and iters < bound:
+            open_ += 1
+    return met, open_
 
 
 def sweep(families, modes, grid, **settings) -> list[Row]:
@@ -77,6 +110,7 @@ def sweep(families, modes, grid, **settings) -> list[Row]:
         for result in summary.rows:
             row, rec = by_mode[result.config], result.record
             row.statuses[result.status] += 1
+            row.outcomes.append((result.status, None if rec is None else rec.iterations))
             if rec is None:  # the solve raised; its error is its status
                 continue
             row.iterations.append(rec.iterations)
@@ -86,6 +120,8 @@ def sweep(families, modes, grid, **settings) -> list[Row]:
             row.seconds += rec.total_seconds
             if rec.operator_evaluations != rec.iterations + rec.rejected_candidates:
                 row.unreconciled.append(result.problem)
+        for row in list(by_mode.values())[1:]:
+            row.in_bound, row.open = bound_counts(by_mode[VANILLA].outcomes, row.outcomes)
         rows.extend(by_mode.values())
     return rows
 
@@ -94,17 +130,24 @@ def _sum_median(values) -> str:
     return f"{sum(values)}/{np.median(values):g}" if values else "-"
 
 
+def _bound_cell(row) -> str:
+    if row.in_bound is None:
+        return "-"
+    cell = f"{row.in_bound}/{len(row.outcomes)}"
+    return cell + f" ({row.open} open)" if row.open else cell
+
+
 def format_table(rows) -> str:
     """The sweep's rows as an aligned text table, one line per row."""
     header = ("family", *AXES, "mode", "statuses", "iters sum/med", "evals sum/med",
-              "rejected", "gamma_changes", "seconds")
+              "rejected", "gamma_changes", "seconds", "in bound")
     lines = [header]
     for row in rows:
         statuses = ",".join(f"{status}={n}" for status, n in sorted(row.statuses.items()))
         lines.append((
             row.family, *(f"{row.setting[axis]:g}" for axis in AXES), row.mode, statuses,
             _sum_median(row.iterations), _sum_median(row.evaluations), str(row.rejections),
-            str(row.gamma_changes), f"{row.seconds:.3f}",
+            str(row.gamma_changes), f"{row.seconds:.3f}", _bound_cell(row),
         ))
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
