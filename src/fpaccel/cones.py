@@ -127,15 +127,25 @@ def smat(vec: np.ndarray) -> np.ndarray:
     return S
 
 
-def project_cone(block: ConeBlock, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the block."""
+def project_cone(block: ConeBlock, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of v onto the block, written into ``out`` when it is
+    given (it may be v itself) and into a new array otherwise."""
     v = np.asarray(v, dtype=float)
     if v.shape != (block.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({block.dim},)")
+    if block.kind == NONNEG:
+        return np.maximum(v, 0.0, out=out)
+    proj = _projection(block, v)
+    if out is None:
+        return proj
+    out[...] = proj
+    return out
+
+
+def _projection(block: ConeBlock, v: np.ndarray) -> np.ndarray:
+    """The projection of a checked v onto a block other than nonneg, as a new array."""
     if block.kind == ZERO:
         return np.zeros(block.dim)
-    if block.kind == NONNEG:
-        return np.maximum(v, 0.0)
     if block.kind == BOX:
         return np.clip(v, block.l, block.u)
     if block.kind == SECOND_ORDER:

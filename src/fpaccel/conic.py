@@ -8,33 +8,39 @@ Problems have the form
 with P positive semidefinite and K a product of cone blocks.  The iterate
 v stacks (x-part, s-part) in R^{n+m}.  One operator application is
 
-    (x, lam) = one KKT solve at v,
-    v+ = (x, project(v_s - 2 gamma lam) + gamma lam),
+    (x, mu) = one KKT solve at v,
+    v+ = (x, project(v_s - 2 mu) + mu),
 
 the Douglas-Rachford step v + (project(2 z - v) - z) around the prox point
-z = (x, v_s - gamma lam), with the x-part and the v_s terms cancelled.  It
-is firmly nonexpansive, its fixed points encode primal-dual optima, and the
-projection onto K is taken block by block.  The KKT system is
+z = (x, v_s - mu), with the x-part and the v_s terms cancelled.  It is
+firmly nonexpansive, its fixed points encode primal-dual optima, and the
+projection onto K is taken block by block.  The KKT system, written for
+mu = gamma lam, the multiplier lam scaled by the step size (the scaled form
+of ADMM, Boyd et al. 2011, sec. 3.1.1), is
 
-    [[P + (1/gamma) I, A'], [A, -gamma I]] (x, lam) = (r1, r2),
-    r1 = (1/gamma) v_x - q,   r2 = b - v_s.
+    [[gamma P + I, A'], [A, -I]] (x, mu) = (v_x - gamma q, t),   t = b - v_s.
 
-Eliminating lam = (A x - r2) / gamma leaves the reduced system
+Eliminating mu = A x - t leaves the reduced system
 
-    (P + (I + A'A) / gamma) x = r1 + A' r2 / gamma,
+    M_gamma x = (v_x - gamma q) + A' t,   M_gamma = gamma P + I + A'A,
 
 whose matrix is symmetric positive definite (P is PSD and gamma > 0), so
 one Cholesky factorization (LAPACK ``dpotrf``, run once per gamma)
-serves every solve at that gamma.  Each solve runs the two triangular solves
-U'y = rhs and U x = y on the upper factor U as BLAS-2 ``dtrsv`` calls: LAPACK
-``dpotrs`` (what ``cho_solve`` calls) takes the slower BLAS-3 ``dtrsm`` path
-even for one right-hand side.
+serves every solve at that gamma.  M_gamma is gamma times the matrix
+P + (I + A'A) / gamma of the unscaled multiplier's reduced system, with the
+same definiteness and condition number; in this form gamma enters the
+evaluation only through gamma q, which is formed with the factor.  Each
+solve forms its right-hand side with one fused BLAS ``dgemv`` on A' (A is
+stored row-major, so A' reaches BLAS without a copy) and runs the two
+triangular solves U'y = rhs and U x = y on the upper factor U as BLAS-2
+``dtrsv`` calls: LAPACK ``dpotrs`` (what ``cho_solve`` calls) takes the
+slower BLAS-3 ``dtrsm`` path even for one right-hand side.
 
-Each application forms the right-hand side, lam and the slack in arrays it
-already holds and writes its output once, into one new array.  It also
-reads off the primal-dual point x, s = project(v_s - 2 gamma lam), y = lam
-and keeps it, with the product A x the KKT solve already formed, as one
-immutable ``DrsStep`` NamedTuple; it forms no residual norm.
+Each application forms t, mu and the slack in arrays it already holds,
+projects the slack in place and writes its output once, into one new
+array.  It also reads off the primal-dual point x, s = project(v_s - 2 mu),
+y = mu / gamma and keeps it, with the product A x the KKT solve already
+formed, as one immutable ``DrsStep`` NamedTuple; it forms no residual norm.
 ``DrsOperator.residuals`` is the one place that forms
 the primal and dual residual norms of a step from the data, together with
 the products P x and A'y it needs for them, and only the decisions that read
@@ -46,11 +52,11 @@ are read off the fixed-point residual at no extra product, are both within
 The driver carries the record of the iterate it holds in
 ``FixedPointState.info``, so no operator evaluation happens outside the
 counted ones.  The step size gamma is the single operator parameter;
-changing it (``DrsOperator.set_params``) refactors the reduced matrix and
-bumps the operator epoch.  Every ``adapt_interval`` steps, ``solve``
-rebalances gamma by the square root of the scaled primal/dual residual
-ratio when that factor leaves the deadband [0.2, 5], in one jump clipped
-only to [GAMMA_MIN, GAMMA_MAX], as OSQP (Stellato et al. 2020) and COSMO
+changing it (``DrsOperator.set_params``) refactors the reduced matrix,
+forms gamma q again and bumps the operator epoch.  Every ``adapt_interval``
+steps, ``solve`` rebalances gamma by the square root of the scaled
+primal/dual residual ratio when that factor leaves the deadband [0.2, 5], in
+one jump clipped only to [GAMMA_MIN, GAMMA_MAX], as OSQP (Stellato et al. 2020) and COSMO
 (Garstka, Cannon & Goulart 2021) adapt their penalty; the update right after
 such a jump also moves when the factor leaves [0.5, 2], once.  The fixed point
 moves with gamma, v*(gamma) = (x*, s* + gamma y*), so a change from gamma0
@@ -67,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dgemv, dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from . import driver as _driver
@@ -128,7 +134,8 @@ class ConicProblem:
         self.m = m
         self.P = 0.5 * (P + P.T)
         self.q = q
-        self.A = A
+        # Row-major, so that A' is the column-major matrix BLAS reads without a copy.
+        self.A = np.ascontiguousarray(A)
         self.b = b
         self.cones = cones
 
@@ -147,7 +154,7 @@ class DrsStep(NamedTuple):
     """One operator evaluation read as a primal-dual point.
 
     x is the prox output, s the projected slack and y the KKT multiplier
-    lam; ax is the product A x that the KKT solve formed.
+    lam = mu / gamma; ax is the product A x that the KKT solve formed.
     """
 
     x: np.ndarray
@@ -166,8 +173,10 @@ class DrsOperator(FixedPointOperator):
         super().__init__(problem.n + problem.m)
         self.problem = problem
         self._slices = problem.cone_slices()
+        # The split of |v - F(v)| into its x- and s-parts that _trace_norms reads.
+        self._trace_split = np.array((0, problem.n))
         self.gamma = _step_size(gamma)
-        self._factor = self._cholesky(self.gamma)
+        self._factor, self._gamma_q = self._cholesky(self.gamma), self.gamma * problem.q
         # Whether the last update jumped, so that the next one uses the
         # narrow band; only adapt_gamma reads or writes it.
         self._after_jump = False
@@ -179,48 +188,61 @@ class DrsOperator(FixedPointOperator):
         gamma = _step_size(gamma)
         if gamma == self.gamma:
             return
-        # Factor first: a failed factorization leaves gamma, the factor and
-        # the epoch as they were.
+        # Factor first: a failed factorization leaves gamma, the factor,
+        # gamma q and the epoch as they were.
         factor = self._cholesky(gamma)
-        self.gamma, self._factor = gamma, factor
+        self.gamma, self._factor, self._gamma_q = gamma, factor, gamma * self.problem.q
         self.epoch += 1
 
     def _cholesky(self, gamma: float) -> np.ndarray:
-        """Cholesky factor of the reduced matrix P + (I + A'A) / gamma.
+        """Cholesky factor of the reduced matrix M_gamma = gamma P + I + A'A.
 
         Raises scipy's LinAlgError when it is not positive definite, which
-        can happen only when P is not positive semidefinite.  LAPACK
-        ``dpotrf`` is called as ``cho_factor`` would call it, without its
-        finiteness scan (the data are finite and gamma is clipped); the upper
-        factor is kept in the Fortran order it returns, so dtrsv reads it
-        without a copy; dtrsv reads only the upper triangle, so the lower one
-        is left uncleaned.
+        can happen only when P is not positive semidefinite.  The matrix is
+        formed in the buffer of A'A, as A'A, then 1 added on its diagonal,
+        then gamma P added, so it is bit for bit gamma P + (I + A'A); it is
+        exactly symmetric (numpy forms A'A with ``dsyrk`` and P is
+        symmetrized on construction), so its transpose is the same matrix in
+        Fortran order, which LAPACK ``dpotrf`` factors in place, without a
+        copy.  ``dpotrf`` is called as ``cho_factor`` would call it, without
+        its finiteness scan (the data are finite and gamma is clipped); the
+        upper factor is kept in Fortran order, so dtrsv reads it without a
+        copy; dtrsv reads only the upper triangle, so the lower one is left
+        uncleaned.
         """
         prob = self.problem
-        reduced = prob.P + (np.eye(prob.n) + prob.A.T @ prob.A) / gamma
-        factor, info = dpotrf(reduced, lower=0, clean=0)
+        reduced = prob.A.T @ prob.A
+        reduced.flat[:: prob.n + 1] += 1.0
+        reduced += gamma * prob.P
+        factor, info = dpotrf(reduced.T, lower=0, clean=0, overwrite_a=1)
         if info != 0:
             raise LinAlgError(f"KKT reduced matrix not positive definite (potrf info {info})")
         return factor
 
     # -- the operator -------------------------------------------------------
 
-    def solve_kkt(self, r1: np.ndarray, r2: np.ndarray):
-        """(x, lam, A x) solving the KKT system through the reduced one."""
-        prob, gamma = self.problem, self.gamma
-        # rhs = r1 + A'r2 / gamma and lam = (A x - r2) / gamma, formed in place
-        # in the same order of operations, so bit for bit the one-line forms.
-        rhs = prob.A.T @ r2
-        rhs /= gamma
-        rhs += r1
-        # Positional f2py arguments (incx, offx, lower, trans, diag, overwrite_x):
-        # parsing keywords adds about 0.4 us per call, a large share of a small solve.
+    def solve_kkt(self, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, A x) for the x solving M_gamma x = u + A't, u of length n and t of length m.
+
+        The multiplier of the KKT system with right-hand side (u, t) is then
+        mu = A x - t.  Neither u nor t is written.
+        """
+        prob, at = self.problem, self.problem.A.T
+        # Positional f2py arguments: parsing keywords adds about 0.4 us per
+        # call, a large share of a small solve.  f2py refuses an empty vector,
+        # so a problem with no constraints (m = 0) keeps its own branch.
+        if prob.m:
+            # rhs = u + A't, one fused dgemv on a copy of u (alpha, a, x, beta,
+            # y, offx, incx, offy, incy, trans, overwrite_y).
+            rhs = dgemv(1.0, at, t, 1.0, u, 0, 1, 0, 1, 0, 0)
+        else:
+            rhs = u.copy()
+        # (incx, offx, lower, trans, diag, overwrite_x): U'y = rhs, then U x = y.
         y = dtrsv(self._factor, rhs, 1, 0, 0, 1, 0, 1)
         x = dtrsv(self._factor, y, 1, 0, 0, 0, 0, 1)
-        ax = prob.A @ x
-        lam = ax - r2
-        lam /= gamma
-        return x, lam, ax
+        # A x as dgemv(trans=1) on A', bit for bit numpy's A @ x on row-major A.
+        ax = dgemv(1.0, at, x, 0.0, None, 0, 1, 0, 1, 1, 0) if prob.m else np.empty(0)
+        return x, ax
 
     def residuals(self, step: DrsStep) -> tuple[float, float, np.ndarray, np.ndarray]:
         """(r_prim, r_dual, P x, A'y): the infinity norms of A x + s - b and
@@ -231,22 +253,20 @@ class DrsOperator(FixedPointOperator):
         return _inf_norm(step.ax + step.s - prob.b), _inf_norm(px + prob.q + aty), px, aty
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        """The DRS step in reduced form, v+ = (x, project(v_s - 2 gamma lam) + gamma lam)."""
-        prob, gamma, n = self.problem, self.gamma, self.problem.n
-        # v_x / gamma - q, v_s - 2 gamma lam and s + gamma lam in place, each in
-        # its one-line form's order of operations, as solve_kkt does.
-        r1 = v[:n] / gamma
-        r1 -= prob.q
-        x, lam, ax = self.solve_kkt(r1, prob.b - v[n:])
-        s = lam * (2.0 * gamma)
-        np.subtract(v[n:], s, out=s)
+        """The DRS step in reduced form, v+ = (x, project(v_s - 2 mu) + mu)."""
+        prob, n = self.problem, self.problem.n
+        t = prob.b - v[n:]
+        x, ax = self.solve_kkt(v[:n] - self._gamma_q, t)
+        # mu = A x - t into t's buffer, and v_s - 2 mu, projected in place.
+        mu = np.subtract(ax, t, out=t)
+        s = mu * -2.0
+        s += v[n:]
         for block, sl in zip(prob.cones, self._slices):
-            s[sl] = project_cone(block, s[sl])
-        self.info = DrsStep(x, s, lam, ax)
+            project_cone(block, s[sl], out=s[sl])
+        self.info = DrsStep(x, s, mu / self.gamma, ax)
         out = np.empty(self.dim)
         out[:n] = x
-        glam = np.multiply(lam, gamma, out=out[n:])
-        glam += s
+        np.add(s, mu, out=out[n:])
         return out
 
     # -- parameter adaptation -------------------------------------------------
@@ -323,8 +343,11 @@ class DrsOperator(FixedPointOperator):
         prob, gamma = self.problem, self.gamma
         n = prob.n
         dv = np.asarray(dv, dtype=float)
+        # BLAS would read a prefix of a longer vector.
+        if dv.shape != (self.dim,):
+            raise ValueError(f"dv has shape {dv.shape}, expected ({self.dim},)")
 
-        dx = self.solve_kkt(dv[:n] / gamma, -dv[n:])[0]
+        dx = self.solve_kkt(dv[:n], -dv[n:])[0]
         dx_norm = _inf_norm(dx)
         if dx_norm > 1e-10:
             d = dx / dx_norm
@@ -357,10 +380,9 @@ def _inf_norm(arr: np.ndarray) -> float:
 def _trace_norms(op: DrsOperator, state) -> tuple[float, float]:
     """The trace columns (||r_s||_inf, ||r_x||_inf / gamma) of the fixed-point
     residual r, from one pass over |r|."""
-    n = op.problem.n
     if op.problem.m == 0:
         return 0.0, _inf_norm(state.r) / op.gamma
-    r_x, r_s = np.maximum.reduceat(np.abs(state.r), (0, n)).tolist()
+    r_x, r_s = np.maximum.reduceat(np.abs(state.r), op._trace_split).tolist()
     return r_s, r_x / op.gamma
 
 

@@ -170,6 +170,20 @@ def test_projection_leaves_its_input_unchanged(kind):
         assert np.array_equal(v, before)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_projection_into_out_is_the_projection_bit_for_bit(kind):
+    # out= writes the new array's bytes into the given buffer and returns it,
+    # also when the buffer is the input itself.
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
+    block = random_block(kind, rng)
+    for _ in range(5):
+        v = 3.0 * rng.standard_normal(block.dim)
+        want = project_cone(block, v).tobytes()
+        out = np.empty(block.dim)
+        assert project_cone(block, v, out=out) is out and out.tobytes() == want
+        assert project_cone(block, v, out=v) is v and v.tobytes() == want
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", [1, 2, 3, 10])

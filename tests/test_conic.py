@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dgemv, dtrsv
 
 from fpaccel.cones import (
     BOX, KINDS, NONNEG, PSD_TRIANGLE, SECOND_ORDER, ZERO, ConeBlock, project_cone,
@@ -71,8 +71,10 @@ def test_prox_satisfies_equality_constraint():
     n = prob.n
     for _ in range(20):
         v = 5.0 * rng.standard_normal(op.dim)
-        x, lam, ax = op.solve_kkt(v[:n] / op.gamma - prob.q, prob.b - v[n:])
+        r1, r2 = v[:n] / op.gamma - prob.q, prob.b - v[n:]
+        x, ax = op.solve_kkt(op.gamma * r1, r2)
         assert np.array_equal(ax, prob.A @ x)
+        lam = (ax - r2) / op.gamma
         lhs = ax + (v[n:] - op.gamma * lam)  # A z_x + z_s for the prox output z
         assert np.linalg.norm(lhs - prob.b) <= 1e-8 * max(1.0, np.linalg.norm(prob.b))
 
@@ -91,8 +93,10 @@ def test_prox_kkt_residual_small(gamma):
     )
     v = rng.standard_normal(op.dim)
     rhs = np.concatenate([v[:n] / gamma - prob.q, prob.b - v[n:]])
-    x, lam, _ax = op.solve_kkt(rhs[:n], rhs[n:])
-    sol = np.concatenate([x, lam])
+    # solve_kkt takes the gamma-scaled first row and returns A x, from which
+    # the multiplier of this (unscaled) system is lam = (A x - r2) / gamma.
+    x, ax = op.solve_kkt(gamma * rhs[:n], rhs[n:])
+    sol = np.concatenate([x, (ax - rhs[n:]) / gamma])
     assert np.linalg.norm(kkt @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs)
     # Dense oracle on the full KKT matrix; lam is compared as gamma * lam,
     # the slack correction the prox step actually uses.
@@ -105,21 +109,24 @@ def test_prox_kkt_residual_small(gamma):
 @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_solve_kkt_matches_cho_solve_and_is_backward_stable(gamma, n, m):
     # solve_kkt runs its two triangular solves as BLAS-2 dtrsv calls on the
-    # Cholesky factor of the reduced matrix K; x must agree with scipy's
-    # cho_solve to rounding and have a backward error at rounding level.
+    # Cholesky factor of M = gamma P + I + A'A; x must agree with scipy's
+    # cho_solve on the unscaled reduced matrix K = M / gamma to rounding and
+    # have a backward error on M at rounding level.
     rng = np.random.default_rng(3)
     prob = generate("RandomQP", n=n, m=m, seed=4)
     op = DrsOperator(prob, gamma=gamma)
     reduced = prob.P + (np.eye(n) + prob.A.T @ prob.A) / gamma
     factor = cho_factor(reduced)
-    reduced_norm = np.linalg.norm(reduced, 2)
+    scaled = gamma * prob.P + (np.eye(n) + prob.A.T @ prob.A)
+    scaled_norm = np.linalg.norm(scaled, 2)
     for _ in range(3):
         r1, r2 = rng.standard_normal(n), rng.standard_normal(m)
         rhs = r1 + prob.A.T @ r2 / gamma
-        x = op.solve_kkt(r1, r2)[0]
+        x = op.solve_kkt(gamma * r1, r2)[0]
         x_norm = np.linalg.norm(x)
         assert np.linalg.norm(x - cho_solve(factor, rhs)) <= 1e-13 * x_norm
-        assert np.linalg.norm(reduced @ x - rhs) <= 1e-14 * reduced_norm * x_norm
+        scaled_rhs = gamma * r1 + prob.A.T @ r2
+        assert np.linalg.norm(scaled @ x - scaled_rhs) <= 1e-14 * scaled_norm * x_norm
 
 
 def test_drs_fixed_point_is_fixed():
@@ -577,6 +584,14 @@ def test_feasible_problem_never_emits_certificate():
     assert solve(prob, "safeguarded", eps=1e-6).certificate is None
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_infeasibility_check_refuses_a_difference_of_the_wrong_length(extra):
+    # The KKT solve's dgemv would read a prefix of a longer vector.
+    op = DrsOperator(generate("InfeasibleLP", seed=1))
+    with pytest.raises(ValueError, match="dv has shape"):
+        op.infeasibility_check(np.ones(op.dim + extra))
+
+
 # Every seed's certificate in each benchmark configuration is re-verified from
 # the data against criterion 8's separating-hyperplane conditions.
 CERT_CONFIGS = ("vanilla", "unsafe", "safeguarded")
@@ -964,17 +979,33 @@ def all_cone_problem(seed):
 
 def reference_evaluation(op, v):
     """One DRS evaluation written as the expressions the operator's arithmetic
-    must equal bit for bit: (F(v), (x, s, y, A x))."""
+    must equal bit for bit: (F(v), (x, s, y, A x)).  The right-hand side
+    (v_x - gamma q) + A't is the one fused dgemv (a problem with no
+    constraints has no A't)."""
     prob, gamma, n = op.problem, op.gamma, op.problem.n
-    r1, r2 = v[:n] / gamma - prob.q, prob.b - v[n:]
-    y = dtrsv(op._factor, r1 + prob.A.T @ r2 / gamma, trans=1)
-    x = dtrsv(op._factor, y)
+    t, u = prob.b - v[n:], v[:n] - gamma * prob.q
+    rhs = dgemv(1.0, prob.A.T, t, beta=1.0, y=u) if prob.m else u
+    x = dtrsv(op._factor, dtrsv(op._factor, rhs, trans=1))
     ax = prob.A @ x
-    lam = (ax - r2) / gamma
+    mu = ax - t
+    s = v[n:] - 2.0 * mu
+    for block, sl in zip(prob.cones, prob.cone_slices()):
+        s[sl] = project_cone(block, s[sl])
+    return np.concatenate([x, s + mu]), (x, s, mu / gamma, ax)
+
+
+def unscaled_evaluation(prob, gamma, v):
+    """F(v) in the form with the unscaled multiplier lam and the reduced matrix
+    P + (I + A'A) / gamma."""
+    n = prob.n
+    r1, r2 = v[:n] / gamma - prob.q, prob.b - v[n:]
+    factor = cho_factor(prob.P + (np.eye(n) + prob.A.T @ prob.A) / gamma)
+    x = cho_solve(factor, r1 + prob.A.T @ r2 / gamma)
+    lam = (prob.A @ x - r2) / gamma
     s = v[n:] - 2.0 * gamma * lam
     for block, sl in zip(prob.cones, prob.cone_slices()):
         s[sl] = project_cone(block, s[sl])
-    return np.concatenate([x, s + gamma * lam]), (x, s, lam, ax)
+    return np.concatenate([x, s + gamma * lam])
 
 
 IDENTITY_PROBLEMS = {
@@ -990,10 +1021,17 @@ IDENTITY_PROBLEMS = {
 @pytest.mark.parametrize("kind", sorted(IDENTITY_PROBLEMS))
 def test_evaluation_is_the_reference_expressions_bit_for_bit(kind, gamma):
     # A rewrite of the evaluation may save temporaries but not reorder an
-    # expression: F(v) and every field of its DrsStep equal the reference's
-    # bytes, over generated points at scales 1e-3 to 1e3, and v is left as it was.
+    # expression: the factor is that of gamma P + (I + A'A), and F(v) and every
+    # field of its DrsStep equal the reference's bytes, over generated points
+    # at scales 1e-3 to 1e3, and v is left as it was.  F(v) also agrees with
+    # the unscaled form to rounding: the largest condition number of
+    # gamma P + I + A'A over these cases is about 3e5, so two backward-stable
+    # solves differ by about cond * eps = 4e-11 of the data's scale at most.
     for seed in range(3):
-        op = DrsOperator(IDENTITY_PROBLEMS[kind](seed), gamma=gamma)
+        prob = IDENTITY_PROBLEMS[kind](seed)
+        op = DrsOperator(prob, gamma=gamma)
+        scaled = gamma * prob.P + (np.eye(prob.n) + prob.A.T @ prob.A)
+        assert np.triu(op._factor).tobytes() == np.triu(cho_factor(scaled)[0]).tobytes()
         rng = np.random.default_rng(100 + seed)
         for scale in (1e-3, 1.0, 1e3):
             v = scale * rng.standard_normal(op.dim)
@@ -1004,6 +1042,9 @@ def test_evaluation_is_the_reference_expressions_bit_for_bit(kind, gamma):
             step = op.info
             for got, want in zip((step.x, step.s, step.y, step.ax), fields):
                 assert got.tobytes() == want.tobytes()
+            unscaled = unscaled_evaluation(prob, op.gamma, v)
+            tol = 1e-9 * (np.linalg.norm(v) + np.linalg.norm(unscaled))
+            assert np.linalg.norm(out - unscaled) <= tol
 
 
 def test_drs_step_is_an_immutable_record_in_field_order():
