@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dgemv, dtrsv
+from scipy.linalg.blas import dgemv, dtrsv, idamax
 from scipy.linalg.lapack import dpotrf
 
 from . import driver as _driver
@@ -172,9 +172,9 @@ class DrsOperator(FixedPointOperator):
     def __init__(self, problem: ConicProblem, gamma: float = 1.0):
         super().__init__(problem.n + problem.m)
         self.problem = problem
-        self._slices = problem.cone_slices()
-        # The split of |v - F(v)| into its x- and s-parts that _trace_norms reads.
-        self._trace_split = np.array((0, problem.n))
+        # Held once: A' (a view) and each cone block with its slice of the s-part.
+        self._at = problem.A.T
+        self._blocks = list(zip(problem.cones, problem.cone_slices()))
         self.gamma = _step_size(gamma)
         self._factor, self._gamma_q = self._cholesky(self.gamma), self.gamma * problem.q
         # Whether the last update jumped, so that the next one uses the
@@ -225,9 +225,14 @@ class DrsOperator(FixedPointOperator):
         """(x, A x) for the x solving M_gamma x = u + A't, u of length n and t of length m.
 
         The multiplier of the KKT system with right-hand side (u, t) is then
-        mu = A x - t.  Neither u nor t is written.
+        mu = A x - t.  Neither u nor t is written.  Raises ValueError unless
+        u and t are vectors of those lengths: BLAS reads a prefix of a longer
+        vector, and a longer u would give a longer x.
         """
-        prob, at = self.problem, self.problem.A.T
+        prob, at = self.problem, self._at
+        if u.shape != (prob.n,) or t.shape != (prob.m,):
+            raise ValueError(f"u and t have shapes {u.shape} and {t.shape}, "
+                             f"expected ({prob.n},) and ({prob.m},)")
         # Positional f2py arguments: parsing keywords adds about 0.4 us per
         # call, a large share of a small solve.  f2py refuses an empty vector,
         # so a problem with no constraints (m = 0) keeps its own branch.
@@ -254,14 +259,15 @@ class DrsOperator(FixedPointOperator):
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """The DRS step in reduced form, v+ = (x, project(v_s - 2 mu) + mu)."""
-        prob, n = self.problem, self.problem.n
-        t = prob.b - v[n:]
+        n = self.problem.n
+        v_s = v[n:]
+        t = self.problem.b - v_s
         x, ax = self.solve_kkt(v[:n] - self._gamma_q, t)
         # mu = A x - t into t's buffer, and v_s - 2 mu, projected in place.
         mu = np.subtract(ax, t, out=t)
         s = mu * -2.0
-        s += v[n:]
-        for block, sl in zip(prob.cones, self._slices):
+        s += v_s
+        for block, sl in self._blocks:
             project_cone(block, s[sl], out=s[sl])
         self.info = DrsStep(x, s, mu / self.gamma, ax)
         out = np.empty(self.dim)
@@ -351,11 +357,12 @@ class DrsOperator(FixedPointOperator):
         dx_norm = _inf_norm(dx)
         if dx_norm > 1e-10:
             d = dx / dx_norm
-            if _inf_norm(prob.P @ d) <= eps_inf and prob.q @ d < -eps_inf:
+            # The scalar test first: it needs no product.
+            if prob.q @ d < -eps_inf and _inf_norm(prob.P @ d) <= eps_inf:
                 ad = prob.A @ d
                 if all(
                     in_recession_of_negation(block, ad[sl], eps_inf)
-                    for block, sl in zip(prob.cones, self._slices)
+                    for block, sl in self._blocks
                 ):
                     return Certificate(DUAL_INFEASIBLE, d)
 
@@ -366,7 +373,7 @@ class DrsOperator(FixedPointOperator):
             if _inf_norm(prob.A.T @ w) <= eps_inf:
                 support = sum(
                     cone_support(block, -w[sl], eps_inf)
-                    for block, sl in zip(prob.cones, self._slices)
+                    for block, sl in self._blocks
                 )
                 if prob.b @ w + support < -eps_inf:
                     return Certificate(PRIMAL_INFEASIBLE, w)
@@ -379,11 +386,18 @@ def _inf_norm(arr: np.ndarray) -> float:
 
 def _trace_norms(op: DrsOperator, state) -> tuple[float, float]:
     """The trace columns (||r_s||_inf, ||r_x||_inf / gamma) of the fixed-point
-    residual r, from one pass over |r|."""
-    if op.problem.m == 0:
-        return 0.0, _inf_norm(state.r) / op.gamma
-    r_x, r_s = np.maximum.reduceat(np.abs(state.r), op._trace_split).tolist()
-    return r_s, r_x / op.gamma
+    residual r, as Python floats.
+
+    Each part's largest magnitude is found by one BLAS ``idamax`` call on r
+    (positional n and offx; the index it returns counts from offx), with no
+    temporary.  ``idamax``'s handling of NaN depends on the BLAS kernel, so
+    only these columns use it, and no decision does: ``apply`` has refused a
+    non-finite operator value, so r = v - F(v) is finite or +-inf here.
+    f2py refuses an empty vector, so m = 0 keeps its own branch.
+    """
+    r, n, m = state.r, op.problem.n, op.problem.m
+    r_x = abs(r.item(idamax(r, n, 0)))
+    return (abs(r.item(n + idamax(r, m, n))) if m else 0.0), r_x / op.gamma
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -464,8 +478,10 @@ def solve(
     ``r_prim = ||r_s||``, and the first KKT row, r_x = gamma (P x + q + A'y)
     up to the KKT solve's residual, gives ``r_dual = ||r_x|| / gamma``.  This
     second formula is kept for cost alone: the data's r_dual would put the
-    two mat-vecs P x and A'y back into every iteration.  The columns only
-    choose when to test; the data's residuals decide.
+    two mat-vecs P x and A'y back into every iteration.  Each column is one
+    BLAS ``idamax`` over its part of r (``_trace_norms``), so the trace forms
+    no temporary.  The columns only choose when to test; the data's
+    residuals decide.
     """
     cfg = solve_config(mode, gamma=gamma, eps_infeas=eps_infeas, **settings)
     op = DrsOperator(problem, gamma=gamma)

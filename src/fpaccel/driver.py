@@ -53,7 +53,10 @@ consumed at the next checkpoint.
 
 A non-finite operator value ends the run as ``diverged``, the one at ``v0``
 included: that run stops before its first iteration.  A run that passes
-``DriverConfig.time_cap`` wall seconds ends as ``time_limit``.
+``DriverConfig.time_cap`` wall seconds ends as ``time_limit``: the cap is
+judged against each step's own ``TraceEntry.elapsed``, read at the end of
+the step, with no second clock read, so the run ends right after the first
+step whose ``elapsed`` exceeds the cap.
 
 The driver counts into the ``RunRecord`` it returns, ``Driver.record``: each
 step appends its trace entry and updates the counters in place, so the
@@ -70,8 +73,8 @@ need to evaluate the operator again.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg.blas import ddot
@@ -233,7 +236,7 @@ class Driver:
         self.hooks = hooks if hooks is not None else Hooks()
 
         v0 = np.asarray(v0, dtype=float)
-        self._start = time.perf_counter()
+        self._start = perf_counter()
         self._status = None
         try:
             self.state = FixedPointState(*self._evaluate(v0.copy()))
@@ -288,9 +291,9 @@ class Driver:
 
         j_decision = 1
         if mem is not None:
-            t0 = time.perf_counter()
+            t0 = perf_counter()
             v_acc = mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max)
-            accel_t = time.perf_counter() - t0
+            accel_t = perf_counter() - t0
             j_decision = mem.j
 
             if v_acc is not None:
@@ -329,19 +332,10 @@ class Driver:
         r_prim = r_dual = math.nan
         if self.hooks.metrics is not None:
             r_prim, r_dual = self.hooks.metrics(op, st)
-        entry = TraceEntry(
-            k=st.k,
-            r_norm=st.r_norm,
-            accepted=accepted,
-            j=j_decision,
-            epoch=op.epoch,
-            elapsed=time.perf_counter() - self._start,
-            accel_seconds=accel_t,
-            cum_evals=op.eval_count - self._evals0,
-            r_prim=r_prim,
-            r_dual=r_dual,
-            infeas_checked=infeas_checked,
-        )
+        # Positional, in field order: keyword parsing would add about 0.5 us per step.
+        entry = TraceEntry(st.k, st.r_norm, accepted, j_decision, op.epoch,
+                           perf_counter() - self._start, accel_t,
+                           op.eval_count - self._evals0, r_prim, r_dual, infeas_checked)
         rec.accel_seconds += accel_t
         rec.entries.append(entry)
         return entry
@@ -370,13 +364,13 @@ class Driver:
             if (near or self.state.k % cfg.check_interval == 0) and self._converged():
                 status = CONVERGED
                 break
-            if cfg.time_cap is not None and time.perf_counter() - self._start > cfg.time_cap:
+            if cfg.time_cap is not None and entry.elapsed > cfg.time_cap:
                 status = TIME_LIMIT
                 break
         rec.status = status
         rec.iterations = self.state.k
         rec.operator_evaluations = self.op.eval_count - self._evals0
-        rec.total_seconds = time.perf_counter() - self._start
+        rec.total_seconds = perf_counter() - self._start
         return rec
 
 

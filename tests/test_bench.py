@@ -981,5 +981,9 @@ def test_bench_pairs_claim_rule_on_synthetic_runs(monkeypatch, tmp_path, capsys)
     run = json.loads(out.read_text())["runs"]["qp_small@0"]
     assert [p["first"] for p in run["pairs"]] == ["parent", "change"]
     assert run["summary"]["sgm_s.vanilla"]["change_wins"] == 2
-    assert "sgm_s.vanilla" in capsys.readouterr().out
+    # the table's row carries the relative change of the medians (1.0 against 2.0)
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("sgm_s.vanilla"))
+    assert row.split()[-3:] == ["-50.0%", "2/2", "holds"]
+    assert tool.percent(None) == "n/a" and tool.percent(0.125) == "+12.5%"
     assert tool.main(argv + ["--pairs", "3"]) == 1

@@ -1,10 +1,11 @@
 import json
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
@@ -127,6 +128,18 @@ def test_solve_kkt_matches_cho_solve_and_is_backward_stable(gamma, n, m):
         assert np.linalg.norm(x - cho_solve(factor, rhs)) <= 1e-13 * x_norm
         scaled_rhs = gamma * r1 + prob.A.T @ r2
         assert np.linalg.norm(scaled @ x - scaled_rhs) <= 1e-14 * scaled_norm * x_norm
+
+
+def test_solve_kkt_refuses_vectors_of_the_wrong_length():
+    # BLAS checks neither length: a longer u gave a longer x, and a longer t
+    # was read up to its first m entries.
+    op = DrsOperator(generate("RandomQP", n=5, m=8, seed=1))
+    for u, t in ((np.ones(6), np.ones(8)), (np.ones(5), np.ones(9)),
+                 (np.ones(4), np.ones(8)), (np.ones(5), np.ones(7)), (np.ones((5, 1)), np.ones(8))):
+        with pytest.raises(ValueError, match="expected \\(5,\\) and \\(8,\\)"):
+            op.solve_kkt(u, t)
+    x, ax = op.solve_kkt(np.ones(5), np.ones(8))
+    assert x.shape == (5,) and ax.shape == (8,)
 
 
 def test_drs_fixed_point_is_fixed():
@@ -689,6 +702,35 @@ def test_trace_columns_are_the_fixed_point_residual_norms(monkeypatch):
         for (r, n, gamma, out), entry in zip(calls, sol.record.entries):
             expected = bits((_inf_norm(r[n:]), _inf_norm(r[:n]) / gamma))
             assert bits(out) == expected == bits((entry.r_prim, entry.r_dual))
+
+
+TRACE_ENTRIES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf]),
+)
+
+
+@given(
+    x_part=st.lists(TRACE_ENTRIES, min_size=1, max_size=12),
+    s_part=st.lists(TRACE_ENTRIES, max_size=12),
+    gamma=st.floats(conic.GAMMA_MIN, conic.GAMMA_MAX),
+)
+@settings(max_examples=300, deadline=None)
+@example(x_part=[1.0], s_part=[2.0, -3.0], gamma=1.0)  # an index not offset by n reads r[1]
+@example(x_part=[-0.0, 0.0], s_part=[-0.0], gamma=0.5)
+@example(x_part=[1e-300, -1e300], s_part=[-math.inf, 1.0, math.inf], gamma=1e-6)
+def test_trace_norms_are_the_numpy_max_of_each_part(x_part, s_part, gamma):
+    # Bit for bit (max|r_s|, max|r_x| / gamma) as numpy forms them, as Python
+    # floats, for any r apply can leave: finite or +-inf, ties and -0.0
+    # included, and no s-part at all (m == 0).
+    r = np.array(x_part + s_part)
+    n, m = len(x_part), len(s_part)
+    op = types.SimpleNamespace(problem=types.SimpleNamespace(n=n, m=m), gamma=gamma)
+    out = conic._trace_norms(op, types.SimpleNamespace(r=r))
+    with np.errstate(over="ignore"):  # a large max over a small gamma is inf, as in Python
+        expected = (np.abs(r[n:]).max(initial=0.0), np.abs(r[:n]).max() / gamma)
+    assert [type(col) for col in out] == [float, float]
+    assert struct.pack("<2d", *out) == struct.pack("<2d", *expected)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -5.0, np.nan, np.inf, -np.inf, "2", True, None])

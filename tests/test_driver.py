@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fpaccel import accel, conic
+from fpaccel import accel, conic, driver
 from fpaccel.conic import DrsOperator, solve
 from fpaccel.driver import (
     Driver,
@@ -751,6 +752,43 @@ def test_time_cap_status():
     cfg = DriverConfig(eps=1e-16, max_iter=10**6, check_interval=100, time_cap=0.05)
     rec = run_vanilla(op, rng.standard_normal(6), cfg, residual_hook(0.0))
     assert rec.status == "time_limit"
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "safeguarded"])
+def test_time_cap_ends_at_the_first_step_past_it(monkeypatch, mode):
+    a, b, rng = contraction(14, 6, radius=0.9999)
+    v0 = rng.standard_normal(6)
+    cfg = DriverConfig(eps=1e-16, max_iter=200, check_interval=7, mode=mode)
+
+    def solve_with(time_cap):
+        return run(AffineTestOperator(a, b), v0, replace(cfg, time_cap=time_cap),
+                   residual_hook(0.0))
+
+    def untimed(entries):
+        return [replace(e, elapsed=0.0, accel_seconds=0.0) for e in entries]
+
+    # A cap the run never reaches leaves the trace as the uncapped run's.
+    uncapped, never = solve_with(None), solve_with(1e9)
+    assert never.status == uncapped.status != "time_limit"
+    assert untimed(never.entries) == untimed(uncapped.entries)
+
+    # The driver module's clock, replaced by one that advances 0.25 s per
+    # read: the capped run reads it exactly as the uncapped one, so its trace
+    # is the uncapped trace, timings included, up to the first step whose
+    # elapsed passes the cap, and stops there.
+    def fake_clock():
+        clock = itertools.count(0.0, 0.25)
+        monkeypatch.setattr(driver, "perf_counter", lambda: next(clock))
+
+    fake_clock()
+    entries = solve_with(None).entries
+    cap = entries[9].elapsed + 0.1  # between step 10's clock read and the next one
+    last = next(i for i, e in enumerate(entries) if e.elapsed > cap)
+    fake_clock()
+    capped = solve_with(cap)
+    assert capped.status == "time_limit" and capped.iterations == last + 1
+    assert capped.entries == entries[: last + 1]
+
 
 
 @pytest.mark.parametrize("mode, tau", [("safeguarded", 0.2), ("strict", 0.5)])

@@ -14,6 +14,7 @@ and edits nothing in either checkout.
 
 For each end-to-end metric that ``BENCHMARK.json`` in CHANGE lists, it prints
 each side's median and quartiles, the parent's interquartile range, the
+change's median relative to the parent's (``relative_change``, in percent), the
 change's wins (ties count for neither side) and whether the claim rule holds:
 the change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the parent's interquartile range.
@@ -75,6 +76,11 @@ def compare(parent, change, better: str = "lower") -> dict:
     }
 
 
+def percent(ratio: float | None) -> str:
+    """A relative change as a signed percentage; ``n/a`` when there is none (a parent median of 0)."""
+    return "n/a" if ratio is None else f"{100 * ratio:+.1f}%"
+
+
 def end_to_end(checkout: Path) -> list[tuple[str, str]]:
     """(name, better) of each end-to-end metric the checkout's benchmark declares."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -132,7 +138,7 @@ def main(argv=None) -> int:
     summary = {}
     print(f"{args.workload}@{args.seed}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<18} {'parent median [q1, q3]':>37} {'change median [q1, q3]':>37} "
-          f"{'parent IQR':>10} {'wins':>5}  claim")
+          f"{'parent IQR':>10} {'change':>8} {'wins':>5}  claim")
     for name, better in metrics:
         if not all(name in p[s]["metrics"] for p in pairs for s in sides):
             continue
@@ -142,7 +148,8 @@ def main(argv=None) -> int:
         pq, cq = row["parent_quartiles"], row["change_quartiles"]
         print(f"{name:<18} {row['parent_median']:>11.5g} [{pq[0]:>10.5g}, {pq[1]:>10.5g}]"
               f" {row['change_median']:>11.5g} [{cq[0]:>10.5g}, {cq[1]:>10.5g}]"
-              f" {row['parent_iqr']:>10.3g} {row['change_wins']:>2}/{row['pairs']:<2}"
+              f" {row['parent_iqr']:>10.3g} {percent(row['relative_change']):>8}"
+              f" {row['change_wins']:>2}/{row['pairs']:<2}"
               f"  {'holds' if row['claim_holds'] else 'no'}")
 
     if args.json is not None:
