@@ -767,20 +767,20 @@ def test_solve_counts_every_loop_evaluation(mode):
 
 @pytest.mark.parametrize("kind, params", [("InfeasibleQP", {}), ("UnboundedQP", {"scale": 1e8})],
                          ids=["InfeasibleQP", "UnboundedQP-1e8"])
-def test_strict_reaches_the_status_of_vanilla_within_the_bound(kind, params):
-    # An accelerated solve must reach vanilla's status (a certificate, or
-    # convergence at UnboundedQP seed 4) within max(2000, 3 x vanilla's
-    # iterations).  Strict with tau = 0.9 meets this at every seed; the
-    # safeguarded mode does not yet (see ROADMAP item 1).
+def test_accelerated_reaches_the_status_of_vanilla_within_the_bound(kind, params):
+    # Each accelerated mode, at the default tau, must reach vanilla's status
+    # (a certificate, or convergence at UnboundedQP seed 4) within
+    # max(2000, 3 x vanilla's iterations).
     missed = []
     for seed in range(1, 9):
         prob = generate(kind, seed=seed, **params)
         vanilla = solve(prob, "vanilla", max_iter=20000)
         assert vanilla.status != "max_iter"
         bound = max(2000, 3 * vanilla.record.iterations)
-        strict = solve(prob, "strict", tau=0.9, max_iter=bound)
-        if strict.status != vanilla.status:
-            missed.append((seed, vanilla.status, strict.status, strict.record.iterations))
+        for mode in ("safeguarded", "unsafe"):
+            sol = solve(prob, mode, max_iter=bound)
+            if sol.status != vanilla.status:
+                missed.append((mode, seed, vanilla.status, sol.status, sol.record.iterations))
     assert missed == []
 
 
