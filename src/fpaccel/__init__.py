@@ -15,7 +15,6 @@ from .driver import (
     run,
     run_unsafe,
     run_vanilla,
-    safeguard,
 )
 from .operators import AffineTestOperator, FixedPointOperator
 from .problems import generate, load_problem, save_problem
@@ -43,7 +42,6 @@ __all__ = [
     "run_benchmark",
     "run_unsafe",
     "run_vanilla",
-    "safeguard",
     "save_problem",
     "shifted_gmean",
     "smat",

@@ -9,7 +9,14 @@ operator changes, or when a new residual difference is rank-deficient.
 
 The memory also decides whether to extrapolate at all: ``propose`` returns
 no candidate while the history is too short, when the least-squares solve
-is singular, or when the coefficients fail the norm guard.
+is singular, when the coefficients fail the norm guard, or while it pauses:
+``PAUSE_STEPS`` observations have passed without ||r|| falling below
+``PAUSE_DROP`` times its best since the last epoch change (a full-memory or
+rank-deficient restart keeps the best).  A paused memory still pushes pairs
+and restarts, and a new best ends the pause.  On a problem with no fixed
+point, its plain steps hand the infeasibility checks the pure iteration
+differences their certificates read, which accepted extrapolations that no
+longer lower ||r|| would hide.
 
 The per-iteration products call BLAS directly, as in linalg.py: F is stored
 column-major, so its leading block is the Fortran-contiguous matrix f2py
@@ -32,6 +39,9 @@ from scipy.linalg.blas import ddot, dgemv
 
 from .linalg import ColumnRankDeficient, QrState, SingularTriangular, qr_append_column, qr_solve_ls
 
+PAUSE_STEPS = 60  # observations without a new best ||r|| after which the memory pauses
+PAUSE_DROP = 0.9  # a new best ||r|| is below PAUSE_DROP times the old one
+
 
 class AccelMemory:
     """QR factors of the residual differences R plus the F = V - R buffer.
@@ -46,6 +56,8 @@ class AccelMemory:
         self.m_max = m_max
         self.epoch = epoch
         self._anchor = None  # (v, r) of the previous observed iterate
+        self._best = math.inf  # the best ||r|| since the last epoch change
+        self._stalled = 0  # observations since that best was set
         self._f = np.zeros((dim, m_max), order="F")
 
     @property
@@ -61,12 +73,13 @@ class AccelMemory:
         """The stored columns of F = V - R, one per pushed pair."""
         return self._f[:, : self.qr.ncols]
 
-    def propose(self, v, r, f, epoch: int, eta_max: float) -> np.ndarray | None:
-        """``observe`` iterate v (residual r, operator value f), then return its
-        accelerated point, or None: with fewer than two stored pairs (j <= 2),
-        a singular least-squares solve, or ||eta|| above ``eta_max``.
+    def propose(self, v, r, f, epoch: int, eta_max: float, r_norm: float) -> np.ndarray | None:
+        """``observe`` iterate v (residual r of norm ``r_norm``, operator value
+        f) and count it toward the ``pause``, then return its accelerated
+        point, or None: while paused, with fewer than two stored pairs
+        (j <= 2), a singular least-squares solve, or ||eta|| above ``eta_max``.
         """
-        if self.observe(v, r, epoch).qr.ncols < 2:
+        if self.observe(v, r, epoch).pause(r_norm) or self.qr.ncols < 2:
             return None
         try:
             eta = self.compute_eta(r)
@@ -88,6 +101,7 @@ class AccelMemory:
         made it.
         """
         if epoch != self.epoch:
+            self._best = math.inf  # a new operator rescales r; ``pause`` sets the new best
             return self.restart(epoch)
         if self.qr.ncols == self.m_max:
             self.restart()
@@ -98,6 +112,17 @@ class AccelMemory:
                 return self.restart()
         self._anchor = (v, r)
         return self
+
+    def pause(self, r_norm: float) -> bool:
+        """Count one observed iterate of residual norm ``r_norm`` and say
+        whether the memory pauses: ``PAUSE_STEPS`` observations have passed
+        since one set a new best, a norm below ``PAUSE_DROP`` times the
+        best before it."""
+        if r_norm < PAUSE_DROP * self._best:
+            self._best, self._stalled = r_norm, 0
+        else:
+            self._stalled += 1
+        return self._stalled >= PAUSE_STEPS
 
     def push_pair(self, dv: np.ndarray, dr: np.ndarray) -> "AccelMemory":
         """Append one (delta v, delta r) pair.

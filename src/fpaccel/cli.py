@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--generate", help="generator specs kind:params:seed[,...]")
     run_p.add_argument(
         "--configs", default=",".join(bench.CONFIGS),
-        help=f"comma-separated driver modes, any of {','.join(MODES)}; strict needs --tau < 1",
+        help=f"comma-separated driver modes, any of {','.join(MODES)}",
     )
     run_p.add_argument("--eps", type=float, default=cfg.eps)
     run_p.add_argument("--tau", type=float, default=cfg.tau)

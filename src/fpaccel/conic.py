@@ -461,10 +461,9 @@ def solve(
     """Solve a conic QP in any driver mode.
 
     ``mode`` selects vanilla (plain splitting iterations), unsafe
-    (acceleration without the residual safeguard), safeguarded acceleration
-    or strict safeguarding (which needs ``tau < 1``); ``settings`` are
-    ``DriverConfig`` fields by name.  ``solve_config`` checks them all.
-    Termination tests the absolute infinity-norm primal and dual residuals
+    (acceleration without the residual safeguard) or safeguarded
+    acceleration; ``settings`` are ``DriverConfig`` fields by name.
+    ``solve_config`` checks them all.  Termination tests the absolute infinity-norm primal and dual residuals
     against ``eps`` every ``check_interval`` iterations and at every
     iteration whose trace columns (below) are both within ``eps``, so a
     solve stops at the first tested iteration that passes.  An

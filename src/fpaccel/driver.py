@@ -2,11 +2,10 @@
 
 One ``Driver`` instance runs one solve, in the configuration named by
 ``DriverConfig.mode``: ``vanilla`` (plain operator iteration, no history),
-``unsafe`` (acceleration without the residual safeguard), ``safeguarded``
-(the relaxed residual test against the previous iterate's residual) or
-``strict`` (a contraction test against the current iterate's residual).
-Both references are norms the state already holds, so a candidate costs
-one evaluation in either mode.  ``run`` is the single entry point.
+``unsafe`` (acceleration without the residual safeguard) or ``safeguarded``
+(a candidate is accepted when its residual norm is within ``tau`` times the
+previous iterate's).  The reference is a norm the state already holds, so a
+candidate costs one evaluation.  ``run`` is the single entry point.
 Each iteration, in order:
 
 1. run the scheduled operator update (``Hooks.operator_update``) when
@@ -16,8 +15,9 @@ Each iteration, in order:
 2. ask the memory for a candidate (``AccelMemory.propose``): it takes in
    the current iterate, pushing the (delta v, delta r) pair formed against
    the previous one or restarting, and returns the accelerated point when
-   its history, coefficient solve and coefficient-norm guard allow one;
-3. evaluate the operator at the candidate and run the configured safeguard;
+   its history, coefficient solve and coefficient-norm guard allow one
+   and it does not pause (see ``accel``);
+3. evaluate the operator at the candidate and, when safeguarded, test it;
    on success adopt the candidate together with its already-computed
    operator value, otherwise take a plain operator step;
 4. run the scheduled infeasibility hook at the first checkpoint: a step in
@@ -90,17 +90,7 @@ TIME_LIMIT = "time_limit"
 VANILLA = "vanilla"
 UNSAFE = "unsafe"
 SAFEGUARDED = "safeguarded"
-STRICT = "strict"
-MODES = (VANILLA, UNSAFE, SAFEGUARDED, STRICT)
-
-
-def safeguard(r_acc_norm: float, r_ref_norm: float, tau: float) -> bool:
-    """Accept when the candidate residual is within tau times the reference one.
-
-    The relaxed test's reference is the previous iterate's residual norm; the
-    strict test's is the current iterate's, with tau < 1.
-    """
-    return r_acc_norm <= tau * r_ref_norm
+MODES = (VANILLA, UNSAFE, SAFEGUARDED)
 
 
 def positive_finite(name: str, value) -> float:
@@ -155,8 +145,6 @@ class DriverConfig:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not self.tau <= 2.0:
             raise ValueError("tau must lie in (0, 2]")
-        if self.mode == STRICT and not self.tau < 1.0:
-            raise ValueError("strict safeguarding needs tau in (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -292,16 +280,13 @@ class Driver:
         j_decision = 1
         if mem is not None:
             t0 = perf_counter()
-            v_acc = mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max)
+            v_acc = mem.propose(st.v, st.r, st.f, op.epoch, cfg.eta_max, st.r_norm)
             accel_t = perf_counter() - t0
             j_decision = mem.j
 
             if v_acc is not None:
                 candidate = self._evaluate(v_acc)
-                # A candidate exists only under the operator that gave st.f,
-                # so st.r_norm is the current iterate's residual norm.
-                r_ref_norm = st.r_norm if cfg.mode == STRICT else st.r_prev_norm
-                if cfg.mode == UNSAFE or safeguard(candidate[3], r_ref_norm, cfg.tau):
+                if cfg.mode == UNSAFE or candidate[3] <= cfg.tau * st.r_prev_norm:
                     accepted = True
                     new = candidate
                 else:

@@ -2,12 +2,12 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg.blas import dgemv
 
-from fpaccel.accel import AccelMemory, eta_guard
+from fpaccel.accel import PAUSE_DROP, PAUSE_STEPS, AccelMemory, eta_guard
 from fpaccel.driver import DriverConfig, Hooks, run_unsafe
 from fpaccel.linalg import ColumnRankDeficient, SingularTriangular
 from fpaccel.operators import AffineTestOperator
@@ -215,10 +215,11 @@ def test_memory_rejects_bad_sizes():
             AccelMemory(dim, m_max)
 
 
-def manual_step(mem, v, r, f, epoch, eta_max):
-    """observe, then the j > 2 test, coefficient solve, guard and candidate."""
+def manual_step(mem, v, r, f, epoch, eta_max, r_norm):
+    """observe and pause, then the j > 2 test, coefficient solve, guard and
+    candidate."""
     mem.observe(v, r, epoch)
-    if mem.j <= 2:
+    if mem.pause(r_norm) or mem.j <= 2:
         return None
     try:
         eta = mem.compute_eta(r)
@@ -246,9 +247,9 @@ def iterates(seed, n, count):
 def test_propose_needs_two_stored_pairs():
     mem = AccelMemory(6, 5)
     steps = iterates(12, 6, 3)
-    assert mem.propose(*steps[0], 0, 1e4) is None and mem.j == 1
-    assert mem.propose(*steps[1], 0, 1e4) is None and mem.j == 2
-    v_acc = mem.propose(*steps[2], 0, 1e4)
+    assert mem.propose(*steps[0], 0, 1e4, 1.0) is None and mem.j == 1
+    assert mem.propose(*steps[1], 0, 1e4, 1.0) is None and mem.j == 2
+    v_acc = mem.propose(*steps[2], 0, 1e4, 1.0)
     assert mem.j == 3 and v_acc is not None and v_acc.shape == (6,)
 
 
@@ -258,9 +259,9 @@ def test_propose_none_on_singular_solve():
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
     mem = AccelMemory(3, 4)
     r2 = np.array([2.0, 1e-13, 0.0])
-    assert mem.propose(np.zeros(3), np.zeros(3), np.ones(3), 0, 1e4) is None
-    assert mem.propose(e1, e1, np.ones(3), 0, 1e4) is None
-    assert mem.propose(e2, r2, np.ones(3), 0, 1e4) is None
+    assert mem.propose(np.zeros(3), np.zeros(3), np.ones(3), 0, 1e4, 1.0) is None
+    assert mem.propose(e1, e1, np.ones(3), 0, 1e4, 1.0) is None
+    assert mem.propose(e2, r2, np.ones(3), 0, 1e4, 1.0) is None
     assert mem.j == 3  # both pairs were stored; only the solve refused
     with pytest.raises(SingularTriangular):
         mem.compute_eta(r2)
@@ -274,29 +275,113 @@ def test_propose_none_when_guard_trips():
     eta_norm = float(np.linalg.norm(probe.compute_eta(steps[-1][1])))
     for eta_max, passes in ((eta_norm, True), (np.nextafter(eta_norm, 0.0), False)):
         mem = AccelMemory(6, 5)
-        out = [mem.propose(*step, 0, eta_max) for step in steps]
+        out = [mem.propose(*step, 0, eta_max, 1.0) for step in steps]
         assert out[:2] == [None, None] and (out[2] is not None) == passes
         assert mem.j == 3
 
 
 @pytest.mark.parametrize("eta_max", [1e4, 3.0])
 def test_propose_equals_the_manual_sequence(eta_max):
-    # Full memories (m_max = 3), an epoch change and, at eta_max = 3, guard
+    # Full memories (m_max = 3), an epoch change, a pause from step
+    # 17 + PAUSE_STEPS on (||r|| is held at 1) and, at eta_max = 3, guard
     # trips: propose gives the bytes and the state of the step by step calls
     # it is composed of, so a second, forked copy of the step cannot drift.
-    steps = iterates(14, 8, 40)
+    steps = iterates(14, 8, 17 + PAUSE_STEPS + 10)
     got, want = AccelMemory(8, 3), AccelMemory(8, 3)
     proposed = 0
     for i, (v, r, f) in enumerate(steps):
         epoch = int(i >= 17)
-        a = got.propose(v, r, f, epoch, eta_max)
-        b = manual_step(want, v, r, f, epoch, eta_max)
+        a = got.propose(v, r, f, epoch, eta_max, 1.0)
+        b = manual_step(want, v, r, f, epoch, eta_max, 1.0)
         assert (a is None) == (b is None) and got.j == want.j and got.epoch == want.epoch
         if a is not None:
             proposed += 1
-            assert a.tobytes() == b.tobytes()
+            assert i < 17 + PAUSE_STEPS and a.tobytes() == b.tobytes()
         assert got.f_diffs.tobytes() == want.f_diffs.tobytes()
     assert 0 < proposed < len(steps)
+
+
+def pause_states(mem, norms, epochs=None, collinear=()):
+    """Drive ``mem`` through ``propose`` over random iterates observed at the
+    residual norms ``norms``: per step "short" (None at j <= 2), "paused"
+    (None at j > 2: the coefficients of random iterates pass a 1e300 guard)
+    or "candidate".  ``epochs`` gives each step's operator epoch (0 by
+    default).  A step in ``collinear`` whose memory holds a pair and has room
+    for another gets a residual difference twice the last one: the pair is
+    rank-deficient, the memory restarts, and the step's state is "rank"."""
+    rng = np.random.default_rng(len(norms))
+    rs, states = [], []
+    for i, r_norm in enumerate(norms):
+        v, r = rng.standard_normal(mem.dim), rng.standard_normal(mem.dim)
+        rank = i in collinear and 0 < mem.ncols < mem.m_max
+        if rank:
+            r = rs[-1] + 2.0 * (rs[-1] - rs[-2])
+        rs.append(r)
+        out = mem.propose(v, r, v - r, 0 if epochs is None else epochs[i], 1e300, r_norm)
+        if rank:
+            assert out is None and mem.j == 1
+            states.append("rank")
+        else:
+            states.append("short" if mem.j <= 2 else "paused" if out is None else "candidate")
+    return states
+
+
+def test_memory_pauses_after_pause_steps_without_a_new_best():
+    # At a flat ||r||, the first observation sets the best and the
+    # PAUSE_STEPS-th after it pauses the memory: no candidate, while j keeps
+    # counting, the pairs are pushed and full memories restart (m_max = 4)
+    # exactly as in a memory whose ||r|| keeps falling.
+    count = PAUSE_STEPS + 15
+    flat, falling = AccelMemory(6, 4), AccelMemory(6, 4)
+    flat_states = pause_states(flat, [1.0] * count)
+    falling_states = pause_states(falling, [0.5**i for i in range(count)])
+    assert "paused" not in falling_states
+    assert flat_states[:PAUSE_STEPS] == falling_states[:PAUSE_STEPS]
+    assert "candidate" not in flat_states[PAUSE_STEPS:]
+    assert {"paused", "short"} == set(flat_states[PAUSE_STEPS:])
+    assert flat.j == falling.j and flat.f_diffs.tobytes() == falling.f_diffs.tobytes()
+
+
+def test_a_new_best_ends_the_pause():
+    # Paused at best 1; PAUSE_DROP x 1 itself is no new best, the next float
+    # below it is, and proposals resume until PAUSE_STEPS more observations
+    # pass without another.
+    drop = np.nextafter(PAUSE_DROP, 0.0)
+    norms = [1.0] * (PAUSE_STEPS + 5) + [PAUSE_DROP] * 5 + [drop] * (PAUSE_STEPS + 5)
+    states = pause_states(AccelMemory(6, 4), norms)
+    resume = PAUSE_STEPS + 10
+    assert "candidate" not in states[PAUSE_STEPS:resume]
+    assert "paused" not in states[resume:resume + PAUSE_STEPS]
+    assert "candidate" in states[resume:resume + PAUSE_STEPS]
+    assert "candidate" not in states[resume + PAUSE_STEPS:]
+    assert "paused" in states[resume + PAUSE_STEPS:]
+
+
+def test_an_epoch_change_resets_the_best_to_the_new_iterates_norm():
+    # Paused at best 1, then a new epoch at ||r|| = 5, which is no new best
+    # against 1: the reset makes it the best, so proposals resume after the
+    # restart's plain steps and pause again PAUSE_STEPS observations later.
+    change = PAUSE_STEPS + 5
+    norms = [1.0] * change + [5.0] * (PAUSE_STEPS + 5)
+    epochs = [0] * change + [1] * (PAUSE_STEPS + 5)
+    states = pause_states(AccelMemory(6, 4), norms, epochs)
+    assert "candidate" not in states[PAUSE_STEPS:change]
+    assert states[change:change + 3] == ["short"] * 3
+    assert "paused" not in states[change:change + PAUSE_STEPS]
+    assert "candidate" not in states[change + PAUSE_STEPS:]
+    assert "paused" in states[change + PAUSE_STEPS:]
+
+
+def test_full_and_rank_deficient_restarts_keep_the_pause():
+    # Neither restart is an epoch change, so neither resets the best: a
+    # paused memory with m_max = 3 goes on restarting on full memories and
+    # on rank-deficient pairs, and stays paused.
+    count = PAUSE_STEPS + 30
+    collinear = range(PAUSE_STEPS + 5, PAUSE_STEPS + 15)
+    states = pause_states(AccelMemory(6, 3), [1.0] * count, collinear=collinear)
+    assert "candidate" in states[:PAUSE_STEPS]
+    assert "candidate" not in states[PAUSE_STEPS:]
+    assert states.count("rank") >= 2 and states[PAUSE_STEPS + 15:].count("paused") >= 5
 
 
 STEP_KINDS = ("fresh", "fresh", "repeat", "scaled", "near_singular", "nan", "inf", "epoch",
@@ -411,22 +496,28 @@ def step_reasons(mem, v, r, f, epoch, eta_max):
 
 
 def test_propose_equals_the_manual_sequence_on_generated_steps():
-    # propose against the calls it is composed of (observe, compute_eta,
-    # eta_guard and candidate), so that a forked copy of the step must match:
-    # the same output bytes, the same state after every call, and a
-    # non-finite residual or a wrong shape raises ValueError from both at the
-    # same call.  A third memory names the branches the sequences reach.
+    # propose against the calls it is composed of (observe, pause,
+    # compute_eta, eta_guard and candidate), so that a forked copy of the step
+    # must match: the same output bytes, the same state after every call, and
+    # a non-finite residual or a wrong shape raises ValueError from both at
+    # the same call.  A third memory names the branches the sequences reach.
     seen = set()
+
+    # test_propose_none_on_singular_solve's steps: a pivot ratio below the solve's
+    e1, e2, ones = np.eye(3)[0], np.eye(3)[1], np.ones(3)
+    singular = [(np.zeros(3), np.zeros(3), ones, 0, "wide"), (e1, e1, ones, 0, "wide"),
+                (e2, np.array([2.0, 1e-13, 0.0]), ones, 0, "wide")]
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(step_sequences())
+    @example((3, 4, singular))
     def check(case):
         n, m_max, steps = case
         got, want, probe = (AccelMemory(n, m_max) for _ in range(3))
         for v, r, f, epoch, guard in steps:
             eta_max = eta_max_for(want, v, r, epoch, guard)
-            a = outcome(got.propose, v, r, f, epoch, eta_max)
-            b = outcome(manual_step, want, v, r, f, epoch, eta_max)
+            a = outcome(got.propose, v, r, f, epoch, eta_max, 1.0)
+            b = outcome(manual_step, want, v, r, f, epoch, eta_max, 1.0)
             assert a == b
             assert state_bytes(got) == state_bytes(want)
             seen.update(step_reasons(probe, v, r, f, epoch, eta_max))

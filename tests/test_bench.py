@@ -542,10 +542,12 @@ def test_solve_arguments_that_are_not_settings_fail_before_any_solve(monkeypatch
 
 
 def test_strict_at_the_default_tau_fails_before_any_solve(monkeypatch):
+    # The strict mode is gone; at this or any tau it is an unknown mode.
     calls = []
     monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
-    with pytest.raises(ValueError, match="strict safeguarding needs tau"):
-        run_benchmark(small_suite(1), ["safeguarded", "strict"])
+    for tau in ({}, {"tau": 0.9}):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_benchmark(small_suite(1), ["safeguarded", "strict"], **tau)
     assert calls == []
 
 
@@ -557,24 +559,14 @@ def test_run_benchmark_rejects_a_repeated_configuration(monkeypatch):
     assert calls == []
 
 
-def test_run_benchmark_runs_strict_below_tau_one():
-    summary = run_benchmark(small_suite(2), ["safeguarded", "strict"], tau=0.9)
-    assert [r.config for r in summary.rows] == ["safeguarded", "strict"] * 2
-    assert all(r.status == "converged" for r in summary.rows)
-    for r in summary.rows:
-        rec = r.record
-        assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
-        assert rec.strict_checks == 0
-
-
 def test_solve_config_has_the_defaults_of_solve():
     solve_params = inspect.signature(solve).parameters
     for name, param in inspect.signature(solve_config).parameters.items():
         if param.kind is not param.VAR_KEYWORD:
             assert param.default == solve_params[name].default, name
     assert solve_config() == DriverConfig()
-    assert solve_config("strict", tau=0.5, eps=1e-8) == DriverConfig(
-        mode="strict", tau=0.5, eps=1e-8
+    assert solve_config("unsafe", tau=0.5, eps=1e-8) == DriverConfig(
+        mode="unsafe", tau=0.5, eps=1e-8
     )
 
 
@@ -707,17 +699,16 @@ def test_cli_no_adapt_freezes_the_step_size(tmp_path):
     assert frozen and set(frozen) == {0}
 
 
-def test_cli_runs_strict_and_reconciles_its_evaluations(tmp_path):
+def test_cli_refuses_strict_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
     out_dir = tmp_path / "results"
     argv = ["run", "--generate", "RandomQP:n=10;m=20:1-2", "--configs", "safeguarded,strict",
             "--tau", "0.9", "--out-dir", str(out_dir)]
-    assert cli.main(argv) == 0
-    with open(out_dir / "summary.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["config"] for r in rows] == ["safeguarded", "strict"] * 2
-    for r in rows:
-        counts = {k: int(r[k]) for k in ("iterations", "operator_evals", "rejected_candidates")}
-        assert counts["operator_evals"] == counts["iterations"] + counts["rejected_candidates"]
+    assert cli.main(argv) == 1
+    assert "mode must be one of" in capsys.readouterr().err
+    assert not (out_dir / "summary.csv").exists()
+    assert calls == []
 
 
 def test_cli_generate_spec_parsing():
@@ -877,9 +868,9 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
     qps = [(f"qp@{seed}", generate("RandomQP", n=6, m=12, seed=seed)) for seed in (1, 2)]
     families = [("RandomQP", qps), ("InfeasibleLP", [("lp@1", generate("InfeasibleLP", seed=1))])]
     grid = [dict(gamma=g, tau=0.9, m_max=m, eta_max=1e4) for g in (1e-2, 1e2) for m in (3, 5)]
-    rows = tool.sweep(families, ["strict"], grid, max_iter=500)
+    rows = tool.sweep(families, ["safeguarded"], grid, max_iter=500)
     assert [(r.family, r.mode) for r in rows[:2]] == [("RandomQP", "vanilla"),
-                                                      ("RandomQP", "strict")]
+                                                      ("RandomQP", "safeguarded")]
     assert len(rows) == 2 * len(grid) * 2
     for row in rows:
         problems = dict(families)[row.family]
@@ -901,6 +892,21 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
         assert (row.in_bound, row.open) == (sum(met), sum(unjudged))
     assert any(row.gamma_changes for row in rows) and any(row.rejections for row in rows)
 
+    # one total row per mode sums that mode's rows over every family and setting
+    totals = tool.totals(rows)
+    assert [(t.family, t.setting, t.mode) for t in totals] == [("total", {}, "vanilla"),
+                                                              ("total", {}, "safeguarded")]
+    for total in totals:
+        mine = [row for row in rows if row.mode == total.mode]
+        assert total.statuses == sum((row.statuses for row in mine), Counter())
+        assert total.iterations == [n for row in mine for n in row.iterations]
+        assert total.evaluations == [n for row in mine for n in row.evaluations]
+        assert total.rejections == sum(row.rejections for row in mine)
+        assert total.gamma_changes == sum(row.gamma_changes for row in mine)
+    assert totals[0].in_bound is None
+    assert (totals[1].in_bound, totals[1].open) == (
+        sum(row.in_bound for row in rows[1::2]), sum(row.open for row in rows[1::2]))
+
     # met at the bound, later than it, unjudged below it, vanilla's own
     # max_iter, another status, a solve that raised, stopped at the bound
     vanilla = [("converged", 100), ("primal_infeasible", 1000), ("converged", 700),
@@ -915,13 +921,16 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
     spec = ["--generate", "RandomQP:n=6;m=12:1-2", "--gamma", "1e-2,1e2"]
     assert tool.main(spec) == 0
     table = capsys.readouterr().out.splitlines()
-    assert len(table) == 1 + 2 * 2 and "iters sum/med" in table[0]
-    assert all("converged=2" in line for line in table[1:])
+    assert len(table) == 1 + 2 * 2 + 2 and "iters sum/med" in table[0]
+    assert all("converged=2" in line for line in table[1:5])
     assert table[0].endswith("in bound")
-    assert [line.split()[-1] for line in table[1:]] == ["-", "2/2"] * 2
+    assert [line.split()[-1] for line in table[1:5]] == ["-", "2/2"] * 2
+    assert [line.split()[:6] for line in table[5:]] == [
+        ["total", "-", "-", "-", "-", mode] for mode in ("vanilla", "safeguarded")]
+    assert "converged=4" in table[6] and table[6].endswith("4/4")
     open_row = tool.Row("F", grid[0], "unsafe", outcomes=[("max_iter", 500)] * 3, in_bound=1, open=2)
     assert tool.format_table([open_row]).splitlines()[1].endswith("1/3 (2 open)")
-    assert tool.main(spec + ["--modes", "strict"]) == 2  # strict at the default tau = 1
+    assert tool.main(spec + ["--modes", "turbo"]) == 2  # an unknown mode
 
     def miscounted(*args, **kwargs):
         summary = run_benchmark(*args, **kwargs)

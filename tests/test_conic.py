@@ -664,7 +664,7 @@ def test_non_finite_first_evaluation_ends_diverged():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded"])
 def test_non_finite_start_at_a_psd_block_ends_diverged(mode, bad):
     # The eigensolver of the PSD projection does not converge on a non-finite
     # matrix; the projection returns a non-finite block, so the first operator
@@ -673,7 +673,7 @@ def test_non_finite_start_at_a_psd_block_ends_diverged(mode, bad):
     for index in (0, prob.n):  # one entry in the x-part, one in the s-part
         v0 = np.zeros(prob.n + prob.m)
         v0[index] = bad
-        sol = solve(prob, mode, v0=v0, tau=0.9 if mode == "strict" else 2.0)
+        sol = solve(prob, mode, v0=v0)
         assert sol.status == "diverged" and sol.record.iterations == 0
 
 
@@ -747,19 +747,18 @@ def test_bad_eps_infeas_is_rejected(eps_infeas):
         solve(tiny_qp(), eps_infeas=eps_infeas)
 
 
-def test_solve_runs_strict_mode():
-    rec = solve(tiny_qp(), "strict", tau=0.5).record
-    assert rec.status == "converged" and any(e.accepted for e in rec.entries)
-    assert rec.strict_checks == 0
-    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
+@pytest.mark.parametrize("mode", ["strict", "turbo"])
+def test_solve_refuses_an_unknown_mode(monkeypatch, mode):
+    # The strict mode is gone: the safeguarded memory's pause meets its bound.
+    monkeypatch.setattr(conic, "DrsOperator", None)  # a solve would call it
     with pytest.raises(ValueError, match="mode must be one of"):
-        solve(tiny_qp(), "turbo")
+        solve(tiny_qp(), mode, tau=0.5)
 
 
-@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded"])
 def test_solve_counts_every_loop_evaluation(mode):
     prob = generate("RandomQP", n=20, m=40, seed=9)
-    rec = solve(prob, mode, tau=0.5 if mode == "strict" else 2.0).record
+    rec = solve(prob, mode).record
     assert rec.status == "converged"
     assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
     assert rec.strict_checks == 0

@@ -18,7 +18,6 @@ from fpaccel.driver import (
     run,
     run_unsafe,
     run_vanilla,
-    safeguard,
 )
 from fpaccel.linalg import ColumnRankDeficient
 from fpaccel.operators import AffineTestOperator, FixedPointOperator
@@ -79,30 +78,51 @@ def residual_hook(tol):
 # -- safeguard predicates ------------------------------------------------------
 
 
+class ResidualScriptOperator(FixedPointOperator):
+    """F(v) = v - r_i at the i-th evaluation, which leaves the residual r_i
+    exactly wherever v is zero or r_i is."""
+
+    def __init__(self, residuals):
+        super().__init__(len(residuals[0]))
+        self.residuals = [np.asarray(r, dtype=float) for r in residuals]
+        self.calls = 0
+
+    def _apply(self, v):
+        self.calls += 1
+        return v - self.residuals[self.calls - 1]
+
+
 def test_safeguard_relaxed_values():
-    # reference: the previous residual norm, tau up to 2
-    assert safeguard(1.0, 0.6, 2.0)  # 1.0 <= 1.2
-    assert safeguard(1.2, 0.6, 2.0)  # the bound itself is accepted
-    assert not safeguard(1.3, 0.6, 2.0)
-
-
-def test_safeguard_strict_values():
-    # reference: a fresh residual norm at the current point, tau < 1
-    assert safeguard(0.4, 0.5, 0.9)
-    assert not safeguard(0.5, 0.5, 0.9)
-    assert safeguard(0.0, 123.4, 0.3)
+    # The third step's candidate is accepted when its ||r|| is within tau = 2
+    # times the previous iterate's ||r|| (0.6, the first step's), the bound
+    # itself included; the current iterate's (0.5) is not the reference.
+    # Each residual lies on an axis where the point it is formed at is zero
+    # (the candidate's too: no iterate or residual before it has an e4
+    # part), so every norm is exact.
+    e1, e2, e3, e4 = np.eye(4)
+    for r_acc, accepted in ((1.0, True), (1.2, True), (np.nextafter(1.2, 2.0), False)):
+        script = [e1, 0.6 * e2, 0.5 * e3, r_acc * e4, e2]
+        rec = run(ResidualScriptOperator(script), np.zeros(4), DriverConfig(max_iter=3),
+                  Hooks(converged=lambda st, _o: False))
+        assert [e.r_norm for e in rec.entries[:2]] == [0.6, 0.5]
+        assert rec.entries[2].j == 3 and rec.entries[2].accepted == accepted
+        assert rec.entries[2].r_norm == (r_acc if accepted else 1.0)
+        assert rec.rejected_candidates == (not accepted)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         DriverConfig(tau=2.5)
-    with pytest.raises(ValueError):
-        DriverConfig(tau=1.5, mode="strict")
+    with pytest.raises(ValueError, match="tau must lie in"):
+        DriverConfig(tau=np.nextafter(2.0, 3.0))
+    assert DriverConfig(tau=2.0).tau == 2.0 and DriverConfig(tau=0.5).tau == 0.5
+    with pytest.raises(ValueError, match="mode must be one of"):
+        DriverConfig(tau=0.5, mode="strict")  # the strict mode is gone
+    assert driver.MODES == ("vanilla", "unsafe", "safeguarded")
     with pytest.raises(ValueError):
         DriverConfig(m_max=1)
     with pytest.raises(ValueError):
         DriverConfig(eps=0.0)
-    DriverConfig(tau=0.5, mode="strict")
     with pytest.raises(TypeError):  # type-II is the only coefficient solve
         DriverConfig(variant="type2")
     for cap in (0.0, -1.0, math.nan, math.inf, "5", True):
@@ -160,13 +180,12 @@ def test_vanilla_identity_single_check():
     assert rec.status == "converged" and rec.convergence_checks == 1
 
 
-@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded"])
 def test_non_finite_first_evaluation_is_diverged(mode):
     # The evaluation at v0 runs before the loop; a non-finite value there
     # ends the run as diverged, not in an exception from the constructor.
     op = QueueOperator(2, [[math.nan, 0.0]])
-    cfg = DriverConfig(mode=mode, tau=0.5 if mode == "strict" else 2.0)
-    rec = run(op, np.zeros(2), cfg)
+    rec = run(op, np.zeros(2), DriverConfig(mode=mode))
     assert rec.status == "diverged"
     assert rec.iterations == 0 and rec.operator_evaluations == 0 and rec.entries == []
     assert rec.convergence_checks == 0
@@ -258,16 +277,18 @@ def test_no_acceleration_at_short_history_and_memory_cap():
             assert prev.j > cfg.m_max or prev.j == 1
 
 
-@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded", "strict"])
+@pytest.mark.parametrize("mode", ["vanilla", "unsafe", "safeguarded"])
 def test_one_propose_call_per_accelerated_step(monkeypatch, mode):
-    # The driver asks the memory once per iteration and records the j the
-    # memory holds after that call; vanilla mode keeps no memory.
+    # The driver asks the memory once per iteration, passing the ||r|| of the
+    # iterate it observes, and records the j the memory holds after that
+    # call; vanilla mode keeps no memory.
     real_propose = accel.AccelMemory.propose
-    calls = []
+    calls, norms = [], []
 
     def propose(mem, *args):
         out = real_propose(mem, *args)
         calls.append(mem.j)
+        norms.append(args[-1])
         return out
 
     monkeypatch.setattr(accel.AccelMemory, "propose", propose)
@@ -279,6 +300,7 @@ def test_one_propose_call_per_accelerated_step(monkeypatch, mode):
         assert calls == [] and all(e.j == 1 for e in rec.entries)
     else:
         assert calls == [e.j for e in rec.entries]
+        assert norms[1:] == [e.r_norm for e in rec.entries[:-1]]
 
 
 def test_guard_trip_is_a_plain_step():
@@ -355,19 +377,6 @@ def test_accepted_steps_satisfy_relaxed_bound_exactly():
             assert e.r_norm <= cfg.tau * norms[e.k - 2]
 
 
-def test_strict_mode_spends_one_evaluation_per_candidate():
-    # The strict reference is the current residual norm, which the state
-    # already holds: checking a candidate costs its own evaluation alone.
-    a, b, rng = contraction(8, 10)
-    op = AffineTestOperator(a, b)
-    cfg = DriverConfig(eps=1e-11, tau=0.99, mode="strict", check_interval=1)
-    rec = run(op, rng.standard_normal(10), cfg, residual_hook(1e-11))
-    assert rec.status == "converged"
-    assert any(e.accepted for e in rec.entries)
-    assert rec.strict_checks == 0
-    assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
-
-
 def test_residual_never_worse_than_safeguard_bound():
     # firmly nonexpansive example: the 1/2-averaged map of a rotation
     theta = 0.3
@@ -384,15 +393,14 @@ def test_residual_never_worse_than_safeguard_bound():
 
 
 @st.composite
-def driver_runs(draw, modes=("unsafe", "safeguarded", "strict")):
+def driver_runs(draw, modes=("unsafe", "safeguarded")):
     """A run record from generated settings on a small RandomQP or an affine
     contraction, possibly non-normal, whose offset scale a scheduled update
     changes."""
     mode = draw(st.sampled_from(modes))
-    tau = draw(st.floats(0.05, 0.99) if mode == "strict" else st.floats(0.05, 2.0))
     settings_ = dict(
         mode=mode,
-        tau=tau,
+        tau=draw(st.floats(0.05, 2.0)),
         m_max=draw(st.integers(2, 8)),
         eta_max=draw(st.sampled_from((1e-2, 1.0, 1e2, 1e4, 1e8))),
         adapt_interval=draw(st.integers(1, 60)),
@@ -419,23 +427,21 @@ def driver_runs(draw, modes=("unsafe", "safeguarded", "strict")):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(driver_runs(modes=("safeguarded", "strict")))
+@given(driver_runs(modes=("safeguarded",)))
 def test_every_accepted_safeguarded_step_meets_the_bound(case):
-    # ||r_acc|| <= tau ||r_ref||.  Entry k is the step from iterate k - 1, so
-    # the reference is entry k - 2 (the iterate before that one) for the
-    # relaxed test and entry k - 1 (the iterate the step left) for strict.
+    # ||r_acc|| <= tau ||r_prev||.  Entry k is the step from iterate k - 1, so
+    # the reference is entry k - 2, the iterate before that one.
     cfg, rec = case
-    lag = 1 if cfg["mode"] == "strict" else 2
     norms = {e.k: e.r_norm for e in rec.entries}
     for e in rec.entries:
         if e.accepted:
-            assert e.k >= 3 and e.r_norm <= cfg["tau"] * norms[e.k - lag]
+            assert e.k >= 3 and e.r_norm <= cfg["tau"] * norms[e.k - 2]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(driver_runs())
 def test_evaluations_are_iterations_rejections_and_strict_checks(case):
-    # No mode evaluates the operator beyond the candidate, strict included.
+    # No mode evaluates the operator beyond the candidate.
     cfg, rec = case
     assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
     assert rec.strict_checks == 0
@@ -466,17 +472,17 @@ def rotation_maps(draw):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rotation_maps())
-def test_safeguarded_and_strict_converge_wherever_vanilla_does(case):
+def test_safeguarded_converges_wherever_vanilla_does(case):
     a, b, v0 = case
     tol = 1e-6 * np.linalg.norm(a @ v0 + b - v0)
     status = {}
-    for mode, tau in (("vanilla", 2.0), ("safeguarded", 2.0), ("strict", 0.9)):
-        cfg = DriverConfig(eps=1e-6, mode=mode, tau=tau, max_iter=2000)
+    for mode in ("vanilla", "safeguarded"):
+        cfg = DriverConfig(eps=1e-6, mode=mode, max_iter=2000)
         rec = run(AffineTestOperator(a, b), v0.copy(), cfg, residual_hook(tol))
         assert rec.operator_evaluations == rec.iterations + rec.rejected_candidates
         status[mode] = rec.status
     if status["vanilla"] == "converged":
-        assert status["safeguarded"] == status["strict"] == "converged"
+        assert status["safeguarded"] == "converged"
 
 
 def plain_steps_from(entries, i):
@@ -645,8 +651,7 @@ class LoggingBetaOperator(BetaOperator):
         return super()._apply(v)
 
 
-@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
-                                       ("safeguarded", 2.0), ("strict", 0.9)])
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0), ("safeguarded", 2.0)])
 def test_an_update_start_is_what_the_next_plain_step_evaluates(mode, tau):
     a, b, rng = contraction(19, 10, radius=0.97)
     op = LoggingBetaOperator(a, b)
@@ -791,7 +796,7 @@ def test_time_cap_ends_at_the_first_step_past_it(monkeypatch, mode):
 
 
 
-@pytest.mark.parametrize("mode, tau", [("safeguarded", 0.2), ("strict", 0.5)])
+@pytest.mark.parametrize("mode, tau", [("safeguarded", 0.2)])
 def test_hooks_see_the_record_of_the_current_iterate(mode, tau):
     a, b, rng = contraction(16, 12, radius=0.97)
     op = EchoOperator(a, b)
@@ -835,8 +840,7 @@ def test_trace_entry_bookkeeping():
     assert rec.final_state.k == rec.iterations
 
 
-@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
-                                       ("safeguarded", 2.0), ("strict", 0.9)])
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0), ("safeguarded", 2.0)])
 def test_default_stop_test_is_the_residual_norm(mode, tau):
     # Without a converged hook, a run tested after every step stops at the
     # first entry whose residual norm ||v - F(v)|| is within eps.
@@ -861,8 +865,7 @@ def untimed(entry):
     return replace(entry, elapsed=0.0, accel_seconds=0.0)
 
 
-@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0),
-                                       ("safeguarded", 2.0), ("strict", 0.9)])
+@pytest.mark.parametrize("mode, tau", [("vanilla", 2.0), ("unsafe", 2.0), ("safeguarded", 2.0)])
 @pytest.mark.parametrize("prob", [generate("RandomQP", n=20, m=40, seed=3),
                                   generate("RandomSDP", side=4, seed=2)], ids=["qp", "sdp"])
 def test_run_stops_at_the_first_tested_step_that_passes(prob, mode, tau):

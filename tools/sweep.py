@@ -27,7 +27,10 @@ vanilla stopped at ``--max-iter`` an accelerated solve that did too met it.
 A solve that stopped at ``--max-iter`` below its bound, where vanilla reached
 another status, cannot be judged; the cell then reads ``met/n (u open)``, so
 pass a ``--max-iter`` of at least the bound (20000 judges every solve whose
-vanilla run took up to 6666 iterations).  It checks that every solve's
+vanilla run took up to 6666 iterations).  Under the table, one ``total`` row
+per mode sums that mode's rows over every family and setting: its statuses,
+iterations, evaluations, rejections, step-size changes, seconds and bound
+count with its open cells, its medians taken over all its solves.  It checks that every solve's
 evaluations are its iterations plus its rejections, and exits 1, naming the
 solves, when one is not; a bad spec, mode or setting exits 2 before any solve.
 
@@ -126,6 +129,25 @@ def sweep(families, modes, grid, **settings) -> list[Row]:
     return rows
 
 
+def totals(rows) -> list[Row]:
+    """One ``total`` row per mode, in the order the modes first appear, over
+    all of that mode's ``rows``."""
+    out = {}
+    for row in rows:
+        total = out.setdefault(row.mode, Row("total", {}, row.mode))
+        total.statuses += row.statuses
+        total.outcomes += row.outcomes
+        total.iterations += row.iterations
+        total.evaluations += row.evaluations
+        total.rejections += row.rejections
+        total.gamma_changes += row.gamma_changes
+        total.seconds += row.seconds
+        if row.in_bound is not None:
+            total.in_bound = (total.in_bound or 0) + row.in_bound
+            total.open += row.open
+    return list(out.values())
+
+
 def _sum_median(values) -> str:
     return f"{sum(values)}/{np.median(values):g}" if values else "-"
 
@@ -145,7 +167,8 @@ def format_table(rows) -> str:
     for row in rows:
         statuses = ",".join(f"{status}={n}" for status, n in sorted(row.statuses.items()))
         lines.append((
-            row.family, *(f"{row.setting[axis]:g}" for axis in AXES), row.mode, statuses,
+            row.family, *(f"{row.setting[axis]:g}" if row.setting else "-" for axis in AXES),
+            row.mode, statuses,
             _sum_median(row.iterations), _sum_median(row.evaluations), str(row.rejections),
             str(row.gamma_changes), f"{row.seconds:.3f}", _bound_cell(row),
         ))
@@ -191,7 +214,7 @@ def main(argv=None) -> int:
     except (ValueError, problems.InvalidParams) as exc:  # a bad spec, mode or setting
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_table(rows))
+    print(format_table(rows + totals(rows)))
     bad = [(row.mode, name) for row in rows for name in row.unreconciled]
     for mode, name in bad:
         print(f"error: {name} {mode}: evaluations != iterations + rejections", file=sys.stderr)
