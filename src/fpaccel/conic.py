@@ -463,10 +463,11 @@ def solve(
     ``mode`` selects vanilla (plain splitting iterations), unsafe
     (acceleration without the residual safeguard) or safeguarded
     acceleration; ``settings`` are ``DriverConfig`` fields by name.
-    ``solve_config`` checks them all.  Termination tests the absolute infinity-norm primal and dual residuals
-    against ``eps`` every ``check_interval`` iterations and at every
-    iteration whose trace columns (below) are both within ``eps``, so a
-    solve stops at the first tested iteration that passes.  An
+    ``solve_config`` checks them all.  Termination tests the absolute
+    infinity-norm primal and dual residuals against ``eps`` every
+    ``check_interval`` iterations and at every iteration whose trace columns
+    (below) are both within ``eps``, so a solve stops at the first tested
+    iteration that passes.  An
     ``adapt_interval`` beyond ``max_iter`` freezes the step size ``gamma``.
 
     Every decision reads the residuals formed from the data

@@ -542,7 +542,7 @@ def test_solve_arguments_that_are_not_settings_fail_before_any_solve(monkeypatch
 
 
 def test_strict_at_the_default_tau_fails_before_any_solve(monkeypatch):
-    # The strict mode is gone; at this or any tau it is an unknown mode.
+    # strict is no mode, at this or any tau.
     calls = []
     monkeypatch.setattr("fpaccel.bench._solve_task", calls.append)
     for tau in ({}, {"tau": 0.9}):

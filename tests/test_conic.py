@@ -749,7 +749,6 @@ def test_bad_eps_infeas_is_rejected(eps_infeas):
 
 @pytest.mark.parametrize("mode", ["strict", "turbo"])
 def test_solve_refuses_an_unknown_mode(monkeypatch, mode):
-    # The strict mode is gone: the safeguarded memory's pause meets its bound.
     monkeypatch.setattr(conic, "DrsOperator", None)  # a solve would call it
     with pytest.raises(ValueError, match="mode must be one of"):
         solve(tiny_qp(), mode, tau=0.5)

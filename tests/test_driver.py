@@ -117,7 +117,7 @@ def test_config_validation():
         DriverConfig(tau=np.nextafter(2.0, 3.0))
     assert DriverConfig(tau=2.0).tau == 2.0 and DriverConfig(tau=0.5).tau == 0.5
     with pytest.raises(ValueError, match="mode must be one of"):
-        DriverConfig(tau=0.5, mode="strict")  # the strict mode is gone
+        DriverConfig(tau=0.5, mode="strict")
     assert driver.MODES == ("vanilla", "unsafe", "safeguarded")
     with pytest.raises(ValueError):
         DriverConfig(m_max=1)

@@ -30,9 +30,10 @@ pass a ``--max-iter`` of at least the bound (20000 judges every solve whose
 vanilla run took up to 6666 iterations).  Under the table, one ``total`` row
 per mode sums that mode's rows over every family and setting: its statuses,
 iterations, evaluations, rejections, step-size changes, seconds and bound
-count with its open cells, its medians taken over all its solves.  It checks that every solve's
-evaluations are its iterations plus its rejections, and exits 1, naming the
-solves, when one is not; a bad spec, mode or setting exits 2 before any solve.
+count with its open cells, its medians taken over all its solves.  It checks
+that every solve's evaluations are its iterations plus its rejections, and
+exits 1, naming the solves, when one is not; a bad spec, mode or setting
+exits 2 before any solve.
 
 It sets no BLAS thread count.  Accelerated counts move with the rounding of
 dense products, so compare two checkouts under the same thread count, e.g.
