@@ -763,14 +763,18 @@ def test_solve_counts_every_loop_evaluation(mode):
     assert rec.strict_checks == 0
 
 
-@pytest.mark.parametrize("kind, params", [("InfeasibleQP", {}), ("UnboundedQP", {"scale": 1e8})],
-                         ids=["InfeasibleQP", "UnboundedQP-1e8"])
-def test_accelerated_reaches_the_status_of_vanilla_within_the_bound(kind, params):
+@pytest.mark.parametrize("kind, params, seeds", [
+    # Held-out InfeasibleQP seed 14 settles at a step size near 3e-5, where the
+    # s-part difference divided by gamma hid the multiplier difference.
+    ("InfeasibleQP", {}, [*range(1, 9), 14]),
+    ("UnboundedQP", {"scale": 1e8}, range(1, 9)),
+], ids=["InfeasibleQP", "UnboundedQP-1e8"])
+def test_accelerated_reaches_the_status_of_vanilla_within_the_bound(kind, params, seeds):
     # Each accelerated mode, at the default tau, must reach vanilla's status
     # (a certificate, or convergence at UnboundedQP seed 4) within
     # max(2000, 3 x vanilla's iterations).
     missed = []
-    for seed in range(1, 9):
+    for seed in seeds:
         prob = generate(kind, seed=seed, **params)
         vanilla = solve(prob, "vanilla", max_iter=20000)
         assert vanilla.status != "max_iter"
