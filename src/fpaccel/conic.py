@@ -341,32 +341,35 @@ class DrsOperator(FixedPointOperator):
     def infeasibility_check(self, dv: np.ndarray, eps_inf: float = 1e-6) -> Certificate | None:
         """Inspect a pure-step difference dv = v_{k+1} - v_k for certificates.
 
-        The x-part change through the prox map witnesses unboundedness
-        (dual infeasibility); the scaled s-part change witnesses primal
-        infeasibility.  Witnesses are normalized to unit infinity-norm
-        before the separating-hyperplane conditions are tested.
+        All three differences come from one KKT solve: the KKT right-hand
+        side (v_x - gamma q, b - v_s) moves by (dv_x, -dv_s), so the solve on
+        that difference gives dx and A dx, and the multiplier difference is
+        dy = (A dx + dv_s) / gamma.  dx witnesses unboundedness (dual
+        infeasibility) and dy primal infeasibility, the limits Banjac et al.
+        (2019) state the certificates on.  The scaled s-part dv_s / gamma
+        would be dy + ds / gamma, which a small gamma swamps.  dx stays a
+        solve on the small difference rather than x_1 - x_0 of two
+        evaluations: that subtraction cancels the digits of two large x's.
+        Witnesses are normalized to unit infinity-norm before the
+        separating-hyperplane conditions are tested.  ``solve_kkt`` refuses
+        a dv of the wrong length.
         """
-        prob, gamma = self.problem, self.gamma
-        n = prob.n
+        prob, n = self.problem, self.problem.n
         dv = np.asarray(dv, dtype=float)
-        # BLAS would read a prefix of a longer vector.
-        if dv.shape != (self.dim,):
-            raise ValueError(f"dv has shape {dv.shape}, expected ({self.dim},)")
-
-        dx = self.solve_kkt(dv[:n], -dv[n:])[0]
+        dx, adx = self.solve_kkt(dv[:n], -dv[n:])
         dx_norm = _inf_norm(dx)
         if dx_norm > 1e-10:
             d = dx / dx_norm
             # The scalar test first: it needs no product.
             if prob.q @ d < -eps_inf and _inf_norm(prob.P @ d) <= eps_inf:
-                ad = prob.A @ d
+                ad = adx / dx_norm
                 if all(
                     in_recession_of_negation(block, ad[sl], eps_inf)
                     for block, sl in self._blocks
                 ):
                     return Certificate(DUAL_INFEASIBLE, d)
 
-        dy = dv[n:] / gamma
+        dy = (adx + dv[n:]) / self.gamma
         dy_norm = _inf_norm(dy)
         if dy_norm > 1e-10:
             w = dy / dy_norm

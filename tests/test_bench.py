@@ -858,19 +858,21 @@ docstring"""
 
 
 def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch, capsys):
-    # tools/sweep.py runs families x seeds x settings x modes through
-    # run_benchmark, always with vanilla; each row's sums are its solves' own
+    # tools/sweep.py runs families x seeds x settings x draws x modes through
+    # conic.solve, always with vanilla; each row's sums are its solves' own
     # counts, and a solve whose evaluations are not its iterations plus its
     # rejections fails the run.  Each accelerated row counts the solves that
-    # reached vanilla's status within max(2000, 3 x vanilla's iterations).
+    # reached vanilla's status within max(2000, 3 x vanilla's iterations),
+    # and apart from them its wins: solves that converged or certified where
+    # vanilla stopped at max_iter.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     tool = importlib.import_module("sweep")
     qps = [(f"qp@{seed}", generate("RandomQP", n=6, m=12, seed=seed)) for seed in (1, 2)]
     families = [("RandomQP", qps), ("InfeasibleLP", [("lp@1", generate("InfeasibleLP", seed=1))])]
     grid = [dict(gamma=g, tau=0.9, m_max=m, eta_max=1e4) for g in (1e-2, 1e2) for m in (3, 5)]
     rows = tool.sweep(families, ["safeguarded"], grid, max_iter=500)
-    assert [(r.family, r.mode) for r in rows[:2]] == [("RandomQP", "vanilla"),
-                                                      ("RandomQP", "safeguarded")]
+    assert [(r.family, r.mode, r.draw) for r in rows[:2]] == [("RandomQP", "vanilla", 0),
+                                                              ("RandomQP", "safeguarded", 0)]
     assert len(rows) == 2 * len(grid) * 2
     for row in rows:
         problems = dict(families)[row.family]
@@ -889,7 +891,8 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
         met = [s.status == v.status and s.record.iterations <= max(2000, 3 * v.record.iterations)
                for s, v in zip(sols, vanilla)]
         unjudged = [s.status == "max_iter" != v.status for s, v in zip(sols, vanilla)]
-        assert (row.in_bound, row.open) == (sum(met), sum(unjudged))
+        wins = [v.status == "max_iter" != s.status for s, v in zip(sols, vanilla)]
+        assert (row.in_bound, row.open, row.wins) == (sum(met), sum(unjudged), sum(wins))
     assert any(row.gamma_changes for row in rows) and any(row.rejections for row in rows)
 
     # one total row per mode sums that mode's rows over every family and setting
@@ -908,38 +911,78 @@ def test_sweep_runs_the_grid_with_vanilla_and_reconciles_evaluations(monkeypatch
         sum(row.in_bound for row in rows[1::2]), sum(row.open for row in rows[1::2]))
 
     # met at the bound, later than it, unjudged below it, vanilla's own
-    # max_iter, another status, a solve that raised, stopped at the bound
+    # max_iter, another status, a solve that raised, stopped at the bound, a
+    # win by a certificate and one by convergence, and two that are no win
     vanilla = [("converged", 100), ("primal_infeasible", 1000), ("converged", 700),
-               ("max_iter", 20000), ("converged", 50), ("converged", 10), ("converged", 700)]
+               ("max_iter", 20000), ("converged", 50), ("converged", 10), ("converged", 700),
+               ("max_iter", 20000), ("max_iter", 20000), ("max_iter", 20000), ("max_iter", 20000)]
     accelerated = [("converged", 2000), ("primal_infeasible", 3001), ("max_iter", 2000),
                    ("max_iter", 20000), ("dual_infeasible", 30), ("ValueError", None),
-                   ("max_iter", 2100)]
-    assert tool.bound_counts(vanilla, accelerated) == (2, 1)
+                   ("max_iter", 2100), ("dual_infeasible", 4000), ("converged", 9000),
+                   ("diverged", 50), ("ValueError", None)]
+    assert tool.bound_counts(vanilla, accelerated) == (2, 1, 2)
     with pytest.raises(ValueError):
         tool.bound_counts(vanilla, accelerated[:-1])
+
+    # draw 0 starts at zero and draw d >= 1 at a 1e-12-scaled normal draw of
+    # seed 1000 + d; the last line gives each accelerated mode's bound count
+    # and wins per draw and the least bound count
+    prob = qps[0][1]
+    assert tool.start(prob, 0) is None
+    expected = 1e-12 * np.random.default_rng(1002).standard_normal(prob.n + prob.m)
+    assert np.array_equal(tool.start(prob, 2), expected)
+    drawn = tool.sweep([("RandomQP", qps[:1])], ["unsafe"], grid[:1], draws=2, max_iter=500)
+    assert [(r.draw, r.mode) for r in drawn] == [(0, "vanilla"), (0, "unsafe"),
+                                                 (1, "vanilla"), (1, "unsafe")]
+    for row in drawn:
+        sol = solve(prob, row.mode, v0=tool.start(prob, row.draw), max_iter=500, **grid[0])
+        assert row.iterations == [sol.record.iterations]
+    synthetic = [tool.Row("total", {}, mode, draw, outcomes=[("max_iter", 20000)] * 32,
+                          in_bound=met, open=open_, wins=wins)
+                 for draw, (met, open_, wins) in enumerate([(32, 0, 0), (30, 1, 1), (31, 0, 0)])
+                 for mode in ("unsafe", "safeguarded")]
+    synthetic[4].in_bound = 29
+    assert tool.format_draws([tool.Row("total", {}, "vanilla")] + synthetic).splitlines() == [
+        "unsafe: in bound 32/32, 30/32 (1 open), 29/32 (min 29); wins 0, 1, 0",
+        "safeguarded: in bound 32/32, 30/32 (1 open), 31/32 (min 30); wins 0, 1, 0",
+    ]
 
     spec = ["--generate", "RandomQP:n=6;m=12:1-2", "--gamma", "1e-2,1e2"]
     assert tool.main(spec) == 0
     table = capsys.readouterr().out.splitlines()
-    assert len(table) == 1 + 2 * 2 + 2 and "iters sum/med" in table[0]
+    assert len(table) == 1 + 2 * 2 + 2 + 1 and "iters sum/med" in table[0]
     assert all("converged=2" in line for line in table[1:5])
-    assert table[0].endswith("in bound")
-    assert [line.split()[-1] for line in table[1:5]] == ["-", "2/2"] * 2
-    assert [line.split()[:6] for line in table[5:]] == [
-        ["total", "-", "-", "-", "-", mode] for mode in ("vanilla", "safeguarded")]
-    assert "converged=4" in table[6] and table[6].endswith("4/4")
+    assert table[0].endswith("in bound  wins")
+    assert [line.split()[-2:] for line in table[1:5]] == [["-", "-"], ["2/2", "0"]] * 2
+    assert [line.split()[:7] for line in table[5:7]] == [
+        ["total", "-", "-", "-", "-", "0", mode] for mode in ("vanilla", "safeguarded")]
+    assert "converged=4" in table[6] and table[6].split()[-2:] == ["4/4", "0"]
+    assert table[7] == "safeguarded: in bound 4/4 (min 4); wins 0"
     open_row = tool.Row("F", grid[0], "unsafe", outcomes=[("max_iter", 500)] * 3, in_bound=1, open=2)
-    assert tool.format_table([open_row]).splitlines()[1].endswith("1/3 (2 open)")
+    assert tool.format_table([open_row]).splitlines()[1].endswith("1/3 (2 open)  0")
     assert tool.main(spec + ["--modes", "turbo"]) == 2  # an unknown mode
+    with pytest.raises(SystemExit, match="2"):
+        tool.main(spec + ["--draws", "0"])
 
     def miscounted(*args, **kwargs):
-        summary = run_benchmark(*args, **kwargs)
-        summary.rows[0].record.operator_evaluations += 1
-        return summary
+        sol = solve(*args, **kwargs)
+        sol.record.operator_evaluations += 1
+        return sol
 
-    monkeypatch.setattr("fpaccel.bench.run_benchmark", miscounted)
+    monkeypatch.setattr("fpaccel.conic.solve", miscounted)
     assert tool.main(spec) == 1
     assert "evaluations != iterations + rejections" in capsys.readouterr().err
+
+    def failing(problem, mode, **kwargs):  # a solve that raises has its error's type as status
+        if mode == "safeguarded":
+            raise FloatingPointError("overflow")
+        return solve(problem, mode, **kwargs)
+
+    monkeypatch.setattr("fpaccel.conic.solve", failing)
+    vanilla_row, failed = tool.sweep(families[:1], ["safeguarded"], grid[:1], max_iter=500)
+    assert vanilla_row.statuses == Counter(converged=2)
+    assert failed.statuses == Counter(FloatingPointError=2) and failed.iterations == []
+    assert (failed.outcomes, failed.in_bound) == ([("FloatingPointError", None)] * 2, 0)
 
 
 def test_bench_pairs_claim_rule_on_synthetic_runs(monkeypatch, tmp_path, capsys):

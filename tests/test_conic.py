@@ -601,8 +601,29 @@ def test_feasible_problem_never_emits_certificate():
 def test_infeasibility_check_refuses_a_difference_of_the_wrong_length(extra):
     # The KKT solve's dgemv would read a prefix of a longer vector.
     op = DrsOperator(generate("InfeasibleLP", seed=1))
-    with pytest.raises(ValueError, match="dv has shape"):
+    with pytest.raises(ValueError, match="u and t have shapes"):
         op.infeasibility_check(np.ones(op.dim + extra))
+
+
+def test_infeasibility_check_reads_the_multiplier_difference_at_a_small_gamma():
+    # At gamma = 3.23e-5, where the accelerated solves of InfeasibleQP seed 14
+    # settle, the pure-step s-part difference divided by gamma carries ds / gamma
+    # beside dy, and in 3000 plain steps it never passes the test A'w = 0; the
+    # multiplier difference does.
+    prob = generate("InfeasibleQP", seed=14)
+    op = DrsOperator(prob, gamma=3.23e-5)
+    v, cert = np.zeros(op.dim), None
+    for k in range(1, 3001):
+        f = op.apply(v)
+        if k % 25 == 0 and (cert := op.infeasibility_check(f - v)) is not None:
+            break
+        v = f
+    assert cert is not None and cert.kind == "primal_infeasible"
+    w = cert.witness
+    assert abs(np.abs(w).max() - 1.0) <= 1e-12
+    assert np.abs(prob.A.T @ w).max() <= 1e-6
+    support = 0.0 if w.min() >= -1e-6 else np.inf  # of the nonnegative cone, at -w
+    assert prob.b @ w + support < -1e-6
 
 
 # Every seed's certificate in each benchmark configuration is re-verified from
@@ -765,7 +786,7 @@ def test_solve_counts_every_loop_evaluation(mode):
 
 @pytest.mark.parametrize("kind, params, seeds", [
     # Held-out InfeasibleQP seed 14 settles at a step size near 3e-5, where the
-    # s-part difference divided by gamma hid the multiplier difference.
+    # s-part difference divided by gamma would hide the multiplier difference.
     ("InfeasibleQP", {}, [*range(1, 9), 14]),
     ("UnboundedQP", {"scale": 1e8}, range(1, 9)),
 ], ids=["InfeasibleQP", "UnboundedQP-1e8"])
