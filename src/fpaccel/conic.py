@@ -36,11 +36,15 @@ triangular solves U'y = rhs and U x = y on the upper factor U as BLAS-2
 ``dtrsv`` calls: LAPACK ``dpotrs`` (what ``cho_solve`` calls) takes the
 slower BLAS-3 ``dtrsm`` path even for one right-hand side.
 
-Each application forms t, mu and the slack in arrays it already holds,
-projects the slack in place and writes its output once, into one new
-array.  It also reads off the primal-dual point x, s = project(v_s - 2 mu),
-y = mu / gamma and keeps it, with the product A x the KKT solve already
-formed, as one immutable ``DrsStep`` NamedTuple; it forms no residual norm.
+Each application writes every vector once.  It allocates its output first
+and forms v_x - gamma q in the output's x-part, where the KKT solve leaves x
+(``solve_kkt(u, t, 1)``); it forms t, mu and the slack in arrays it already
+holds, projects the slack in place through one view per cone block, and
+writes the slack plus mu into the output's s-part.  It keeps x (a view of the
+output), s = project(v_s - 2 mu), mu, the product A x the KKT solve already
+formed and its gamma as one immutable ``DrsStep`` NamedTuple, whose
+multiplier y = mu / gamma is formed only when read: by the convergence test,
+the step-size update and ``solve``'s return.  It forms no residual norm.
 ``DrsOperator.residuals`` is the one place that forms
 the primal and dual residual norms of a step from the data, together with
 the products P x and A'y it needs for them, and only the decisions that read
@@ -153,14 +157,21 @@ class ConicProblem:
 class DrsStep(NamedTuple):
     """One operator evaluation read as a primal-dual point.
 
-    x is the prox output, s the projected slack and y the KKT multiplier
-    lam = mu / gamma; ax is the product A x that the KKT solve formed.
+    x is the prox output, s the projected slack, mu the scaled multiplier and
+    ax the product A x that the KKT solve formed; gamma is the step size of
+    the evaluation, so ``y`` stays its own after ``set_params``.
     """
 
     x: np.ndarray
     s: np.ndarray
-    y: np.ndarray
+    mu: np.ndarray
     ax: np.ndarray
+    gamma: float
+
+    @property
+    def y(self) -> np.ndarray:
+        """The KKT multiplier lam = mu / gamma, formed on each read."""
+        return self.mu / self.gamma
 
 
 class DrsOperator(FixedPointOperator):
@@ -221,13 +232,17 @@ class DrsOperator(FixedPointOperator):
 
     # -- the operator -------------------------------------------------------
 
-    def solve_kkt(self, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_kkt(self, u: np.ndarray, t: np.ndarray,
+                  overwrite_u: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(x, A x) for the x solving M_gamma x = u + A't, u of length n and t of length m.
 
         The multiplier of the KKT system with right-hand side (u, t) is then
-        mu = A x - t.  Neither u nor t is written.  Raises ValueError unless
-        u and t are vectors of those lengths: BLAS reads a prefix of a longer
-        vector, and a longer u would give a longer x.
+        mu = A x - t.  t is not written, and neither is u unless
+        ``overwrite_u`` is 1: then the right-hand side, both triangular solves
+        and x land in u's buffer, and the returned x is u itself when u is a
+        contiguous float64 vector.  Raises ValueError unless u and t are
+        vectors of those lengths: BLAS reads a prefix of a longer vector, and
+        a longer u would give a longer x.
         """
         prob, at = self.problem, self._at
         if u.shape != (prob.n,) or t.shape != (prob.m,):
@@ -237,11 +252,11 @@ class DrsOperator(FixedPointOperator):
         # call, a large share of a small solve.  f2py refuses an empty vector,
         # so a problem with no constraints (m = 0) keeps its own branch.
         if prob.m:
-            # rhs = u + A't, one fused dgemv on a copy of u (alpha, a, x, beta,
-            # y, offx, incx, offy, incy, trans, overwrite_y).
-            rhs = dgemv(1.0, at, t, 1.0, u, 0, 1, 0, 1, 0, 0)
+            # rhs = u + A't, one fused dgemv on u or a copy of it (alpha, a, x,
+            # beta, y, offx, incx, offy, incy, trans, overwrite_y).
+            rhs = dgemv(1.0, at, t, 1.0, u, 0, 1, 0, 1, 0, overwrite_u)
         else:
-            rhs = u.copy()
+            rhs = u if overwrite_u else u.copy()
         # (incx, offx, lower, trans, diag, overwrite_x): U'y = rhs, then U x = y.
         y = dtrsv(self._factor, rhs, 1, 0, 0, 1, 0, 1)
         x = dtrsv(self._factor, y, 1, 0, 0, 0, 0, 1)
@@ -260,18 +275,19 @@ class DrsOperator(FixedPointOperator):
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """The DRS step in reduced form, v+ = (x, project(v_s - 2 mu) + mu)."""
         n = self.problem.n
+        out = np.empty(self.dim)
         v_s = v[n:]
         t = self.problem.b - v_s
-        x, ax = self.solve_kkt(v[:n] - self._gamma_q, t)
+        # u = v_x - gamma q in the output's x-part, where the solve leaves x.
+        x, ax = self.solve_kkt(np.subtract(v[:n], self._gamma_q, out=out[:n]), t, 1)
         # mu = A x - t into t's buffer, and v_s - 2 mu, projected in place.
         mu = np.subtract(ax, t, out=t)
         s = mu * -2.0
         s += v_s
         for block, sl in self._blocks:
-            project_cone(block, s[sl], out=s[sl])
-        self.info = DrsStep(x, s, mu / self.gamma, ax)
-        out = np.empty(self.dim)
-        out[:n] = x
+            part = s[sl]
+            project_cone(block, part, out=part)
+        self.info = DrsStep(x, s, mu, ax, self.gamma)
         np.add(s, mu, out=out[n:])
         return out
 
@@ -438,7 +454,11 @@ def _hooks(eps: float, eps_infeas: float) -> _driver.Hooks:
 
 
 class ConicSolution:
-    """Solve outcome: status, primal-dual point, and the full run record."""
+    """Solve outcome: status, primal-dual point, and the full run record.
+
+    ``x`` is a view of ``record.final_state.f[:n]``, where the evaluation
+    solved it; copy it before modifying it.
+    """
 
     def __init__(self, status, x, s, y, objective, r_prim, r_dual, record, certificate):
         self.status = status

@@ -106,7 +106,7 @@ def is_integer_at_least(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
-@dataclass
+@dataclass(slots=True)
 class FixedPointState:
     """Current iterate with its operator value, residual and evaluation record.
 

@@ -1039,3 +1039,69 @@ def test_bench_pairs_claim_rule_on_synthetic_runs(monkeypatch, tmp_path, capsys)
     assert row.split()[-3:] == ["-50.0%", "2/2", "holds"]
     assert tool.percent(None) == "n/a" and tool.percent(0.125) == "+12.5%"
     assert tool.main(argv + ["--pairs", "3"]) == 1
+
+
+def bench_pairs_tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    return importlib.import_module("bench_pairs")
+
+
+def test_bench_pairs_compare_on_synthetic_pairs(monkeypatch):
+    tool = bench_pairs_tool(monkeypatch)
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    # A tie wins for neither side, whichever way is better.
+    for better in ("lower", "higher"):
+        row = tool.compare(parent, parent[:5] + [p - 5.0 for p in parent[5:]], better)
+        assert row["change_wins"] == (5 if better == "lower" else 0)
+    # The 9/10 rule: nine wins and a loss claim, eight wins and two ties do not.
+    faster = [p - 5.0 for p in parent]
+    assert tool.compare(parent, faster[:9] + [30.0])["claim_holds"]
+    assert not tool.compare(parent, faster[:8] + parent[8:])["claim_holds"]
+    # The IQR rule: a gain of exactly the parent's IQR (4.5) does not claim.
+    assert not tool.compare(parent, [p - 4.5 for p in parent])["claim_holds"]
+    assert tool.compare(parent, [p - 4.75 for p in parent])["claim_holds"]
+    # better: higher counts a larger value as the win.
+    higher = tool.compare(parent, [p + 5.0 for p in parent], "higher")
+    assert higher["change_wins"] == 10 and higher["claim_holds"]
+    assert tool.compare(parent, faster, "higher")["change_wins"] == 0
+    # A parent median of 0 has no relative change; the rules still apply.
+    zero = tool.compare([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], bound=0.25)
+    assert zero["relative_change"] is None and zero["change_wins"] == 0
+    assert not zero["claim_holds"] and zero["within_bound"]
+    assert not tool.compare([0.0] * 3, [1e-9] * 3, bound=0.25)["within_bound"]
+    assert tool.compare([0.0] * 3, [1.0] * 3, "higher", 0.25)["claim_holds"]
+
+
+def test_bench_pairs_bound_column_is_the_no_regression_rule(monkeypatch, tmp_path, capsys):
+    tool = bench_pairs_tool(monkeypatch)
+    parent = [4.0, 4.0, 4.0, 4.0]
+    # Worse by exactly the bound is ok; by more is WORSE; better is always ok.
+    assert tool.compare(parent, [5.0] * 4, bound=0.25)["within_bound"]
+    assert not tool.compare(parent, [5.01] * 4, bound=0.25)["within_bound"]
+    assert tool.compare(parent, [1.0] * 4, bound=0.25)["within_bound"]
+    assert tool.compare(parent, [3.0] * 4, "higher", 0.25)["within_bound"]
+    assert not tool.compare(parent, [2.9] * 4, "higher", 0.25)["within_bound"]
+    assert tool.compare(parent, [9.0] * 4)["within_bound"] is None
+    assert [tool.verdict(w) for w in (True, False, None)] == ["ok", "WORSE", "-"]
+
+    # main reads each metric's bound from the change's BENCHMARK.json.
+    values = {"parent": {"wall_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0},
+              "change": {"wall_s": 1.2, "setup_s": 1.3, "peak_rss_mb": 1.2}}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in values[checkout.name].items()}}
+
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                           {"name": "setup_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower"}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "bound" in lines[1].split()
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    assert [rows[name][-4] for name in ("wall_s", "setup_s", "peak_rss_mb")] == ["ok", "WORSE", "-"]

@@ -176,7 +176,7 @@ def test_zero_cone_matches_equality_kkt_oracle():
 def test_residual_norms_trivial():
     prob = ConicProblem(None, np.zeros(2), np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]),
                         [ConeBlock(NONNEG, 3)])
-    step = DrsStep(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3))
+    step = DrsStep(np.zeros(2), prob.b.copy(), np.zeros(3), np.zeros(3), 1.0)
     assert DrsOperator(prob).residuals(step)[:2] == (0.0, 0.0)
 
 
@@ -188,7 +188,7 @@ def test_residual_norms_match_recomputation():
                  ConicProblem(np.eye(3), [1.0, -2.0, 0.5], None, [], [])):
         n, m = prob.n, prob.m
         x, s, y = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)
-        r_prim, r_dual, px, aty = DrsOperator(prob).residuals(DrsStep(x, s, y, prob.A @ x))
+        r_prim, r_dual, px, aty = DrsOperator(prob).residuals(DrsStep(x, s, y, prob.A @ x, 1.0))
         assert r_prim == np.abs(prob.A @ x + s - prob.b).max(initial=0.0)
         assert r_dual == np.abs(prob.P @ x + prob.q + prob.A.T @ y).max()
         assert px.tobytes() == (prob.P @ x).tobytes() and aty.tobytes() == (prob.A.T @ y).tobytes()
@@ -516,9 +516,9 @@ def test_kkt_solves_are_the_counted_evaluations(monkeypatch):
     calls = []
     solve_kkt = DrsOperator.solve_kkt
 
-    def counted(op, r1, r2):
+    def counted(op, *args):
         calls.append(1)
-        return solve_kkt(op, r1, r2)
+        return solve_kkt(op, *args)
 
     monkeypatch.setattr(DrsOperator, "solve_kkt", counted)
     for gamma in (100.0, 0.001):
@@ -1113,10 +1113,80 @@ def test_evaluation_is_the_reference_expressions_bit_for_bit(kind, gamma):
 
 
 def test_drs_step_is_an_immutable_record_in_field_order():
-    x, s, y, ax = (np.full(k, float(k)) for k in (1, 2, 3, 4))
-    step = DrsStep(x, s, y, ax)
-    assert step.x is x and step.s is s and step.y is y and step.ax is ax
-    assert tuple(step) == (x, s, y, ax)
-    for name in ("x", "s", "y", "ax"):
+    x, s, mu, ax = (np.full(k, float(k)) for k in (1, 2, 3, 4))
+    step = DrsStep(x, s, mu, ax, 0.5)
+    assert step.x is x and step.s is s and step.mu is mu and step.ax is ax and step.gamma == 0.5
+    assert tuple(step) == (x, s, mu, ax, 0.5)
+    # y is derived from the stored fields, not stored itself.
+    assert "y" not in DrsStep._fields
+    assert step.y.tobytes() == (mu / 0.5).tobytes()
+    for name in ("x", "s", "mu", "ax", "gamma", "y"):
         with pytest.raises(AttributeError):
             setattr(step, name, np.zeros(1))
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", sorted(IDENTITY_PROBLEMS))
+def test_evaluation_solves_x_inside_its_output(kind, gamma):
+    # x is solved in the x-part of F(v) itself, and x, s, A x, y and F(v)
+    # keep the reference expressions' bytes.
+    prob = IDENTITY_PROBLEMS[kind](0)
+    op = DrsOperator(prob, gamma=gamma)
+    v = np.random.default_rng(7).standard_normal(op.dim)
+    out, (x, s, y, ax) = reference_evaluation(op, v.copy())
+    f = op.apply(v)
+    step = op.info
+    assert np.shares_memory(step.x, f) and step.x.tobytes() == f[: prob.n].tobytes()
+    assert f.tobytes() == out.tobytes()
+    for got, want in ((step.x, x), (step.s, s), (step.ax, ax), (step.y, y)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_step_y_keeps_the_gamma_of_its_evaluation():
+    # y = mu / gamma0 bit for bit, also after the operator moved to gamma1.
+    prob = generate("RandomQP", n=8, m=12, seed=6)
+    op = DrsOperator(prob, gamma=0.3)
+    v = np.random.default_rng(8).standard_normal(op.dim)
+    want = reference_evaluation(op, v.copy())[1][2]
+    op.apply(v)
+    step = op.info
+    op.set_params(7.0)
+    assert op.gamma == 7.0 and step.gamma == 0.3
+    assert step.y.tobytes() == want.tobytes() == (step.mu / 0.3).tobytes()
+
+
+def test_adapt_gamma_start_is_the_carried_slack_bit_for_bit():
+    # The start is (f_x, f_s + (gamma1 - gamma0) y) with y = mu / gamma0.
+    prob = generate("RandomQP", n=8, m=12, seed=6)
+    gamma0 = 0.3
+    op = DrsOperator(prob, gamma=gamma0)
+    v = np.random.default_rng(9).standard_normal(op.dim)
+    y = reference_evaluation(op, v.copy())[1][2]
+    f = op.apply(v)
+    fake_residuals(op, 1.0, 0.0)  # r_dual = 0: a move to GAMMA_MIN
+    start = op.adapt_gamma(op.info, f)
+    n, gamma1 = prob.n, op.gamma
+    assert gamma1 == conic.GAMMA_MIN
+    want = np.concatenate([f[:n], f[n:] + (gamma1 - gamma0) * y])
+    assert start.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (5, 0)])
+def test_solve_kkt_writes_x_into_u_only_when_asked(shape):
+    n, m = shape
+    prob = generate("RandomQP", n=n, m=m, seed=2) if m else ConicProblem(
+        np.eye(n), np.ones(n), None, [], [])
+    op = DrsOperator(prob, gamma=0.7)
+    rng = np.random.default_rng(10)
+    u, t = rng.standard_normal(n), rng.standard_normal(m)
+    u0, t0 = u.tobytes(), t.tobytes()
+    x, ax = op.solve_kkt(u, t)
+    assert u.tobytes() == u0 and t.tobytes() == t0 and not np.shares_memory(x, u)
+    x1, ax1 = op.solve_kkt(u, t, 1)
+    assert x1 is u and t.tobytes() == t0
+    assert x1.tobytes() == x.tobytes() and ax1.tobytes() == ax.tobytes()
+    for bad_u, bad_t in ((np.ones(n + 1), np.ones(m)), (np.ones(n), np.ones(m + 1)),
+                         (np.ones(n - 1), np.ones(m)), (np.ones((n, 1)), np.ones(m))):
+        for args in ((), (1,)):
+            with pytest.raises(ValueError, match=f"expected \\({n},\\) and \\({m},\\)"):
+                op.solve_kkt(bad_u, bad_t, *args)

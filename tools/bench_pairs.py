@@ -17,7 +17,11 @@ each side's median and quartiles, the parent's interquartile range, the
 change's median relative to the parent's (``relative_change``, in percent), the
 change's wins (ties count for neither side) and whether the claim rule holds:
 the change wins at least nine tenths of the pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
+than the parent's by more than the parent's interquartile range.  The
+``bound`` column applies the no-regression rule: ``ok`` when the change's
+median is worse than the parent's by no more than the metric's ``bound`` in
+``BENCHMARK.json`` (a fraction of the parent's median), ``WORSE`` otherwise,
+and ``-`` for a metric that declares no bound.
 
 ``--json PATH`` stores every pair and the summary under the key ``W@S`` of
 the JSON object in PATH, which is created, or updated when it exists, so that
@@ -45,13 +49,16 @@ def quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(parent, change, better: str = "lower") -> dict:
-    """The claim rule on paired runs of one metric.
+def compare(parent, change, better: str = "lower", bound: float | None = None) -> dict:
+    """The claim rule, and the no-regression rule, on paired runs of one metric.
 
     ``parent[i]`` and ``change[i]`` come from pair i.  A pair is won when the
     change's value is strictly better; the claim holds when the change wins at
     least ``WIN_TENTHS`` tenths of the pairs and its median is better than the
-    parent's by more than the parent's interquartile range.
+    parent's by more than the parent's interquartile range.  ``within_bound``
+    says whether the change's median is worse than the parent's by at most
+    ``bound`` times the parent's median (at a parent median of 0, not worse
+    at all); it is None without a bound.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -73,6 +80,7 @@ def compare(parent, change, better: str = "lower") -> dict:
         "parent_iqr": p_iqr,
         "relative_change": (c_med - p_med) / p_med if p_med else None,
         "claim_holds": 10 * wins >= WIN_TENTHS * len(parent) and gain > p_iqr,
+        "within_bound": None if bound is None else -gain <= bound * abs(p_med),
     }
 
 
@@ -81,10 +89,15 @@ def percent(ratio: float | None) -> str:
     return "n/a" if ratio is None else f"{100 * ratio:+.1f}%"
 
 
-def end_to_end(checkout: Path) -> list[tuple[str, str]]:
-    """(name, better) of each end-to-end metric the checkout's benchmark declares."""
+def end_to_end(checkout: Path) -> list[tuple[str, str, float | None]]:
+    """(name, better, bound or None) of each end-to-end metric the checkout's benchmark declares."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m.get("bound")) for m in spec["end_to_end"]]
+
+
+def verdict(within_bound: bool | None) -> str:
+    """The ``bound`` column: ``ok``, ``WORSE``, or ``-`` for a metric without a bound."""
+    return "-" if within_bound is None else "ok" if within_bound else "WORSE"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -138,17 +151,18 @@ def main(argv=None) -> int:
     summary = {}
     print(f"{args.workload}@{args.seed}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<18} {'parent median [q1, q3]':>37} {'change median [q1, q3]':>37} "
-          f"{'parent IQR':>10} {'change':>8} {'wins':>5}  claim")
-    for name, better in metrics:
+          f"{'parent IQR':>10} {'bound':>5} {'change':>8} {'wins':>5}  claim")
+    for name, better, bound in metrics:
         if not all(name in p[s]["metrics"] for p in pairs for s in sides):
             continue
         row = compare([p["parent"]["metrics"][name] for p in pairs],
-                      [p["change"]["metrics"][name] for p in pairs], better)
+                      [p["change"]["metrics"][name] for p in pairs], better, bound)
         summary[name] = row
         pq, cq = row["parent_quartiles"], row["change_quartiles"]
         print(f"{name:<18} {row['parent_median']:>11.5g} [{pq[0]:>10.5g}, {pq[1]:>10.5g}]"
               f" {row['change_median']:>11.5g} [{cq[0]:>10.5g}, {cq[1]:>10.5g}]"
-              f" {row['parent_iqr']:>10.3g} {percent(row['relative_change']):>8}"
+              f" {row['parent_iqr']:>10.3g} {verdict(row['within_bound']):>5}"
+              f" {percent(row['relative_change']):>8}"
               f" {row['change_wins']:>2}/{row['pairs']:<2}"
               f"  {'holds' if row['claim_holds'] else 'no'}")
 
